@@ -25,7 +25,6 @@ from .errors import (
     NumericalError,
     PeakonError,
     PoleHit,
-    ReconstructionFail,
     TraceMismatch,
     UnresolvedPole,
     ValidationError,

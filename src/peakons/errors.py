@@ -79,10 +79,6 @@ class TraceMismatch(NumericalError):
     pass
 
 
-class ReconstructionFail(NumericalError):
-    pass
-
-
 class Infeasible(NumericalError):
     # inverse-module failure: no reference point makes the data expandable
     pass

@@ -6,11 +6,29 @@ left derivative jumps by (z w_i + z^2 v_i) f(x_i).  All derivative values
 are left-continuous.  phi_plus decays like e^{-x/2} at +inf, phi_minus
 like e^{x/2} at -inf; their Wronskian W(z) is a polynomial whose zeros
 are the eigenvalues.
+
+Every shooting solution comes from one gap-transfer walk, _shoot:
+
+- the side picks the direction: "plus" walks right to left from beyond
+  the support and includes the jump at x, "minus" walks left to right and
+  crosses only the atoms strictly below x; the side fixes the seed, the
+  sign of sinh on the gaps and the sign of the jump;
+- an optional record list receives phi at each crossed atom, before its
+  jump (the one-pass sweeps over the support);
+- z is a number (plain float arithmetic) or None, which yields
+  coefficient arrays in z (polyadd/polymul arithmetic).
+
+The determinant recursion Q_0..Q_n has one body, _q_recursion, with the
+same number / coefficient-array switch.  Coefficient arrays stay unpadded:
+padding them to one length makes np.convolve sum in another order, which
+moves Q and the eigenvalues in the last bit.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,9 +111,6 @@ class ShootingState:
     A: float  # e^{x/2} coefficient on the gap left of x
     B: float  # e^{-x/2} coefficient on the gap left of x
 
-    def __iter__(self):
-        return iter((self.value, self.left_derivative))
-
 
 @dataclass(frozen=True)
 class Pencil:
@@ -105,125 +120,65 @@ class Pencil:
 
 # ------------------------------------------------------------------- shooting
 
-def _jump(z, w, v):
-    return z * w + z * z * v
+def _shoot(m: PeakonMeasure, z: float | None, x: float, side: str, record: list | None = None):
+    """(phi, phi') of phi_side at x, phi' left-continuous; see the module doc.
+
+    With a record list, record[j] = phi(x_j) for every crossed atom j.
+    """
+    # sgn is the sign of sinh on the gaps; the jump enters with -sgn
+    k = bisect_left(m.points, x)  # atoms k.. lie at or above x
+    if side == "plus":
+        sgn, cur, crossed = -1.0, max(m.points[-1], x) + 1.0, range(m.n - 1, k - 1, -1)
+    else:
+        sgn, cur, crossed = 1.0, min(m.points[0], x) - 1.0, range(k)
+    if z is None:  # polyadd pads unequal degrees
+        add, mul, phi = npp.polyadd, npp.polymul, np.array([math.exp(sgn * cur / 2.0)])
+    else:
+        add, mul, phi = operator.add, operator.mul, math.exp(sgn * cur / 2.0)
+    dphi = sgn * 0.5 * phi
+    for j in (*crossed, None):  # None: the last gap, up to x
+        xi = x if j is None else m.points[j]
+        h = sgn * (xi - cur) / 2.0  # half the gap length
+        c, s = math.cosh(h), sgn * math.sinh(h)
+        phi, dphi = add(phi * c, 2.0 * dphi * s), add(dphi * c, 0.5 * phi * s)
+        if j is None:
+            return phi, dphi
+        if record is not None:
+            record[j] = phi
+        w, v = m.omega[j], m.vee[j]
+        jump = [0.0, w, v] if z is None else z * w + z * z * v
+        dphi = add(dphi, -sgn * mul(jump, phi))
+        cur = xi
 
 
-def _step_left(phi, dphi, d: float):
-    c, s = math.cosh(d / 2.0), math.sinh(d / 2.0)
-    return phi * c - 2.0 * dphi * s, dphi * c - 0.5 * phi * s
-
-
-def _step_right(phi, dphi, d: float):
-    c, s = math.cosh(d / 2.0), math.sinh(d / 2.0)
-    return phi * c + 2.0 * dphi * s, dphi * c + 0.5 * phi * s
+def _state(x: float, phi: float, dphi: float) -> ShootingState:
+    A = 0.5 * math.exp(-x / 2.0) * (phi + 2.0 * dphi)
+    B = 0.5 * math.exp(x / 2.0) * (phi - 2.0 * dphi)
+    return ShootingState(phi, dphi, A, B)
 
 
 def shoot_plus(m: PeakonMeasure, z: float, x: float) -> ShootingState:
     """phi_plus and its left derivative at x; the jump at x itself is included."""
-    cur = max(m.points[-1], x) + 1.0
-    phi = math.exp(-cur / 2.0)
-    dphi = -0.5 * phi
-    for xi, w, v in zip(reversed(m.points), reversed(m.omega), reversed(m.vee)):
-        if xi < x:
-            break
-        phi, dphi = _step_left(phi, dphi, cur - xi)
-        dphi = dphi + _jump(z, w, v) * phi
-        cur = xi
-    phi, dphi = _step_left(phi, dphi, cur - x)
-    A = 0.5 * math.exp(-x / 2.0) * (phi + 2.0 * dphi)
-    B = 0.5 * math.exp(x / 2.0) * (phi - 2.0 * dphi)
-    return ShootingState(phi, dphi, A, B)
+    return _state(x, *_shoot(m, z, x, "plus"))
 
 
 def shoot_minus(m: PeakonMeasure, z: float, x: float) -> ShootingState:
     """phi_minus and its left derivative at x; atoms strictly below x are crossed."""
-    cur = min(m.points[0], x) - 1.0
-    phi = math.exp(cur / 2.0)
-    dphi = 0.5 * phi
-    for xi, w, v in zip(m.points, m.omega, m.vee):
-        if xi >= x:
-            break
-        phi, dphi = _step_right(phi, dphi, xi - cur)
-        dphi = dphi - _jump(z, w, v) * phi  # crossing: left-deriv -> right-deriv
-        cur = xi
-    phi, dphi = _step_right(phi, dphi, x - cur)
-    A = 0.5 * math.exp(-x / 2.0) * (phi + 2.0 * dphi)
-    B = 0.5 * math.exp(x / 2.0) * (phi - 2.0 * dphi)
-    return ShootingState(phi, dphi, A, B)
+    return _state(x, *_shoot(m, z, x, "minus"))
 
 
-def _sweep_plus(m: PeakonMeasure, z: float) -> list[float]:
-    """phi_plus(z, x_j) for every support point, one pass."""
-    cur = m.points[-1] + 1.0
-    phi = math.exp(-cur / 2.0)
-    dphi = -0.5 * phi
+def _sweep(m: PeakonMeasure, z: float, side: str) -> list[float]:
+    """phi_side(z, x_j) for every support point, one pass."""
     vals = [0.0] * m.n
-    for j in range(m.n - 1, -1, -1):
-        xi = m.points[j]
-        phi, dphi = _step_left(phi, dphi, cur - xi)
-        vals[j] = phi
-        dphi = dphi + _jump(z, m.omega[j], m.vee[j]) * phi
-        cur = xi
+    _shoot(m, z, m.points[0] if side == "plus" else m.points[-1] + 1.0, side, vals)
     return vals
-
-
-def _sweep_minus(m: PeakonMeasure, z: float) -> list[float]:
-    cur = m.points[0] - 1.0
-    phi = math.exp(cur / 2.0)
-    dphi = 0.5 * phi
-    vals = [0.0] * m.n
-    for j in range(m.n):
-        xi = m.points[j]
-        phi, dphi = _step_right(phi, dphi, xi - cur)
-        vals[j] = phi
-        dphi = dphi - _jump(z, m.omega[j], m.vee[j]) * phi
-        cur = xi
-    return vals
-
-
-def _poly_step(phi, dphi, d: float, direction: float):
-    """Gap propagation for coefficient arrays; polyadd pads unequal degrees."""
-    c, s = math.cosh(d / 2.0), direction * math.sinh(d / 2.0)
-    return (
-        npp.polyadd(c * phi, 2.0 * s * dphi),
-        npp.polyadd(c * dphi, 0.5 * s * phi),
-    )
-
-
-def _shoot_poly_plus(m: PeakonMeasure, x: float) -> tuple[np.ndarray, np.ndarray]:
-    """(phi, phi') at x as polynomials in z, jump at x included."""
-    cur = max(m.points[-1], x) + 1.0
-    phi = np.array([math.exp(-cur / 2.0)])
-    dphi = -0.5 * phi
-    for xi, w, v in zip(reversed(m.points), reversed(m.omega), reversed(m.vee)):
-        if xi < x:
-            break
-        phi, dphi = _poly_step(phi, dphi, cur - xi, -1.0)
-        dphi = npp.polyadd(dphi, npp.polymul([0.0, w, v], phi))
-        cur = xi
-    return _poly_step(phi, dphi, cur - x, -1.0)
-
-
-def _shoot_poly_minus(m: PeakonMeasure, x: float) -> tuple[np.ndarray, np.ndarray]:
-    cur = m.points[0] - 1.0
-    phi = np.array([math.exp(cur / 2.0)])
-    dphi = 0.5 * phi
-    for xi, w, v in zip(m.points, m.omega, m.vee):
-        if xi >= x:
-            break
-        phi, dphi = _poly_step(phi, dphi, xi - cur, 1.0)
-        dphi = npp.polyadd(dphi, -npp.polymul([0.0, w, v], phi))
-        cur = xi
-    return _poly_step(phi, dphi, x - cur, 1.0)
 
 
 def wronskian_poly(m: PeakonMeasure) -> np.ndarray:
     """W(z) coefficients: the e^{-x/2} coefficient of phi_plus left of x_1."""
     x1 = m.points[0]
-    phi, dphi = _shoot_poly_plus(m, x1)
-    w = 0.5 * math.exp(x1 / 2.0) * npp.polysub(phi, 2.0 * dphi)
-    return ratfun.trim(w, 1e-14)
+    phi, dphi = _shoot(m, None, x1, "plus")
+    return ratfun.trim(0.5 * math.exp(x1 / 2.0) * npp.polysub(phi, 2.0 * dphi), 1e-14)
 
 
 def wronskian_at(m: PeakonMeasure, z: float, x: float) -> float:
@@ -282,36 +237,26 @@ def build_pencil(m: PeakonMeasure) -> Pencil:
     return Pencil(J, D)
 
 
-def q_values(m: PeakonMeasure, z: float) -> list[float]:
-    """[Q_0(z), ..., Q_n(z)] by the three-term recursion."""
+def _q_recursion(m: PeakonMeasure, z: float | None) -> list:
+    """[Q_0, ..., Q_n] at the number z, or as coefficient arrays for z=None."""
     a, b = _coefficients(m)
-    n = m.n
-    q = [1.0]
-    prev2, prev1 = 0.0, 1.0
-    for i in range(1, n + 1):
-        w, v = m.omega[n - i], m.vee[n - i]
-        cur = (b[i - 1] - w * z - v * z * z) * prev1
-        if i >= 2:
-            cur -= a[i - 2] ** 2 * prev2
+    if z is None:
+        add, mul, prev1 = npp.polyadd, npp.polymul, np.array([1.0])
+    else:
+        add, mul, prev1 = operator.add, operator.mul, 1.0
+    q, prev2 = [prev1], 0.0
+    # Q_i = (b_{i-1} - w z - v z^2) Q_{i-1} - a_{i-1}^2 Q_{i-2}, with a_0 = 0, Q_{-1} = 0
+    for ai, bi, w, v in zip((0.0, *a), b, reversed(m.omega), reversed(m.vee)):
+        factor = [bi, -w, -v] if z is None else bi - w * z - v * z * z
+        cur = add(mul(factor, prev1), -(ai ** 2) * prev2)
         q.append(cur)
         prev2, prev1 = prev1, cur
     return q
 
 
-def q_polys(m: PeakonMeasure) -> list[np.ndarray]:
-    """Coefficient arrays of Q_0..Q_n."""
-    a, b = _coefficients(m)
-    n = m.n
-    polys = [np.array([1.0])]
-    prev2, prev1 = np.zeros(1), np.array([1.0])
-    for i in range(1, n + 1):
-        w, v = m.omega[n - i], m.vee[n - i]
-        cur = npp.polymul([b[i - 1], -w, -v], prev1)
-        if i >= 2:
-            cur = npp.polyadd(cur, -(a[i - 2] ** 2) * prev2)
-        polys.append(cur)
-        prev2, prev1 = prev1, cur
-    return polys
+def q_values(m: PeakonMeasure, z: float) -> list[float]:
+    """[Q_0(z), ..., Q_n(z)] by the three-term recursion."""
+    return _q_recursion(m, z)
 
 
 def sign_changes(m: PeakonMeasure, z: float) -> int:
@@ -331,7 +276,7 @@ def sign_changes(m: PeakonMeasure, z: float) -> int:
 def eigenvalues(m: PeakonMeasure, tol: Tolerances = DEFAULT) -> list[float]:
     """All n + n_v eigenvalues by Sturm-count bisection plus Newton polish."""
     n_v, n_plus, n_minus = counts(m)
-    qn = q_polys(m)[-1]
+    qn = _q_recursion(m, None)[-1]
     dqn = npp.polyder(qn)
     bound = ratfun._cauchy_bound(ratfun.trim(qn, 1e-14))
     for _ in range(60):
@@ -391,11 +336,11 @@ def spectral_data(m: PeakonMeasure, tol: Tolerances = DEFAULT) -> SpectralData:
     dw = npp.polyder(wpoly)
     kappas = []
     for lam in lams:
-        plus = _sweep_plus(m, lam)
+        plus = _sweep(m, lam, "plus")
         kappa = _norming(m, lam, plus)
         if kappa <= 0.0:
             raise ConsistencyFail(f"norming constant {kappa} for eigenvalue {lam}")
-        minus = _sweep_minus(m, lam)
+        minus = _sweep(m, lam, "minus")
         j = max(range(m.n), key=lambda i: abs(plus[i]))
         c_lam = minus[j] / plus[j]
         lhs = ratfun.polyval(dw, lam)
@@ -421,15 +366,11 @@ def interior_data(m: PeakonMeasure, a: float, tol: Tolerances = DEFAULT) -> Inte
 
 def weyl(m: PeakonMeasure, a: float, side: str, tol: Tolerances = DEFAULT) -> HerglotzRational:
     """M_plus = phi'_+/(z phi_+) on [a, inf); M_minus = -phi'_-/(z phi_-) on (-inf, a)."""
-    if side == "plus":
-        phi, dphi = _shoot_poly_plus(m, a)
-        num, den = dphi, npp.polymul([0.0, 1.0], phi)
-    elif side == "minus":
-        phi, dphi = _shoot_poly_minus(m, a)
-        num, den = -dphi, npp.polymul([0.0, 1.0], phi)
-    else:
+    if side not in ("plus", "minus"):
         raise ValueError(f"side must be plus or minus, got {side!r}")
-    return pf_decompose(num, den, tol)
+    phi, dphi = _shoot(m, None, a, side)
+    sign = 1.0 if side == "plus" else -1.0
+    return pf_decompose(sign * dphi, npp.polymul([0.0, 1.0], phi), tol)
 
 
 def eigenfunction_zero_count(m: PeakonMeasure, i: int, tol: Tolerances = DEFAULT) -> int:
@@ -444,8 +385,8 @@ def eigenfunction_zero_count(m: PeakonMeasure, i: int, tol: Tolerances = DEFAULT
     sample leaves the count unchanged.
     """
     lam = eigenvalues(m, tol)[i]
-    plus = _sweep_plus(m, lam)
-    minus = _sweep_minus(m, lam)
+    plus = _sweep(m, lam, "plus")
+    minus = _sweep(m, lam, "minus")
     top = max(range(m.n), key=lambda k: abs(plus[k]))
     s = 1.0 if plus[top] * minus[top] > 0 else -1.0
     vals = [s * p for p in minus[:top]] + plus[top:]

@@ -104,14 +104,18 @@ def _snap_phi(d: InteriorData, tol: Tolerances) -> list[float]:
     return [0.0 if abs(p) <= tol.phi * top else p for p in d.phi]
 
 
-def alpha_beta(d: InteriorData, tol: Tolerances = DEFAULT) -> tuple[float, float]:
-    alpha = 1.0 - sum(p * p for p in d.phi)
-    beta = -sum(lam * p * p for lam, p in zip(d.eigenvalues, d.phi))
+def _alpha_beta(lams, phi, tol: Tolerances) -> tuple[float, float]:
+    alpha = 1.0 - sum(p * p for p in phi)
+    beta = -sum(lam * p * p for lam, p in zip(lams, phi))
     if abs(alpha) <= tol.ab:
         alpha = 0.0
     if abs(beta) <= tol.ab:
         beta = 0.0
     return alpha, beta
+
+
+def alpha_beta(d: InteriorData, tol: Tolerances = DEFAULT) -> tuple[float, float]:
+    return _alpha_beta(d.eigenvalues, d.phi, tol)
 
 
 def _f_function(d: InteriorData, tol: Tolerances) -> HerglotzRational:
@@ -330,12 +334,7 @@ def modulus_family_count(d: InteriorData, tol: Tolerances = DEFAULT) -> int:
     phi = _snap_phi(d, tol)
     n = len(phi)
     k = sum(1 for p in phi if p == 0.0)
-    alpha = 1.0 - sum(p * p for p in phi)
-    beta = -sum(lam * p * p for lam, p in zip(d.eigenvalues, phi))
-    if abs(alpha) <= tol.ab:
-        alpha = 0.0
-    if abs(beta) <= tol.ab:
-        beta = 0.0
+    alpha, beta = _alpha_beta(d.eigenvalues, phi, tol)  # from the snapped phi
     if alpha == 0.0 and beta == 0.0:
         c = 2
     elif alpha == 0.0:

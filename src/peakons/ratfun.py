@@ -34,8 +34,6 @@ from .errors import (
 # ---------------------------------------------------------------- polynomials
 
 def coeffs(p) -> np.ndarray:
-    if isinstance(p, RealPolynomial):
-        return np.asarray(p.coefficients, dtype=float)
     return np.atleast_1d(np.asarray(p, dtype=float))
 
 
@@ -70,26 +68,6 @@ def eval_scale(c, z) -> float:
     if c.size == 0:
         return 0.0
     return float(npp.polyval(abs(z), np.abs(c)))
-
-
-@dataclass(frozen=True)
-class RealPolynomial:
-    coefficients: tuple[float, ...]
-
-    @classmethod
-    def of(cls, seq, rel: float = DEFAULT.coef) -> "RealPolynomial":
-        return cls(tuple(float(v) for v in trim(seq, rel)))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def __call__(self, z):
-        return polyval(np.asarray(self.coefficients), z)
-
-    def deriv(self) -> "RealPolynomial":
-        c = np.asarray(self.coefficients, dtype=float)
-        return RealPolynomial(tuple(npp.polyder(c)) if c.size > 1 else ())
 
 
 def _cauchy_bound(c: np.ndarray) -> float:
@@ -220,13 +198,6 @@ class HerglotzRational:
                     part = npp.polymul(part, [mu, -1.0])
             num = npp.polyadd(num, part)
         return trim(num, 1e-14), trim(den, 1e-14)
-
-    def residue_at(self, mu: float) -> float:
-        """Analytic residue at the pole mu (equals -b for the b/(mu-z) term)."""
-        for m, b in zip(self.poles, self.residues):
-            if m == mu:
-                return -b
-        raise KeyError(mu)
 
 
 def herglotz(gamma, zeta, poles, residues, tol: Tolerances = DEFAULT) -> HerglotzRational:

@@ -21,7 +21,7 @@ from peakons import (
     wronskian_at,
     wronskian_poly,
 )
-from peakons.forward import ladder_rank, q_polys, _sweep_plus
+from peakons.forward import ladder_rank, _q_recursion, _sweep
 from peakons.ratfun import poly_real_roots, polyval
 
 
@@ -94,11 +94,16 @@ def test_q_phi_identity(rng):
         a, _b = __import__("peakons.forward", fromlist=["x"])._coefficients(m)
         z = float(rng.uniform(-2.0, 2.0))
         q = q_values(m, z)
-        vals = _sweep_plus(m, z)
+        vals = _sweep(m, z, "plus")
         pref = math.exp(m.points[-1] / 2.0)
         for i in range(1, m.n):
             pref_i = pref * math.prod(a[:i])
             assert q[i] == pytest.approx(pref_i * vals[m.n - 1 - i], rel=1e-9, abs=1e-12)
+        # both one-pass sweeps record exactly the shooting values at the atoms
+        minus = _sweep(m, z, "minus")
+        for j, xj in enumerate(m.points):
+            assert vals[j] == shoot_plus(m, z, xj).value
+            assert minus[j] == shoot_minus(m, z, xj).value
 
 
 # ----------------------------------------------------------- eigenvalues
@@ -139,7 +144,7 @@ def test_eigenvalue_count_by_signs(rng):
 def test_interlacing_and_no_common_roots(rng):
     for _ in range(10):
         m = random_measure(rng, n=3)
-        polys = q_polys(m)
+        polys = _q_recursion(m, None)
         prev_roots = [0.0]
         for i in range(1, m.n + 1):
             roots = poly_real_roots(polys[i], assume_real_simple=True)
@@ -327,5 +332,5 @@ def test_extreme_eigenfunctions_positive(rng):
         lams = eigenvalues(m)
         extremes = [i for i, v in enumerate(lams) if ladder_rank(lams, i) == 1]
         for i in extremes:
-            vals = _sweep_plus(m, lams[i])
+            vals = _sweep(m, lams[i], "plus")
             assert all(v > 0 for v in vals)

@@ -35,10 +35,10 @@ def test_quadratic_roots():
 def test_q2_roots_match_dense_oracle():
     from peakons import q_values
     from conftest import dense_eigenvalues
-    from peakons.forward import q_polys
+    from peakons.forward import _q_recursion
 
     m = validate([(0.0, 1.0, 0.0), (1.0, 1.0, 0.0)])
-    q2 = q_polys(m)[-1]
+    q2 = _q_recursion(m, None)[-1]
     roots = poly_real_roots(q2, assume_real_simple=True)
     assert len(roots) == 2 and all(r > 0 for r in roots)
     oracle = dense_eigenvalues(m)
