@@ -111,12 +111,10 @@ def _cmd_forward(args, cfg: RunConfig) -> int:
     m = PeakonMeasure.from_json_obj(_read_json(args.file), cfg.tol)
     sd = forward.spectral_data(m, cfg.tol)
     report = sd.to_json_obj()
-    report["zero_counts"] = [
-        forward.eigenfunction_zero_count(m, i, cfg.tol)
-        for i in range(len(sd.eigenvalues))
-    ]
+    # one solve serves the zero counts and the interior report
+    report["zero_counts"] = [forward._zero_count(m, lam) for lam in sd.eigenvalues]
     if args.at is not None:
-        report["interior"] = forward.interior_data(m, args.at, cfg.tol).to_json_obj()
+        report["interior"] = forward._interior(m, sd, args.at, cfg.tol).to_json_obj()
     _write(serial.dumps_json(report), args.out)
     return 0
 

@@ -21,7 +21,12 @@ Every shooting solution comes from one gap-transfer walk, _shoot:
 The determinant recursion Q_0..Q_n has one body, _q_recursion, with the
 same number / coefficient-array switch.  Coefficient arrays stay unpadded:
 padding them to one length makes np.convolve sum in another order, which
-moves Q and the eigenvalues in the last bit.
+moves Q and the eigenvalues in the last bit.  The recursion runs over rows
+(a_{i-1}^2, b_{i-1}, w, v) that depend on the measure alone; eigenvalues
+builds them once for every Sturm count (_count) of its bracket and bisection.
+
+_zero_count and _interior are eigenfunction_zero_count and interior_data for
+a spectrum already solved, so the CLI forward command solves it only once.
 """
 
 from __future__ import annotations
@@ -56,6 +61,8 @@ class SpectralData:
             nm = tuple(float(v) for v in obj["norming"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"bad spectral-data object: {exc}") from exc
+        if not all(map(math.isfinite, ev + nm)):
+            raise ValidationError("eigenvalues and norming constants must be finite")
         return cls(ev, nm)
 
     def __post_init__(self):
@@ -91,6 +98,8 @@ class InteriorData:
             pairs = [(float(p["lambda"]), float(p["phi"])) for p in obj["pairs"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"bad interior-data object: {exc}") from exc
+        if not all(map(math.isfinite, (a, *(c for pair in pairs for c in pair)))):
+            raise ValidationError("a, lambda and phi must be finite")
         pairs.sort(key=lambda t: t[0])
         return cls(a, tuple(t[0] for t in pairs), tuple(t[1] for t in pairs))
 
@@ -237,34 +246,32 @@ def build_pencil(m: PeakonMeasure) -> Pencil:
     return Pencil(J, D)
 
 
-def _q_recursion(m: PeakonMeasure, z: float | None) -> list:
-    """[Q_0, ..., Q_n] at the number z, or as coefficient arrays for z=None."""
+def _rows(m: PeakonMeasure) -> list[tuple[float, float, float, float]]:
+    """(a_{i-1}^2, b_{i-1}, w, v) for each step i = 1..n of the Q recursion, a_0 = 0."""
     a, b = _coefficients(m)
+    return list(zip([ai ** 2 for ai in (0.0, *a)], b, reversed(m.omega), reversed(m.vee)))
+
+
+def _q_recursion(rows: list, z: float | None) -> list:
+    """[Q_0, ..., Q_n] at the number z, or as coefficient arrays for z=None."""
     if z is None:
         add, mul, prev1 = npp.polyadd, npp.polymul, np.array([1.0])
     else:
         add, mul, prev1 = operator.add, operator.mul, 1.0
     q, prev2 = [prev1], 0.0
     # Q_i = (b_{i-1} - w z - v z^2) Q_{i-1} - a_{i-1}^2 Q_{i-2}, with a_0 = 0, Q_{-1} = 0
-    for ai, bi, w, v in zip((0.0, *a), b, reversed(m.omega), reversed(m.vee)):
+    for a2, bi, w, v in rows:
         factor = [bi, -w, -v] if z is None else bi - w * z - v * z * z
-        cur = add(mul(factor, prev1), -(ai ** 2) * prev2)
+        cur = add(mul(factor, prev1), -a2 * prev2)
         q.append(cur)
         prev2, prev1 = prev1, cur
     return q
 
 
-def q_values(m: PeakonMeasure, z: float) -> list[float]:
-    """[Q_0(z), ..., Q_n(z)] by the three-term recursion."""
-    return _q_recursion(m, z)
-
-
-def sign_changes(m: PeakonMeasure, z: float) -> int:
-    """S_n(z): eigenvalues strictly between 0 and z (either sign of z)."""
-    q = q_values(m, z)
-    count = 0
-    last = 1.0  # Q_0 = 1
-    for val in q[1:]:
+def _count(rows: list, z: float) -> int:
+    """Sign changes along Q_0(z), ..., Q_n(z), exact zeros skipped."""
+    count, last = 0, 1.0  # last: Q_0 = 1
+    for val in _q_recursion(rows, z)[1:]:
         if val == 0.0:
             continue
         if (val > 0) != (last > 0):
@@ -273,14 +280,25 @@ def sign_changes(m: PeakonMeasure, z: float) -> int:
     return count
 
 
+def q_values(m: PeakonMeasure, z: float) -> list[float]:
+    """[Q_0(z), ..., Q_n(z)] by the three-term recursion."""
+    return _q_recursion(_rows(m), z)
+
+
+def sign_changes(m: PeakonMeasure, z: float) -> int:
+    """S_n(z): eigenvalues strictly between 0 and z (either sign of z)."""
+    return _count(_rows(m), z)
+
+
 def eigenvalues(m: PeakonMeasure, tol: Tolerances = DEFAULT) -> list[float]:
     """All n + n_v eigenvalues by Sturm-count bisection plus Newton polish."""
     n_v, n_plus, n_minus = counts(m)
-    qn = _q_recursion(m, None)[-1]
+    rows = _rows(m)
+    qn = _q_recursion(rows, None)[-1]
     dqn = npp.polyder(qn)
     bound = ratfun._cauchy_bound(ratfun.trim(qn, 1e-14))
     for _ in range(60):
-        if sign_changes(m, bound) >= n_v + n_plus and sign_changes(m, -bound) >= n_v + n_minus:
+        if _count(rows, bound) >= n_v + n_plus and _count(rows, -bound) >= n_v + n_minus:
             break
         bound *= 2.0
     else:
@@ -307,7 +325,7 @@ def eigenvalues(m: PeakonMeasure, tol: Tolerances = DEFAULT) -> list[float]:
             # invariant: count(hi) >= k > count(lo); the boundary is the k-th root
             for _ in range(90):
                 mid = 0.5 * (lo + hi)
-                if sign_changes(m, mid) >= k:
+                if _count(rows, mid) >= k:
                     hi = mid
                 else:
                     lo = mid
@@ -354,7 +372,11 @@ def spectral_data(m: PeakonMeasure, tol: Tolerances = DEFAULT) -> SpectralData:
 
 
 def interior_data(m: PeakonMeasure, a: float, tol: Tolerances = DEFAULT) -> InteriorData:
-    sd = spectral_data(m, tol)
+    return _interior(m, spectral_data(m, tol), a, tol)
+
+
+def _interior(m: PeakonMeasure, sd: SpectralData, a: float, tol: Tolerances) -> InteriorData:
+    """interior_data for the spectral data sd of m, already solved."""
     phis = [
         shoot_plus(m, lam, a).value / math.sqrt(k)
         for lam, k in zip(sd.eigenvalues, sd.norming)
@@ -384,7 +406,11 @@ def eigenfunction_zero_count(m: PeakonMeasure, i: int, tol: Tolerances = DEFAULT
     genuine zero at an atom crosses, so noise of either sign at a near-zero
     sample leaves the count unchanged.
     """
-    lam = eigenvalues(m, tol)[i]
+    return _zero_count(m, eigenvalues(m, tol)[i])
+
+
+def _zero_count(m: PeakonMeasure, lam: float) -> int:
+    """eigenfunction_zero_count for the eigenvalue lam of m, already solved."""
     plus = _sweep(m, lam, "plus")
     minus = _sweep(m, lam, "minus")
     top = max(range(m.n), key=lambda k: abs(plus[k]))

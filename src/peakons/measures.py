@@ -1,11 +1,13 @@
 """Discrete measure pair (omega, v) on x_1 < ... < x_n.
 
 omega is a signed point measure, v a nonnegative one, sharing support;
-every support point must carry some mass: |omega_i| + v_i > 0.
+every support point must carry some mass: |omega_i| + v_i > 0, and every
+entry is finite.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .config import Tolerances, DEFAULT
@@ -42,6 +44,8 @@ class PeakonMeasure:
 def validate(triples, tol: Tolerances = DEFAULT) -> PeakonMeasure:
     """Sort raw (x, omega, v) triples and enforce the measure invariants."""
     triples = [(float(x), float(w), float(v)) for x, w, v in triples]
+    if not all(math.isfinite(c) for t in triples for c in t):
+        raise ValidationError("x, w and v must be finite")
     if not triples:
         raise NullPoint("measure needs at least one point")
     triples.sort(key=lambda t: t[0])

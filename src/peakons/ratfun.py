@@ -258,16 +258,20 @@ def pf_decompose(num, den, tol: Tolerances = DEFAULT) -> HerglotzRational:
 
 # --------------------------------------- zeros of a Herglotz function, anchored
 
-def _anchored_value(gamma, zeta, mus, betas, i, x):
-    """h at mus[i] + x with the i-th pole term left out.
+def _anchored_terms(mus, betas, i) -> list[tuple[float, float]]:
+    """(mus[j] - mus[i], betas[j]) for j != i, j ascending: the poles seen from mus[i]."""
+    return [(mus[j] - mus[i], betas[j]) for j in range(len(mus)) if j != i]
+
+
+def _anchored_value(gamma, zeta, mu, terms, x):
+    """h at mu + x with the anchor pole's term left out; terms from _anchored_terms.
 
     Working in the offset x keeps pole-zero separations resolved far
     below the float spacing of the pole locations themselves.
     """
-    t = gamma * (mus[i] + x) + zeta
-    for j in range(len(mus)):
-        if j != i:
-            t += betas[j] / ((mus[j] - mus[i]) - x)
+    t = gamma * (mu + x) + zeta
+    for d, b in terms:
+        t += b / (d - x)
     return t
 
 
@@ -286,10 +290,13 @@ def _zero_offset(gamma, zeta, mus, betas, i, sgn, hi):
     hi=None searches the unbounded outer side.  G(d) = sgn*d*h(mus[i]+sgn*d)
     increases through zero on the bracket; geometric descent finds the
     scale and bisection the mantissa, so offsets hundreds of orders below
-    the gap width keep full relative precision.
+    the gap width keep full relative precision.  The anchored terms are
+    fixed for the whole search and built once.
     """
+    mu, terms = mus[i], _anchored_terms(mus, betas, i)
+
     def G(d):
-        return sgn * d * _anchored_value(gamma, zeta, mus, betas, i, sgn * d) - betas[i]
+        return sgn * d * _anchored_value(gamma, zeta, mu, terms, sgn * d) - betas[i]
 
     if hi is None:
         hi = max(1.0, abs(mus[i]))
@@ -339,7 +346,8 @@ def _pf_neg_reciprocal(gamma, zeta, mus, betas):
         found.append((0, -_zero_offset(gamma, zeta, mus, betas, 0, -1.0, None)))
     for i in range(m - 1):
         half = 0.5 * (mus[i + 1] - mus[i])
-        mid = _anchored_value(gamma, zeta, mus, betas, i, half) - betas[i] / half
+        terms = _anchored_terms(mus, betas, i)
+        mid = _anchored_value(gamma, zeta, mus[i], terms, half) - betas[i] / half
         if mid >= 0.0:
             found.append((i, +_zero_offset(gamma, zeta, mus, betas, i, +1.0, half)))
         else:

@@ -211,3 +211,61 @@ def test_float_formatting_is_fixed_width_and_parseable():
     assert serial.fmt_float(0.1) == "0.10000000000000001"
     with pytest.raises(ValueError):
         serial.fmt_float(float("nan"))
+
+
+_NAN, _INF = float("nan"), float("inf")
+_MEASURE = [(-0.3, 1.7, 0.0), (0.9, -0.6, 0.25), (2.2, 0.8, 0.0)]
+
+
+def _with(triples, i, k, value):
+    out = [list(t) for t in triples]
+    out[i][k] = value
+    return [tuple(t) for t in out]
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("inverse", {"eigenvalues": [_NAN], "norming": [1.0]}),
+        ("inverse", {"eigenvalues": [0.5], "norming": [_NAN]}),
+        ("inverse", {"eigenvalues": [0.5, _INF], "norming": [1.0, 0.5]}),
+        ("inverse", {"eigenvalues": [0.5, 1.5], "norming": [_INF, 0.5]}),
+        ("interior", (0.0, [(0.5, _NAN)])),
+        ("interior", (_NAN, [(0.5, math.exp(-0.5))])),
+        ("interior", (0.0, [(_INF, 0.3)])),
+        ("forward", [(_NAN, 2.0, 0.0)]),
+        ("forward", _with(_MEASURE, 0, 1, _INF)),
+        ("forward", _with(_MEASURE, 2, 2, _NAN)),
+        ("evolve", _with(_MEASURE, 1, 1, _NAN)),
+    ],
+)
+def test_non_finite_input_exits_2(tmp_path, capsys, command, payload):
+    # input validation must reject these; the numerics would leak
+    # ValueError or IndexError on them, or report a numerical failure
+    if command == "inverse":
+        f = str(tmp_path / "sd.json")
+        (tmp_path / "sd.json").write_text(json.dumps(payload))
+    elif command == "interior":
+        f = _interior_file(tmp_path, *payload)
+    else:
+        f = _measure_file(tmp_path, payload)
+    flags = {"interior": ["--enumerate", "--moduli"], "evolve": ["--t", "0:1:1", "--x=0:1:1"]}
+    argv = [command, f] + flags.get(command, [])
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_forward_at_matches_the_library_calls(tmp_path, capsys, rng):
+    # the CLI solves once and reuses that solve for zero counts and --at
+    from conftest import random_measure
+    from peakons import eigenfunction_zero_count, interior_data
+
+    for _ in range(8):
+        m = random_measure(rng)
+        a = float(rng.uniform(m.points[0] - 1.0, m.points[-1]))
+        f = _measure_file(tmp_path, zip(m.points, m.omega, m.vee))
+        assert main(["forward", f, "--at", repr(a)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        n_eig = len(out["eigenvalues"])
+        assert out["zero_counts"] == [eigenfunction_zero_count(m, i) for i in range(n_eig)]
+        assert out["interior"] == interior_data(m, a).to_json_obj()

@@ -21,7 +21,7 @@ from peakons import (
     wronskian_at,
     wronskian_poly,
 )
-from peakons.forward import ladder_rank, _q_recursion, _sweep
+from peakons.forward import ladder_rank, _q_recursion, _rows, _sweep
 from peakons.ratfun import poly_real_roots, polyval
 
 
@@ -144,7 +144,7 @@ def test_eigenvalue_count_by_signs(rng):
 def test_interlacing_and_no_common_roots(rng):
     for _ in range(10):
         m = random_measure(rng, n=3)
-        polys = _q_recursion(m, None)
+        polys = _q_recursion(_rows(m), None)
         prev_roots = [0.0]
         for i in range(1, m.n + 1):
             roots = poly_real_roots(polys[i], assume_real_simple=True)

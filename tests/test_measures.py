@@ -6,6 +6,7 @@ from peakons import (
     NegativeVee,
     NullPoint,
     PeakonMeasure,
+    ValidationError,
     counts,
     validate,
 )
@@ -36,6 +37,14 @@ def test_massless_point_rejected():
         validate([(0.0, 1e-14, 1e-14)])
     with pytest.raises(NullPoint):
         validate([])
+
+
+@pytest.mark.parametrize(
+    "triple", [(float("nan"), 1.0, 0.0), (0.0, float("inf"), 0.0), (0.0, 1.0, float("-inf"))]
+)
+def test_non_finite_entries_rejected(triple):
+    with pytest.raises(ValidationError):
+        validate([triple])
 
 
 def test_tiny_weights_snap_to_zero():

@@ -35,14 +35,34 @@ def test_quadratic_roots():
 def test_q2_roots_match_dense_oracle():
     from peakons import q_values
     from conftest import dense_eigenvalues
-    from peakons.forward import _q_recursion
+    from peakons.forward import _q_recursion, _rows
 
     m = validate([(0.0, 1.0, 0.0), (1.0, 1.0, 0.0)])
-    q2 = _q_recursion(m, None)[-1]
+    q2 = _q_recursion(_rows(m), None)[-1]
     roots = poly_real_roots(q2, assume_real_simple=True)
     assert len(roots) == 2 and all(r > 0 for r in roots)
     oracle = dense_eigenvalues(m)
     assert roots == pytest.approx(oracle, rel=1e-9)
+
+
+def test_anchored_sum_matches_reference_loop():
+    # the per-anchor term list must leave every float of the sum unchanged
+    from peakons.ratfun import _anchored_terms, _anchored_value
+
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        k = int(rng.integers(1, 10))
+        mus = sorted(rng.normal(0.0, 3.0, k).tolist())
+        betas = rng.uniform(1e-3, 5.0, k).tolist()
+        gamma, zeta = float(rng.uniform(0.0, 2.0)), float(rng.normal())
+        for i in range(k):
+            terms = _anchored_terms(mus, betas, i)
+            for x in (rng.normal(0.0, 1.0, 4) * 10.0 ** rng.integers(-200, 2, 4)).tolist():
+                ref = gamma * (mus[i] + x) + zeta
+                for j in range(k):
+                    if j != i:
+                        ref += betas[j] / ((mus[j] - mus[i]) - x)
+                assert _anchored_value(gamma, zeta, mus[i], terms, x) == ref
 
 
 def test_root_of_multiplicity_at_origin():
