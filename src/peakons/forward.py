@@ -23,7 +23,9 @@ same number / coefficient-array switch.  Coefficient arrays stay unpadded:
 padding them to one length makes np.convolve sum in another order, which
 moves Q and the eigenvalues in the last bit.  The recursion runs over rows
 (a_{i-1}^2, b_{i-1}, w, v) that depend on the measure alone; eigenvalues
-builds them once for every Sturm count (_count) of its bracket and bisection.
+builds them once for every Sturm count (_count) of its bracket and bisection,
+counts each distinct z once per call, and stops a bisection once its bracket
+is two adjacent floats.
 
 _zero_count and _interior are eigenfunction_zero_count and interior_data for
 a spectrum already solved, so the CLI forward command solves it only once.
@@ -291,14 +293,27 @@ def sign_changes(m: PeakonMeasure, z: float) -> int:
 
 
 def eigenvalues(m: PeakonMeasure, tol: Tolerances = DEFAULT) -> list[float]:
-    """All n + n_v eigenvalues by Sturm-count bisection plus Newton polish."""
+    """All n + n_v eigenvalues by Sturm-count bisection plus Newton polish.
+
+    Every root bisects from [0, +-bound], so the roots walk one dyadic tree;
+    the counts are memoized by z for this call only.  _count is a pure
+    function of (rows, z), so each comparison sees the value it would
+    recompute.
+    """
     n_v, n_plus, n_minus = counts(m)
     rows = _rows(m)
     qn = _q_recursion(rows, None)[-1]
     dqn = npp.polyder(qn)
     bound = ratfun._cauchy_bound(ratfun.trim(qn, 1e-14))
+    memo: dict[float, int] = {}
+
+    def count(z):
+        if z not in memo:
+            memo[z] = _count(rows, z)
+        return memo[z]
+
     for _ in range(60):
-        if _count(rows, bound) >= n_v + n_plus and _count(rows, -bound) >= n_v + n_minus:
+        if count(bound) >= n_v + n_plus and count(-bound) >= n_v + n_minus:
             break
         bound *= 2.0
     else:
@@ -316,16 +331,19 @@ def eigenvalues(m: PeakonMeasure, tol: Tolerances = DEFAULT) -> list[float]:
             x -= step
             if abs(step) <= 1e-16 * max(1.0, abs(x)):
                 break
-        return x
+        return float(x)  # polyval steps yield numpy.float64
 
     out = []
     for sign, total in ((1.0, n_v + n_plus), (-1.0, n_v + n_minus)):
         for k in range(1, total + 1):
             lo, hi = 0.0, sign * bound
-            # invariant: count(hi) >= k > count(lo); the boundary is the k-th root
+            # invariant: count(hi) >= k > count(lo); the boundary is the k-th root.
+            # Once lo and hi are adjacent floats no step can move them.
             for _ in range(90):
                 mid = 0.5 * (lo + hi)
-                if _count(rows, mid) >= k:
+                if mid == lo or mid == hi:
+                    break
+                if count(mid) >= k:
                     hi = mid
                 else:
                     lo = mid

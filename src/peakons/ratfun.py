@@ -13,6 +13,7 @@ with head = 0 permitted on the plus side only (reference point on an atom).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -288,10 +289,15 @@ def _zero_offset(gamma, zeta, mus, betas, i, sgn, hi):
     """Offset d > 0 of the zero of h at mus[i] + sgn*d, with d <= hi.
 
     hi=None searches the unbounded outer side.  G(d) = sgn*d*h(mus[i]+sgn*d)
-    increases through zero on the bracket; geometric descent finds the
-    scale and bisection the mantissa, so offsets hundreds of orders below
-    the gap width keep full relative precision.  The anchored terms are
-    fixed for the whole search and built once.
+    increases through zero on the bracket; a descent over the rungs hi*2^-k
+    finds the scale and bisection the mantissa, so offsets hundreds of
+    orders below the gap width keep full relative precision.  The descent
+    gallops (k = 1, 2, 4, ...) and then bisects on k for the first rung with
+    G <= 0: adjacent rungs differ by a factor 2 in d, far above G's
+    rounding, so G's sign is monotone along them and this is the rung that
+    halving one step at a time finds.  A rung below 1e-280 counts as past
+    the zero and is returned as it is.  The anchored terms are fixed for
+    the whole search and built once.
     """
     mu, terms = mus[i], _anchored_terms(mus, betas, i)
 
@@ -306,17 +312,24 @@ def _zero_offset(gamma, zeta, mus, betas, i, sgn, hi):
                 raise NonConverged("no zero in the outer range")
     elif not G(hi) >= 0.0:
         raise NonConverged("zero bracket lost during Herglotz inversion")
-    lo = None
-    while lo is None:
-        nd = 0.5 * hi
-        if nd < 1e-280:
-            return nd
-        if G(nd) <= 0.0:
-            lo = nd
-        else:
-            hi = nd
-    for _ in range(80):
+
+    def past(k):  # ldexp is exact on every rung from 1e-280 up
+        d = math.ldexp(hi, -k)
+        return d < 1e-280 or G(d) <= 0.0
+
+    k_lo, k_hi = 0, 1  # rung k_lo is above the zero, rung k_hi past it
+    while not past(k_hi):
+        k_lo, k_hi = k_hi, 2 * k_hi
+    while k_hi - k_lo > 1:
+        k = (k_lo + k_hi) // 2
+        k_lo, k_hi = (k_lo, k) if past(k) else (k, k_hi)
+    lo, hi = math.ldexp(hi, -k_hi), math.ldexp(hi, -k_lo)
+    if lo < 1e-280:
+        return lo
+    for _ in range(80):  # no step moves a bracket of two adjacent floats
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         if G(mid) <= 0.0:
             lo = mid
         else:

@@ -1,16 +1,20 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import dense_eigenvalues, random_measure
 from peakons import (
+    FlowState,
+    Infeasible,
     NearCollision,
     build_pencil,
     counts,
     eigenfunction_zero_count,
     eigenvalues,
     interior_data,
+    measure_at,
     q_values,
     shoot_minus,
     shoot_plus,
@@ -21,7 +25,10 @@ from peakons import (
     wronskian_at,
     wronskian_poly,
 )
-from peakons.forward import ladder_rank, _q_recursion, _rows, _sweep
+from peakons.config import DEFAULT
+from peakons.errors import NonConverged
+from peakons.forward import ladder_rank, _count, _q_recursion, _rows, _sweep
+from peakons import ratfun
 from peakons.ratfun import poly_real_roots, polyval
 
 
@@ -130,6 +137,104 @@ def test_eigenvalues_match_dense_oracle(rng):
         assert len(mine) == len(oracle)
         for x, y in zip(mine, oracle):
             assert x == pytest.approx(y, rel=1e-9, abs=1e-11)
+
+
+def _eigenvalues_reference(m, tol=DEFAULT):
+    """eigenvalues as it was before the count memo and the adjacency stop."""
+    n_v, n_plus, n_minus = counts(m)
+    rows = _rows(m)
+    qn = _q_recursion(rows, None)[-1]
+    dqn = np.polynomial.polynomial.polyder(qn)
+    bound = ratfun._cauchy_bound(ratfun.trim(qn, 1e-14))
+    for _ in range(60):
+        if _count(rows, bound) >= n_v + n_plus and _count(rows, -bound) >= n_v + n_minus:
+            break
+        bound *= 2.0
+    else:
+        raise NonConverged("could not bracket the spectrum")
+
+    def polish(x, lo, hi):
+        for _ in range(60):
+            f = ratfun.polyval(qn, x)
+            df = ratfun.polyval(dqn, x)
+            if df == 0.0:
+                break
+            step = f / df
+            if not (lo <= x - step <= hi):
+                break
+            x -= step
+            if abs(step) <= 1e-16 * max(1.0, abs(x)):
+                break
+        return x
+
+    out = []
+    for sign, total in ((1.0, n_v + n_plus), (-1.0, n_v + n_minus)):
+        for k in range(1, total + 1):
+            lo, hi = 0.0, sign * bound
+            # invariant: count(hi) >= k > count(lo); the boundary is the k-th root
+            for _ in range(90):
+                mid = 0.5 * (lo + hi)
+                if _count(rows, mid) >= k:
+                    hi = mid
+                else:
+                    lo = mid
+            lam = polish(0.5 * (lo + hi), min(lo, hi), max(lo, hi))
+            out.append(lam)
+    out.sort()
+    for lam in out:
+        if abs(ratfun.polyval(qn, lam)) > 1e4 * tol.root * max(
+            1.0, ratfun.eval_scale(qn, lam)
+        ):
+            raise NonConverged(f"eigenvalue {lam} residual too large")
+    return out
+
+
+def _outcome(f, *args):
+    try:
+        return [float(x).hex() for x in f(*args)]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_eigenvalues_bit_identical_to_reference_loop():
+    # the count memo and the adjacency stop must leave every float unchanged
+    rng = np.random.default_rng(5)
+    for n in range(1, 17):
+        for _ in range(6):
+            m = random_measure(rng, n=n)
+            ref = _outcome(_eigenvalues_reference, m)
+            assert isinstance(ref, list)
+            assert _outcome(eigenvalues, m) == ref
+
+
+# 8 atoms, half with v: the benchmark generator's measure_triples(sub_rng(11, 5, 2, 8), 8)
+FLOW_OVERFLOW_TRIPLES = [
+    (-3.4619321277500563, -1.075502816105577, 1.443567455703164),
+    (-2.4492988429351716, 2.2497139732057185, 0.3467611192256559),
+    (-1.593150210324319, 1.7433291084893239, 0.0),
+    (-0.4950368398216214, -2.2547151859982812, 0.24804282326398644),
+    (0.4843810049791696, -2.3017084365155083, 1.2608605408313955),
+    (1.4246625994349338, 1.5089791062477416, 1.285285202088244),
+    (2.5601943980216255, 2.0096502881414136, 0.0),
+    (3.4817270444695008, 2.1884246204361575, 0.597193218902792),
+]
+
+
+def test_spectral_data_is_python_floats(rng):
+    # Newton-polished eigenvalues once came back as numpy.float64
+    ms = [validate(FLOW_OVERFLOW_TRIPLES)] + [random_measure(rng, n=6) for _ in range(10)]
+    for m in (m for m in ms if any(m.vee)):
+        sd = spectral_data(m)
+        assert all(type(x) is float for x in sd.eigenvalues + sd.norming)
+
+
+def test_flow_norming_overflow_is_no_numpy_warning():
+    # numpy scalars turned the norming range's overflow into a RuntimeWarning
+    fs = FlowState(spectral_data(validate(FLOW_OVERFLOW_TRIPLES)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(Infeasible):
+            measure_at(fs, 200.0)
 
 
 def test_eigenvalue_count_by_signs(rng):

@@ -65,6 +65,84 @@ def test_anchored_sum_matches_reference_loop():
                 assert _anchored_value(gamma, zeta, mus[i], terms, x) == ref
 
 
+def _zero_offset_reference(gamma, zeta, mus, betas, i, sgn, hi):
+    """_zero_offset as it was with the halving descent and 80 bisection steps."""
+    from peakons.errors import NonConverged
+    from peakons.ratfun import _anchored_terms, _anchored_value
+
+    mu, terms = mus[i], _anchored_terms(mus, betas, i)
+
+    def G(d):
+        return sgn * d * _anchored_value(gamma, zeta, mu, terms, sgn * d) - betas[i]
+
+    if hi is None:
+        hi = max(1.0, abs(mus[i]))
+        while not G(hi) >= 0.0:
+            hi *= 2.0
+            if hi > 1e280:
+                raise NonConverged("no zero in the outer range")
+    elif not G(hi) >= 0.0:
+        raise NonConverged("zero bracket lost during Herglotz inversion")
+    lo = None
+    while lo is None:
+        nd = 0.5 * hi
+        if nd < 1e-280:
+            return nd
+        if G(nd) <= 0.0:
+            lo = nd
+        else:
+            hi = nd
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if G(mid) <= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_zero_offset_bit_identical_to_halving_reference():
+    # the galloping descent and the adjacency stop must return the same float
+    from peakons.ratfun import _zero_offset
+
+    def outcome(f, *args):
+        try:
+            return f(*args).hex()
+        except Exception as exc:
+            return type(exc), str(exc)
+
+    rng = np.random.default_rng(17)
+    seen = {"ok": 0, "early": 0, "raised": 0, "outer": 0}
+    for _ in range(300):
+        mus = sorted(set((rng.normal(0.0, 3.0, int(rng.integers(1, 8)))
+                          * 10.0 ** rng.integers(-2, 3)).tolist()))
+        k = len(mus)
+        betas = (10.0 ** rng.uniform(-300.0, 5.0, k)).tolist()
+        gamma = float(rng.choice([0.0, 10.0 ** rng.uniform(-5.0, 2.0)]))
+        zeta = float(rng.choice([0.0, rng.normal() * 10.0 ** rng.uniform(-3.0, 3.0)]))
+        for i in range(k):
+            # the gap toward each neighbour; hi=None only on the outer sides
+            brackets = []
+            if i + 1 < k:
+                brackets.append((+1.0, 0.5 * (mus[i + 1] - mus[i])))
+            if i > 0:
+                brackets.append((-1.0, 0.5 * (mus[i] - mus[i - 1])))
+            if i == k - 1:
+                brackets.append((+1.0, None))
+            if i == 0:
+                brackets.append((-1.0, None))
+            for sgn, hi in brackets:
+                args = (gamma, zeta, mus, betas, i, sgn, hi)
+                ref = outcome(_zero_offset_reference, *args)
+                assert outcome(_zero_offset, *args) == ref
+                if isinstance(ref, tuple):
+                    seen["raised"] += 1
+                else:
+                    seen["early" if float.fromhex(ref) < 1e-280 else "ok"] += 1
+                    seen["outer"] += hi is None
+    assert min(seen.values()) > 0, seen
+
+
 def test_root_of_multiplicity_at_origin():
     # z^2 * (z - 2): origin root kept exactly
     r = poly_real_roots([0.0, 0.0, -2.0, 1.0])
