@@ -8,8 +8,6 @@ of interior solution families, and exact isospectral time evolution.
 from .config import DEFAULT, GridSpec, RunConfig, Tolerances
 from .errors import (
     BadResidueAtZero,
-    CommonRoots,
-    ComplexRootDetected,
     ConsistencyFail,
     DegreeMismatch,
     DuplicatePoint,
@@ -38,8 +36,6 @@ from .ratfun import (
     cf_expand,
     herglotz,
     neg_reciprocal,
-    pf_decompose,
-    poly_real_roots,
 )
 from .forward import (
     InteriorData,
@@ -57,7 +53,6 @@ from .forward import (
     spectral_data,
     weyl,
     wronskian_at,
-    wronskian_poly,
 )
 from .inverse import HalfLineMeasure, measure_from_spectral_data, measure_from_weyl
 from .interior import (

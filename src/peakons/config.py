@@ -15,7 +15,7 @@ class Tolerances:
     zero: float = 1e-12    # weight treated as exactly zero
     coef: float = 1e-10    # relative polynomial-coefficient trim / remainder test
     root: float = 1e-12    # root residual bound
-    pf: float = 1e-9       # partial-fraction reconstruction bound
+    pf: float = 1e-9       # pole-residue form reproduction bound
     cf: float = 1e-8       # continued-fraction reconstruction bound
     inv: float = 1e-7      # inverse-problem roundtrip bound (relative)
     phi: float = 1e-8      # relative snap-to-zero for eigenfunction values

@@ -35,15 +35,7 @@ class NonConverged(NumericalError):
     pass
 
 
-class ComplexRootDetected(NumericalError):
-    pass
-
-
 class NotHerglotz(NumericalError):
-    pass
-
-
-class CommonRoots(NumericalError):
     pass
 
 

@@ -15,11 +15,12 @@ Every shooting solution comes from one gap-transfer walk, _shoot:
   sign of sinh on the gaps and the sign of the jump;
 - an optional record list receives phi at each crossed atom, before its
   jump (the one-pass sweeps over the support);
-- z is a number (plain float arithmetic) or None, which yields
-  coefficient arrays in z (polyadd/polymul arithmetic).
+- z is a float or a complex number: complex z gives the Weyl functions off
+  the real axis and, by a complex step, the derivative of W in z.
 
-The determinant recursion Q_0..Q_n has one body, _q_recursion, with the
-same number / coefficient-array switch.  Coefficient arrays stay unpadded:
+The determinant recursion Q_0..Q_n has one body, _q_recursion, at a number z
+or, for z=None, as coefficient arrays in z; only eigenvalues uses those, for
+its spectral bound, Newton polish and residual test.  They stay unpadded:
 padding them to one length makes np.convolve sum in another order, which
 moves Q and the eigenvalues in the last bit.  The recursion runs over rows
 (a_{i-1}^2, b_{i-1}, w, v) that depend on the measure alone; eigenvalues
@@ -29,6 +30,9 @@ is two adjacent floats.
 
 _zero_count and _interior are eigenfunction_zero_count and interior_data for
 a spectrum already solved, so the CLI forward command solves it only once.
+
+weyl folds M_+ or M_- from its Stieltjes continued fraction in pole-residue
+form, the exact inverse of inverse.measure_from_weyl.
 """
 
 from __future__ import annotations
@@ -43,9 +47,9 @@ from numpy.polynomial import polynomial as npp
 
 from . import ratfun
 from .config import Tolerances, DEFAULT
-from .errors import ConsistencyFail, NearCollision, NonConverged, ValidationError
+from .errors import ConsistencyFail, NearCollision, NonConverged, NotHerglotz, ValidationError
 from .measures import PeakonMeasure, counts
-from .ratfun import HerglotzRational, pf_decompose
+from .ratfun import HerglotzRational
 
 
 @dataclass(frozen=True)
@@ -131,7 +135,7 @@ class Pencil:
 
 # ------------------------------------------------------------------- shooting
 
-def _shoot(m: PeakonMeasure, z: float | None, x: float, side: str, record: list | None = None):
+def _shoot(m: PeakonMeasure, z: complex, x: float, side: str, record: list | None = None):
     """(phi, phi') of phi_side at x, phi' left-continuous; see the module doc.
 
     With a record list, record[j] = phi(x_j) for every crossed atom j.
@@ -142,23 +146,19 @@ def _shoot(m: PeakonMeasure, z: float | None, x: float, side: str, record: list 
         sgn, cur, crossed = -1.0, max(m.points[-1], x) + 1.0, range(m.n - 1, k - 1, -1)
     else:
         sgn, cur, crossed = 1.0, min(m.points[0], x) - 1.0, range(k)
-    if z is None:  # polyadd pads unequal degrees
-        add, mul, phi = npp.polyadd, npp.polymul, np.array([math.exp(sgn * cur / 2.0)])
-    else:
-        add, mul, phi = operator.add, operator.mul, math.exp(sgn * cur / 2.0)
+    phi = math.exp(sgn * cur / 2.0)
     dphi = sgn * 0.5 * phi
     for j in (*crossed, None):  # None: the last gap, up to x
         xi = x if j is None else m.points[j]
         h = sgn * (xi - cur) / 2.0  # half the gap length
         c, s = math.cosh(h), sgn * math.sinh(h)
-        phi, dphi = add(phi * c, 2.0 * dphi * s), add(dphi * c, 0.5 * phi * s)
+        phi, dphi = phi * c + 2.0 * dphi * s, dphi * c + 0.5 * phi * s
         if j is None:
             return phi, dphi
         if record is not None:
             record[j] = phi
         w, v = m.omega[j], m.vee[j]
-        jump = [0.0, w, v] if z is None else z * w + z * z * v
-        dphi = add(dphi, -sgn * mul(jump, phi))
+        dphi -= sgn * ((z * w + z * z * v) * phi)
         cur = xi
 
 
@@ -185,11 +185,17 @@ def _sweep(m: PeakonMeasure, z: float, side: str) -> list[float]:
     return vals
 
 
-def wronskian_poly(m: PeakonMeasure) -> np.ndarray:
-    """W(z) coefficients: the e^{-x/2} coefficient of phi_plus left of x_1."""
+def _wronskian_dz(m: PeakonMeasure, lam: float) -> float:
+    """W'(lam) by a complex step (Squire & Trapp, SIAM Rev. 40, 1998).
+
+    W(z) = e^{x_1/2}(phi_+ - 2 phi_+')/2 at x_1, the e^{-x/2} coefficient of
+    phi_plus left of the support, is real on the real axis, so
+    Im W(lam + ih)/h = W'(lam) + O(h^2) with no difference to cancel.
+    """
+    h = 1e-30 * max(1.0, abs(lam))
     x1 = m.points[0]
-    phi, dphi = _shoot(m, None, x1, "plus")
-    return ratfun.trim(0.5 * math.exp(x1 / 2.0) * npp.polysub(phi, 2.0 * dphi), 1e-14)
+    phi, dphi = _shoot(m, complex(lam, h), x1, "plus")
+    return (0.5 * math.exp(x1 / 2.0) * (phi - 2.0 * dphi)).imag / h
 
 
 def wronskian_at(m: PeakonMeasure, z: float, x: float) -> float:
@@ -368,8 +374,6 @@ def _norming(m: PeakonMeasure, lam: float, vals: list[float]) -> float:
 
 def spectral_data(m: PeakonMeasure, tol: Tolerances = DEFAULT) -> SpectralData:
     lams = eigenvalues(m, tol)
-    wpoly = wronskian_poly(m)
-    dw = npp.polyder(wpoly)
     kappas = []
     for lam in lams:
         plus = _sweep(m, lam, "plus")
@@ -379,7 +383,7 @@ def spectral_data(m: PeakonMeasure, tol: Tolerances = DEFAULT) -> SpectralData:
         minus = _sweep(m, lam, "minus")
         j = max(range(m.n), key=lambda i: abs(plus[i]))
         c_lam = minus[j] / plus[j]
-        lhs = ratfun.polyval(dw, lam)
+        lhs = _wronskian_dz(m, lam)
         rhs = -c_lam * (kappa / lam)
         if abs(lhs - rhs) > tol.cons * max(1.0, abs(lhs), abs(rhs)):
             raise ConsistencyFail(
@@ -405,12 +409,45 @@ def _interior(m: PeakonMeasure, sd: SpectralData, a: float, tol: Tolerances) -> 
 
 
 def weyl(m: PeakonMeasure, a: float, side: str, tol: Tolerances = DEFAULT) -> HerglotzRational:
-    """M_plus = phi'_+/(z phi_+) on [a, inf); M_minus = -phi'_-/(z phi_-) on (-inf, a)."""
+    """M_plus = phi'_+/(z phi_+) on [a, inf); M_minus = -phi'_-/(z phi_-) on (-inf, a).
+
+    Folded bottom-up from the continued fraction that measure_from_weyl
+    unrolls.  With u = |x_j - a| over the atoms on that side, stage j is
+    (omega_j + v_j z) cosh^2(u_j/2), and the lengths are the increments of
+    2 tanh(u/2) from 0 through the atoms to 2, each written as a product so
+    that no difference of tanh cancels.  Far atom first, with N(h) = -1/h:
+    r = N(l_K z), then r <- N(l_{j-1} z + N(stage_j + r)) per atom, where
+    a zero head length (a on an atom) leaves r <- stage_1 + r.  The result
+    must reproduce the shooting quotient off the real axis.
+    """
     if side not in ("plus", "minus"):
         raise ValueError(f"side must be plus or minus, got {side!r}")
-    phi, dphi = _shoot(m, None, a, side)
+    k = bisect_left(m.points, a)
+    far_first = range(m.n - 1, k - 1, -1) if side == "plus" else range(k)
+    atoms = [(abs(m.points[j] - a), m.omega[j], m.vee[j]) for j in far_first]
+    neg = ratfun._pf_neg_reciprocal
+    u = atoms[0][0] if atoms else 0.0
+    gamma, zeta, poles, residues = neg(2.0 * math.exp(-u / 2.0) / math.cosh(u / 2.0), 0.0, (), ())
+    for t, (u, w, v) in enumerate(atoms):
+        ch = math.cosh(u / 2.0)
+        gamma, zeta = gamma + v * ch * ch, zeta + w * ch * ch
+        if t + 1 < len(atoms):
+            un = atoms[t + 1][0]
+            length = 2.0 * math.sinh((u - un) / 2.0) / (math.cosh(un / 2.0) * ch)
+        else:
+            length = 2.0 * math.tanh(u / 2.0)
+        if length > 0.0:
+            gamma, zeta, poles, residues = neg(gamma, zeta, poles, residues)
+            gamma, zeta, poles, residues = neg(gamma + length, zeta, poles, residues)
+    h = ratfun.herglotz(gamma, zeta, poles, residues, tol)
     sign = 1.0 if side == "plus" else -1.0
-    return pf_decompose(sign * dphi, npp.polymul([0.0, 1.0], phi), tol)
+    for y in ratfun._GRID_Y:
+        z = 1j * y
+        phi, dphi = _shoot(m, z, a, side)
+        ref = sign * dphi / (z * phi)
+        if abs(h(z) - ref) > tol.pf * max(1.0, abs(ref)):
+            raise NotHerglotz(f"continued fraction does not reproduce the Weyl function at {z}")
+    return h
 
 
 def eigenfunction_zero_count(m: PeakonMeasure, i: int, tol: Tolerances = DEFAULT) -> int:

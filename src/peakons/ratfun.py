@@ -1,14 +1,19 @@
-"""Real polynomials and rational Herglotz-Nevanlinna arithmetic.
+"""Rational Herglotz-Nevanlinna arithmetic, and four polynomial helpers.
 
-Polynomials are ascending coefficient arrays (numpy); the zero polynomial
-is the empty array.  A rational Herglotz function is kept in the normal
-form gamma*z + zeta + sum b_i/(mu_i - z) with gamma >= 0 and b_i > 0.
+A rational Herglotz function is kept in one form only, the normal form
+gamma*z + zeta + sum b_i/(mu_i - z) with gamma >= 0 and b_i > 0; sums,
+negative reciprocals (_pf_neg_reciprocal) and continued fractions all work
+on the pole data, never on numerator and denominator coefficients.
 Stieltjes-type continued fractions alternate -l*z length terms with
 affine stages m(z) = c0 + c1*z, c1 >= 0:
 
     value = 1/(-head*z + 1/(m_1 + 1/(-l_1*z + 1/(m_2 + ... - 1/(l_K*z)))))
 
 with head = 0 permitted on the plus side only (reference point on an atom).
+
+The polynomial helpers (trim, polyval, eval_scale, _cauchy_bound) serve only
+forward.eigenvalues: its spectral bound, Newton polish and residual test on
+the coefficient array of Q_n, ascending, with the empty array for zero.
 """
 
 from __future__ import annotations
@@ -22,8 +27,6 @@ from numpy.polynomial import polynomial as npp
 from .config import Tolerances, DEFAULT
 from .errors import (
     BadResidueAtZero,
-    CommonRoots,
-    ComplexRootDetected,
     DegreeMismatch,
     NonConverged,
     NonPositiveLength,
@@ -33,10 +36,6 @@ from .errors import (
 
 
 # ---------------------------------------------------------------- polynomials
-
-def coeffs(p) -> np.ndarray:
-    return np.atleast_1d(np.asarray(p, dtype=float))
-
 
 def trim(c, rel: float = DEFAULT.coef) -> np.ndarray:
     """Drop trailing coefficients below rel * max|c|; empty array = zero."""
@@ -50,10 +49,6 @@ def trim(c, rel: float = DEFAULT.coef) -> np.ndarray:
     if keep.size == 0:
         return c[:0]
     return c[: keep[-1] + 1]
-
-
-def degree(c) -> int:
-    return len(c) - 1  # -1 for the zero polynomial
 
 
 def polyval(c, z):
@@ -79,93 +74,6 @@ def _cauchy_bound(c: np.ndarray) -> float:
     return 1.0 + float(np.max(np.abs(c[:-1] / lead)))
 
 
-def _bisect_root(c: np.ndarray, lo: float, hi: float, flo: float, tol: Tolerances) -> float:
-    # sign change guaranteed in [lo, hi]; bisection then Newton polish
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        fm = polyval(c, mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    x = 0.5 * (lo + hi)
-    dc = npp.polyder(c)
-    for _ in range(8):
-        fx = polyval(c, x)
-        dfx = polyval(dc, x)
-        if dfx == 0.0:
-            break
-        step = fx / dfx
-        x_new = x - step
-        if not (lo <= x_new <= hi):
-            break
-        x = x_new
-        if abs(step) <= 1e-17 * max(1.0, abs(x)):
-            break
-    return x
-
-
-def poly_real_roots(p, assume_real_simple: bool = False, tol: Tolerances = DEFAULT) -> list[float]:
-    """All real roots of p, ascending.
-
-    With assume_real_simple the caller guarantees every root is real and
-    simple; the count is then checked against the degree.  Found by
-    recursive subdivision at the roots of p' (p is monotone in between).
-    """
-    c = trim(coeffs(p), tol.coef)
-    if degree(c) <= 0:
-        return []
-    # exact zero roots first: keeps the origin pole exact downstream
-    zero_mult = 0
-    while degree(c) >= 1 and abs(c[0]) <= tol.coef * np.max(np.abs(c)):
-        c = c[1:]
-        zero_mult += 1
-    c = trim(c, tol.coef)
-    roots: list[float] = []
-    if degree(c) == 1:
-        roots = [-c[0] / c[1]]
-    elif degree(c) >= 2:
-        crit = poly_real_roots(npp.polyder(c), False, tol)
-        bound = _cauchy_bound(c)
-        knots = [-bound] + [t for t in crit if -bound < t < bound] + [bound]
-        vals = [polyval(c, t) for t in knots]
-        for i in range(len(knots) - 1):
-            lo, hi = knots[i], knots[i + 1]
-            flo, fhi = vals[i], vals[i + 1]
-            if flo == 0.0:
-                if not roots or abs(roots[-1] - lo) > 1e-14 * max(1.0, abs(lo)):
-                    roots.append(lo)
-                continue
-            if fhi == 0.0:
-                continue  # picked up as the left endpoint of the next panel
-            if (flo > 0) != (fhi > 0):
-                roots.append(_bisect_root(c, lo, hi, flo, tol))
-        # a critical point can carry a root that produces no sign change
-        for t in crit:
-            if abs(polyval(c, t)) <= tol.root * max(1.0, eval_scale(c, t)):
-                if all(abs(t - r) > 1e-12 * max(1.0, abs(t)) for r in roots):
-                    roots.append(t)
-        if vals and abs(vals[-1]) <= tol.root * max(1.0, eval_scale(c, knots[-1])):
-            roots.append(knots[-1])
-    if zero_mult:
-        roots.extend([0.0] * zero_mult)
-    roots.sort()
-    if assume_real_simple and len(roots) != degree(c) + zero_mult:
-        raise ComplexRootDetected(
-            f"expected {degree(c) + zero_mult} real simple roots, found {len(roots)}"
-        )
-    for r in roots:
-        if abs(polyval(trim(coeffs(p), tol.coef), r)) > 1e4 * tol.root * max(
-            1.0, eval_scale(coeffs(p), r)
-        ):
-            raise NonConverged(f"root {r} residual too large")
-    return roots
-
-
 # ----------------------------------------------------- rational Herglotz form
 
 _GRID_Y = (0.7, 1.3, 2.9, 6.1, 12.7)
@@ -186,20 +94,6 @@ class HerglotzRational:
             val = val + b / (mu - z)
         return val
 
-    def num_den(self) -> tuple[np.ndarray, np.ndarray]:
-        """(num, den) with value = num/den, den = prod (mu_i - z)."""
-        den = np.array([1.0])
-        for mu in self.poles:
-            den = npp.polymul(den, [mu, -1.0])
-        num = npp.polymul(den, [self.zeta, self.gamma]) if (self.gamma or self.zeta) else np.zeros(1)
-        for i, b in enumerate(self.residues):
-            part = np.array([b])
-            for j, mu in enumerate(self.poles):
-                if j != i:
-                    part = npp.polymul(part, [mu, -1.0])
-            num = npp.polyadd(num, part)
-        return trim(num, 1e-14), trim(den, 1e-14)
-
 
 def herglotz(gamma, zeta, poles, residues, tol: Tolerances = DEFAULT) -> HerglotzRational:
     """Normal-form constructor with the type invariants enforced."""
@@ -218,43 +112,6 @@ def herglotz(gamma, zeta, poles, residues, tol: Tolerances = DEFAULT) -> Herglot
         if not b > a:
             raise NotHerglotz(f"poles not distinct near {a}")
     return HerglotzRational(gamma, float(zeta), poles, residues)
-
-
-def pf_decompose(num, den, tol: Tolerances = DEFAULT) -> HerglotzRational:
-    """Partial fractions of num/den, validated as a Herglotz function."""
-    cn = trim(coeffs(num), tol.coef)
-    cd = trim(coeffs(den), tol.coef)
-    if degree(cd) < 0:
-        raise DegreeMismatch("zero denominator")
-    if degree(cn) > degree(cd) + 1:
-        raise NotHerglotz("grows faster than linearly at infinity")
-    poles = poly_real_roots(cd, tol=tol)
-    if len(poles) != degree(cd):
-        raise NotHerglotz("denominator has non-real roots")
-    for a, b in zip(poles, poles[1:]):
-        if b - a <= tol.root * max(1.0, abs(a), abs(b)):
-            raise NotHerglotz("denominator roots not simple")
-    dd = npp.polyder(cd) if degree(cd) >= 1 else np.zeros(1)
-    residues = []
-    for mu in poles:
-        nv = polyval(cn, mu)
-        if abs(nv) <= tol.root * max(1.0, eval_scale(cn, mu)):
-            raise CommonRoots(f"numerator vanishes at the pole {mu}")
-        residues.append(-nv / polyval(dd, mu))
-    # affine quotient -> gamma, zeta
-    if degree(cn) >= degree(cd):
-        q, _ = npp.polydiv(cn, cd)
-        q = np.concatenate([q, np.zeros(2)])[:2]
-        gamma, zeta = float(q[1]), float(q[0])
-    else:
-        gamma, zeta = 0.0, 0.0
-    h = herglotz(gamma, zeta, poles, residues, tol)
-    for y in _GRID_Y:
-        z = 1j * y
-        ref = polyval(cn, z) / polyval(cd, z)
-        if abs(h(z) - ref) > tol.pf * max(1.0, abs(ref)):
-            raise NotHerglotz("partial fractions do not reproduce num/den")
-    return h
 
 
 # --------------------------------------- zeros of a Herglotz function, anchored
@@ -278,11 +135,28 @@ def _anchored_value(gamma, zeta, mu, terms, x):
 
 def _anchored_slope(gamma, mus, betas, i, x):
     """h' at mus[i] + x, same anchoring; positive wherever h is finite."""
-    t = gamma + betas[i] / (x * x)
+    x2 = x * x
+    if x2 == 0.0:  # |x| below 1.5e-154
+        raise NonConverged(f"pole-zero offset {x} underflows its square")
+    t = gamma + betas[i] / x2
     for j in range(len(mus)):
         if j != i:
             t += betas[j] / ((mus[j] - mus[i]) - x) ** 2
     return t
+
+
+def _bracket(gamma, zeta, mus, betas, i, sgn):
+    """G(d) = sgn*d*h(mus[i] + sgn*d) - betas[i] with h anchored at mus[i].
+
+    G increases through zero toward the zero on that side of the pole; the
+    anchored terms are built once for every evaluation.
+    """
+    mu, beta, terms = mus[i], betas[i], _anchored_terms(mus, betas, i)
+
+    def G(d):
+        return sgn * d * _anchored_value(gamma, zeta, mu, terms, sgn * d) - beta
+
+    return G
 
 
 def _zero_offset(gamma, zeta, mus, betas, i, sgn, hi):
@@ -296,14 +170,9 @@ def _zero_offset(gamma, zeta, mus, betas, i, sgn, hi):
     G <= 0: adjacent rungs differ by a factor 2 in d, far above G's
     rounding, so G's sign is monotone along them and this is the rung that
     halving one step at a time finds.  A rung below 1e-280 counts as past
-    the zero and is returned as it is.  The anchored terms are fixed for
-    the whole search and built once.
+    the zero and is returned as it is.
     """
-    mu, terms = mus[i], _anchored_terms(mus, betas, i)
-
-    def G(d):
-        return sgn * d * _anchored_value(gamma, zeta, mu, terms, sgn * d) - betas[i]
-
+    G = _bracket(gamma, zeta, mus, betas, i, sgn)
     if hi is None:
         hi = max(1.0, abs(mus[i]))
         while not G(hi) >= 0.0:
@@ -358,13 +227,14 @@ def _pf_neg_reciprocal(gamma, zeta, mus, betas):
     if slope or (const and zeta < 0.0):
         found.append((0, -_zero_offset(gamma, zeta, mus, betas, 0, -1.0, None)))
     for i in range(m - 1):
+        # the zero's side of the gap midpoint, by the bracket test of _zero_offset
         half = 0.5 * (mus[i + 1] - mus[i])
-        terms = _anchored_terms(mus, betas, i)
-        mid = _anchored_value(gamma, zeta, mus[i], terms, half) - betas[i] / half
-        if mid >= 0.0:
+        if _bracket(gamma, zeta, mus, betas, i, +1.0)(half) >= 0.0:
             found.append((i, +_zero_offset(gamma, zeta, mus, betas, i, +1.0, half)))
-        else:
+        elif _bracket(gamma, zeta, mus, betas, i + 1, -1.0)(half) >= 0.0:
             found.append((i + 1, -_zero_offset(gamma, zeta, mus, betas, i + 1, -1.0, half)))
+        else:  # both anchors round past the midpoint: the zero is the midpoint
+            found.append((i, half))
     if slope or (const and zeta > 0.0):
         found.append((m - 1, +_zero_offset(gamma, zeta, mus, betas, m - 1, +1.0, None)))
     zeros = tuple(mus[i] + d for i, d in found)

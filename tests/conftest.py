@@ -21,6 +21,16 @@ def dense_eigenvalues(m):
     return sorted(1.0 / v for v in nu)
 
 
+def real_roots(c):
+    """Ascending roots of the ascending coefficient array c; oracle only.
+
+    numpy's companion-matrix solver; a complex root fails the caller's test.
+    """
+    roots = np.polynomial.polynomial.polyroots(c)
+    assert not np.iscomplexobj(roots), f"non-real roots {roots}"
+    return sorted(float(r) for r in roots)
+
+
 def random_measure(rng, n=None, signs="mixed", with_v=True, span=4.0):
     """Random valid measure: min gap 0.05, weights bounded away from 0."""
     if n is None:

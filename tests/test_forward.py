@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import dense_eigenvalues, random_measure
+from conftest import dense_eigenvalues, random_measure, real_roots
 from peakons import (
     FlowState,
     Infeasible,
@@ -15,6 +15,7 @@ from peakons import (
     eigenvalues,
     interior_data,
     measure_at,
+    measure_from_weyl,
     q_values,
     shoot_minus,
     shoot_plus,
@@ -23,13 +24,13 @@ from peakons import (
     validate,
     weyl,
     wronskian_at,
-    wronskian_poly,
 )
 from peakons.config import DEFAULT
 from peakons.errors import NonConverged
-from peakons.forward import ladder_rank, _count, _q_recursion, _rows, _sweep
+from peakons.forward import (
+    ladder_rank, _coefficients, _count, _q_recursion, _rows, _sweep, _wronskian_dz,
+)
 from peakons import ratfun
-from peakons.ratfun import poly_real_roots, polyval
 
 
 # ---------------------------------------------------------------- pencil
@@ -252,7 +253,7 @@ def test_interlacing_and_no_common_roots(rng):
         polys = _q_recursion(_rows(m), None)
         prev_roots = [0.0]
         for i in range(1, m.n + 1):
-            roots = poly_real_roots(polys[i], assume_real_simple=True)
+            roots = real_roots(polys[i])
             both = sorted(prev_roots + roots)
             # strict interlacing of z*Q_{i-1} and Q_i root sets
             for r in roots:
@@ -280,13 +281,19 @@ def test_single_peakon_eigenfunction_left_tail():
     assert s.B == pytest.approx(0.0, abs=1e-14)  # W vanishes at the eigenvalue
 
 
+def _w_from_q(m, z):
+    """W(z) as Q_n(z) / (e^{(x_n - x_1)/2} a_1...a_{n-1}), from the recursion."""
+    scale = math.exp((m.points[-1] - m.points[0]) / 2.0) * math.prod(_coefficients(m)[0])
+    return q_values(m, z)[-1] / scale
+
+
 def test_w_at_zero_is_one(rng):
     for _ in range(10):
         m = random_measure(rng)
         s = shoot_plus(m, 0.0, float(m.points[0]))
         assert s.B == pytest.approx(1.0, rel=1e-12)
-        w = wronskian_poly(m)
-        assert w[0] == pytest.approx(1.0, rel=1e-12)
+        w0 = _w_from_q(m, 0.0)
+        assert w0 == pytest.approx(1.0, rel=1e-12)
 
 
 def test_shoot_minus_seed():
@@ -301,7 +308,7 @@ def test_wronskian_sides_and_x_independence(rng):
     for _ in range(50):
         m = random_measure(rng, n=int(rng.integers(1, 5)))
         z = float(rng.uniform(-3.0, 3.0))
-        ref = polyval(wronskian_poly(m), z)
+        ref = _w_from_q(m, z)
         for x in np.linspace(m.points[0] - 1.0, m.points[-1] + 1.0, 5):
             assert wronskian_at(m, z, float(x)) == pytest.approx(ref, rel=1e-9, abs=1e-9)
 
@@ -311,6 +318,32 @@ def test_single_peakon_c_lambda():
     s_plus = shoot_plus(m, 0.5, 1.0)
     s_minus = shoot_minus(m, 0.5, 1.0)
     assert s_minus.value / s_plus.value == pytest.approx(math.exp(1.0), rel=1e-12)
+
+
+def _w_mpmath(mpmath, m, z):
+    """W(z): phi_plus = e^{-x/2} right of the support, carried across each
+    atom right to left as A e^{x/2} + B e^{-x/2} in mpmath; W is the final B."""
+    A, B = mpmath.mpf(0), mpmath.mpf(1)
+    for x, w, v in reversed(list(zip(m.points, m.omega, m.vee))):
+        e = mpmath.exp(mpmath.mpf(x) / 2)
+        phi, dphi = A * e + B / e, (A * e - B / e) / 2
+        dphi += (z * w + z * z * v) * phi
+        A, B = (phi + 2 * dphi) / (2 * e), e * (phi - 2 * dphi) / 2
+    return B
+
+
+def test_wronskian_derivative_matches_mpmath():
+    # the complex step against an 80-digit derivative of the shooting W
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(44)
+    worst = 0.0
+    with mpmath.workdps(80):
+        for n in range(4, 17):
+            m = random_measure(rng, n=n)
+            for lam in eigenvalues(m):
+                ref = mpmath.diff(lambda z: _w_mpmath(mpmath, m, z), mpmath.mpf(lam))
+                worst = max(worst, float(abs(_wronskian_dz(m, lam) - ref) / abs(ref)))
+    assert worst <= 1e-12
 
 
 # ---------------------------------------------------------- spectral data
@@ -397,6 +430,45 @@ def test_weyl_at_support_point():
     assert h.gamma == pytest.approx(0.0, abs=1e-12)
     assert h.zeta == pytest.approx(2.0, rel=1e-12)
     assert h.poles == (0.0,) and h.residues[0] == pytest.approx(0.5, abs=1e-12)
+
+
+# two atoms, one with omega = 0: the fold meets a zero exactly at a gap midpoint
+WEYL_OMEGA_ZERO_TRIPLES = [
+    (-3.3796274211919775, -0.5005737653567364, 0.37316863505458175),
+    (2.10544761121185, 0.0, 0.5983337529689183),
+]
+
+
+def _check_weyl(m, a, side):
+    """weyl agrees with the shooting quotient off the axis and inverts to its atoms."""
+    h = weyl(m, a, side)
+    shoot, sign = (shoot_plus, 1.0) if side == "plus" else (shoot_minus, -1.0)
+    for z in (0.3 + 0.5j, -1.7 + 2.0j, 4.0 + 0.25j, -0.05 + 9.0j):
+        s = shoot(m, z, a)
+        ref = sign * s.left_derivative / (z * s.value)
+        assert abs(h(z) - ref) <= 1e-9 * max(1.0, abs(ref))
+    half = measure_from_weyl(h, a, side)
+    atoms = [t for t in zip(m.points, m.omega, m.vee) if (t[0] >= a) == (side == "plus")]
+    assert half.n == len(atoms)
+    for got, want in zip(half.triples(), atoms):
+        assert got == pytest.approx(want, rel=1e-7, abs=1e-7)
+
+
+@pytest.mark.parametrize("n", [9, 12, 16])
+def test_weyl_on_many_atoms(n):
+    # anchors left of the support, in the first gap, on an atom and right of it
+    rng = np.random.default_rng(600 + n)
+    for _ in range(4):
+        m = random_measure(rng, n=n)
+        x = m.points
+        for a in (x[0] - 0.7, 0.5 * (x[0] + x[1]), x[n // 2], x[-1] + 0.7):
+            for side in ("plus", "minus"):
+                _check_weyl(m, float(a), side)
+
+
+def test_weyl_with_a_zero_omega_atom():
+    m = validate(WEYL_OMEGA_ZERO_TRIPLES)
+    _check_weyl(m, m.points[0] - 0.7, "plus")
 
 
 def test_weyl_sum_identity(rng):

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from peakons import (
     BadResidueAtZero,
@@ -13,33 +12,23 @@ from peakons import (
     cf_expand,
     herglotz,
     neg_reciprocal,
-    pf_decompose,
-    poly_real_roots,
     validate,
     weyl,
 )
+from peakons.errors import NonConverged
 from peakons.ratfun import CFStage
 
 
 # ---------------------------------------------------------------- roots
 
-def test_linear_root():
-    assert poly_real_roots([1.0, -2.0]) == [0.5]
-
-
-def test_quadratic_roots():
-    r = poly_real_roots([-1.0, 0.0, 1.0])
-    assert r == pytest.approx([-1.0, 1.0], abs=1e-12)
-
-
 def test_q2_roots_match_dense_oracle():
     from peakons import q_values
-    from conftest import dense_eigenvalues
+    from conftest import dense_eigenvalues, real_roots
     from peakons.forward import _q_recursion, _rows
 
     m = validate([(0.0, 1.0, 0.0), (1.0, 1.0, 0.0)])
     q2 = _q_recursion(_rows(m), None)[-1]
-    roots = poly_real_roots(q2, assume_real_simple=True)
+    roots = real_roots(q2)
     assert len(roots) == 2 and all(r > 0 for r in roots)
     oracle = dense_eigenvalues(m)
     assert roots == pytest.approx(oracle, rel=1e-9)
@@ -143,39 +132,6 @@ def test_zero_offset_bit_identical_to_halving_reference():
     assert min(seen.values()) > 0, seen
 
 
-def test_root_of_multiplicity_at_origin():
-    # z^2 * (z - 2): origin root kept exactly
-    r = poly_real_roots([0.0, 0.0, -2.0, 1.0])
-    assert r[0] == 0.0 and r[1] == 0.0
-    assert r[2] == pytest.approx(2.0, abs=1e-12)
-
-
-@given(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=5, unique=True))
-@settings(max_examples=60)
-def test_roots_of_factored_polynomials(roots_in):
-    sep = sorted(roots_in)
-    if any(b - a < 0.05 for a, b in zip(sep, sep[1:])):
-        return
-    c = np.array([1.0])
-    for r in sep:
-        c = np.polynomial.polynomial.polymul(c, [-r, 1.0])
-    out = poly_real_roots(c, assume_real_simple=True)
-    assert out == pytest.approx(sep, abs=1e-7)
-
-
-# ---------------------------------------------------- partial fractions
-
-def test_single_origin_pole():
-    h = pf_decompose([1.0], [0.0, -1.0])  # 1/(-z)
-    assert h.gamma == 0.0 and h.zeta == 0.0
-    assert h.poles == (0.0,) and h.residues == (1.0,)
-
-
-def test_negative_residue_rejected():
-    with pytest.raises(NotHerglotz):
-        pf_decompose([1.0, 0.0, 1.0], [0.0, -1.0])  # (1+z^2)/(-z)
-
-
 def test_single_peakon_interior_sum():
     # -1/(alpha z + beta + G) for lambda=0.5, phi(a)=1: alpha=0, beta=-0.5,
     # G = 0.25/(0.5 - z); the sum is z/(2(0.5-z))... its negative reciprocal
@@ -187,24 +143,13 @@ def test_single_peakon_interior_sum():
     assert s.gamma == pytest.approx(0.0, abs=1e-12)
 
 
-def test_pf_roundtrip_random(rng):
-    for _ in range(40):
-        k = int(rng.integers(0, 4))
-        poles = np.sort(rng.uniform(-4.0, 4.0, k))
-        if any(b - a < 0.1 for a, b in zip(poles, poles[1:])):
-            continue
-        h = herglotz(
-            float(rng.uniform(0.0, 2.0)),
-            float(rng.uniform(-2.0, 2.0)),
-            [float(p) for p in poles],
-            [float(r) for r in rng.uniform(0.1, 2.0, k)],
-        )
-        num, den = h.num_den()
-        back = pf_decompose(num, den)
-        assert back.gamma == pytest.approx(h.gamma, abs=1e-8)
-        assert back.zeta == pytest.approx(h.zeta, abs=1e-8)
-        assert back.poles == pytest.approx(h.poles, abs=1e-8)
-        assert back.residues == pytest.approx(h.residues, rel=1e-7)
+# ------------------------------------------------------- normal form
+
+def test_herglotz_rejects_negative_residue_and_slope():
+    with pytest.raises(NotHerglotz):
+        herglotz(0.0, 0.0, [0.0, 1.0], [0.5, -1.0])
+    with pytest.raises(NotHerglotz):
+        herglotz(-1.0, 0.0, [0.0], [1.0])  # -z - 1/z
 
 
 def test_herglotz_upper_half_plane(rng):
@@ -245,6 +190,24 @@ def test_neg_reciprocal_involution(rng):
         assert back.zeta == pytest.approx(h.zeta, rel=1e-8, abs=1e-9)
         assert back.poles == pytest.approx(h.poles, abs=1e-9)
         assert back.residues == pytest.approx(h.residues, rel=1e-7)
+
+
+def test_neg_reciprocal_zero_exactly_at_gap_midpoint():
+    # h(0) = 0 with 0 the midpoint of the poles; each anchor's bracket test
+    # rounds the zero past the midpoint, so the midpoint itself is the zero
+    b = 0.006857331254711412
+    h = herglotz(1.3190260620247065, 0.0, (-1.2914613008322244, 1.2914613008322244), (b, b))
+    assert h(0.0) == 0.0
+    out = neg_reciprocal(h)
+    assert len(out.poles) == 3 and out.poles[1] == 0.0
+    assert out.poles[0] == -out.poles[2]
+    assert out.residues[0] == out.residues[2]
+
+
+def test_neg_reciprocal_underflowing_offset_is_contained():
+    # the zero sits 1e-300 from the pole at 0, where the offset's square is 0
+    with pytest.raises(NonConverged):
+        neg_reciprocal(herglotz(0.0, 0.0, (0.0, 1.0), (1e-300, 1.0)))
 
 
 def test_zeros_poles_interlace(rng):
