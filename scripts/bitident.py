@@ -1,27 +1,31 @@
-"""Print one line per op of a benchmark batch, to check two builds compute alike.
+"""Compare two builds op by op on the benchmark batches, to check they compute alike.
 
-Builds the seeded batch of one workload of ``perfbench`` (read-only; the
-batch is the one ``perfbench/run.py`` times), runs every op once against
-the ``peakons`` package found in SRC_DIR, and prints per op: its index,
-kind, n, outcome (``ok``, ``skipped``, ``peakon`` or ``leak``), the
+For each workload and seed, builds the seeded batch of ``perfbench``
+(read-only; the batch is the one ``perfbench/run.py`` times), runs every op
+once against the ``peakons`` package in OLD_SRC and once against the one
+in NEW_SRC, each in its own process, and compares one line per op: its
+index, kind, n, outcome (``ok``, ``skipped``, ``peakon`` or ``leak``), the
 exception type, and a hash of ``Op.digest`` with every float written in
 hex, so that ``numpy.float64`` and ``float`` of one value hash alike.
-Run it on two source trees and compare with ``diff``:
+Prints ``k of n ops differ`` per workload and seed, then the differing
+lines, and exits 1 on any difference:
 
-    python3 scripts/bitident.py old/src flow 11 > old.txt
-    python3 scripts/bitident.py src flow 11 > new.txt
-    diff old.txt new.txt
+    python3 scripts/bitident.py old/src src --seeds 11 12 13 14
 
-Usage: python3 scripts/bitident.py SRC_DIR WORKLOAD SEED
+``--dump SRC_DIR WORKLOAD SEED`` prints the per-op lines of one build.
+
+Usage: python3 scripts/bitident.py OLD_SRC NEW_SRC [--seeds N ...] [--workloads W ...]
 """
 
 import argparse
 import hashlib
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench"
+WORKLOADS = ("roundtrip", "cli_mix", "flow")
 
 
 def normalized(value):
@@ -33,23 +37,18 @@ def normalized(value):
     return value
 
 
-def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("src_dir", help="directory that holds the peakons package")
-    ap.add_argument("workload", choices=("roundtrip", "cli_mix", "flow"))
-    ap.add_argument("seed", type=int)
-    args = ap.parse_args(argv)
-
-    sys.path[:0] = [str(Path(args.src_dir).resolve()), str(BENCH_DIR)]
+def dump(src_dir, workload, seed):
+    """Print one line per op of the batch, run against the package in src_dir."""
+    sys.path[:0] = [str(Path(src_dir).resolve()), str(BENCH_DIR)]
     import run  # perfbench/run.py: pins BLAS threads, holds the batch sizes
     import timing
     import workloads
 
     pk = run.import_package()
-    if not Path(pk.__file__).is_relative_to(Path(args.src_dir).resolve()):
-        ap.error(f"peakons imported from {pk.__file__}, not from {args.src_dir}")
+    if not Path(pk.__file__).is_relative_to(Path(src_dir).resolve()):
+        sys.exit(f"peakons imported from {pk.__file__}, not from {src_dir}")
     with tempfile.TemporaryDirectory() as workdir:
-        ops = workloads.WORKLOADS[args.workload](pk, args.seed, run.ROUNDS[args.workload], workdir)
+        ops = workloads.WORKLOADS[workload](pk, seed, run.ROUNDS[workload], workdir)
         timing.reset(ops)
         for i, op in enumerate(ops):
             rec = {"status": None, "exc": None, "raw": None}
@@ -60,7 +59,51 @@ def main(argv=None):
                 text = repr(normalized(op.digest(rec["raw"]))).encode()
                 digest = hashlib.sha256(text).hexdigest()[:16]
             print(i, op.kind, f"n={op.n}", rec["status"], rec["exc"], digest)
-    return 0
+
+
+def compare(old_src, new_src, workload, seed):
+    """(number of differing ops, number of ops, differing line pairs)."""
+    procs = [
+        subprocess.Popen(
+            [sys.executable, __file__, "--dump", src, workload, str(seed)],
+            stdout=subprocess.PIPE, text=True,
+        )
+        for src in (old_src, new_src)
+    ]
+    outs = [p.communicate()[0] for p in procs]
+    if any(p.returncode for p in procs):
+        sys.exit(f"{workload} seed {seed}: a build failed to run its batch")
+    old, new = (out.splitlines() for out in outs)
+    pairs = [(a, b) for a, b in zip(old, new) if a != b]
+    pairs += [(a, None) for a in old[len(new):]] + [(None, b) for b in new[len(old):]]
+    return len(pairs), max(len(old), len(new)), pairs
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["--dump"]:
+        ap = argparse.ArgumentParser(prog="bitident.py --dump")
+        ap.add_argument("src_dir", help="directory that holds the peakons package")
+        ap.add_argument("workload", choices=WORKLOADS)
+        ap.add_argument("seed", type=int)
+        args = ap.parse_args(argv[1:])
+        dump(args.src_dir, args.workload, args.seed)
+        return 0
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("old_src", help="directory that holds the reference peakons package")
+    ap.add_argument("new_src", help="directory that holds the peakons package to check")
+    ap.add_argument("--seeds", type=int, nargs="+", default=[11])
+    ap.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
+    args = ap.parse_args(argv)
+    found = []
+    for workload in args.workloads:
+        for seed in args.seeds:
+            k, n, pairs = compare(args.old_src, args.new_src, workload, seed)
+            print(f"{workload} seed {seed}: {k} of {n} ops differ", flush=True)
+            found += [(workload, seed, a, b) for a, b in pairs]
+    for workload, seed, a, b in found:
+        print(f"{workload} seed {seed}\n  - {a}\n  + {b}")
+    return 1 if found else 0
 
 
 if __name__ == "__main__":

@@ -137,7 +137,10 @@ def _cmd_interior(args, cfg: RunConfig) -> int:
         out["moduli_count"] = interior.modulus_family_count(d, cfg.tol)
     if args.do_enumerate:
         if args.splits is not None:
-            splits = tuple(float(s) for s in args.splits.split(",") if s)
+            try:
+                splits = tuple(float(s) for s in args.splits.split(",") if s)
+            except ValueError as exc:
+                raise ValidationError(f"bad --splits: {exc}") from exc
         else:
             splits = cfg.splits or None
         fam = interior.enumerate_solutions(d, splits, cfg.tol)

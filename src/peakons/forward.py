@@ -79,6 +79,9 @@ class SpectralData:
                 raise ValidationError("eigenvalues must be strictly increasing")
         if any(lam == 0.0 for lam in self.eigenvalues):
             raise ValidationError("0 is never an eigenvalue")
+        for lam in self.eigenvalues:
+            if lam * lam == 0.0:  # the inverse divides by lambda^2
+                raise ValidationError(f"eigenvalue {lam} underflows its square")
         if any(k <= 0.0 for k in self.norming):
             raise ValidationError("norming constants must be positive")
 
@@ -117,6 +120,9 @@ class InteriorData:
                 raise ValidationError("eigenvalues must be strictly increasing")
         if any(lam == 0.0 for lam in self.eigenvalues):
             raise ValidationError("0 is never an eigenvalue")
+        for lam, p in zip(self.eigenvalues, self.phi):  # alpha, beta and residue terms
+            if not all(map(math.isfinite, (p * p, lam * p * p, lam * lam * p * p))):
+                raise ValidationError(f"a square term of phi overflows at lambda = {lam}")
 
 
 @dataclass(frozen=True)

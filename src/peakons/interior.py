@@ -235,16 +235,17 @@ def pole_split(d: InteriorData, tol: Tolerances = DEFAULT) -> PoleAssignment:
 
 
 def _normalize_splits(splits, n_a: int) -> list[float]:
-    if splits is None:
-        thetas = [0.5] * n_a
-    elif isinstance(splits, dict):
-        thetas = [float(splits.get(i, 0.5)) for i in range(n_a)]
-    else:
-        thetas = [float(t) for t in splits]
-        if len(thetas) != n_a:
-            raise ValidationError(
-                f"{len(thetas)} split ratios given for {n_a} shared poles"
-            )
+    try:
+        if splits is None:
+            thetas = [0.5] * n_a
+        elif isinstance(splits, dict):
+            thetas = [float(splits.get(i, 0.5)) for i in range(n_a)]
+        else:
+            thetas = [float(t) for t in splits]
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"bad split ratio: {exc}") from exc
+    if len(thetas) != n_a:
+        raise ValidationError(f"{len(thetas)} split ratios given for {n_a} shared poles")
     for t in thetas:
         if not 0.0 < t < 1.0:
             raise ValidationError(f"split ratio {t} outside (0, 1)")

@@ -4,12 +4,23 @@ A rational Herglotz function is kept in one form only, the normal form
 gamma*z + zeta + sum b_i/(mu_i - z) with gamma >= 0 and b_i > 0; sums,
 negative reciprocals (_pf_neg_reciprocal) and continued fractions all work
 on the pole data, never on numerator and denominator coefficients.
+
 Stieltjes-type continued fractions alternate -l*z length terms with
 affine stages m(z) = c0 + c1*z, c1 >= 0:
 
     value = 1/(-head*z + 1/(m_1 + 1/(-l_1*z + 1/(m_2 + ... - 1/(l_K*z)))))
 
 with head = 0 permitted on the plus side only (reference point on an atom).
+
+The poles of -1/h are the zeros of h, one per gap between poles and at
+most one on each outer side.  Each is solved as an offset from the pole
+nearer to it (_zero_offset), so offsets far below the pole spacing keep
+their relative precision.  A gap zero takes a few safeguarded Newton
+steps on a model that keeps the anchor pole exact, then a walk to the
+adjacent floats across which the offset equation changes sign
+(_gap_offset); an outer zero, and any gap zero on which that fails,
+goes to a descent and bisection down to adjacent floats (_halving).  Both
+paths end on the same pair of floats, so they return the same offset.
 
 The polynomial helpers (trim, polyval, eval_scale, _cauchy_bound) serve only
 forward.eigenvalues: its spectral bound, Newton polish and residual test on
@@ -133,6 +144,17 @@ def _anchored_value(gamma, zeta, mu, terms, x):
     return t
 
 
+def _anchored_value_slope(gamma, zeta, mu, terms, x):
+    """(value, slope) of _anchored_value at x in one pass; the value bit for bit."""
+    t, s = gamma * (mu + x) + zeta, gamma
+    for d, b in terms:
+        r = d - x
+        q = b / r
+        t += q
+        s += q / r
+    return t, s
+
+
 def _anchored_slope(gamma, mus, betas, i, x):
     """h' at mus[i] + x, same anchoring; positive wherever h is finite."""
     x2 = x * x
@@ -145,46 +167,40 @@ def _anchored_slope(gamma, mus, betas, i, x):
     return t
 
 
-def _bracket(gamma, zeta, mus, betas, i, sgn):
-    """G(d) = sgn*d*h(mus[i] + sgn*d) - betas[i] with h anchored at mus[i].
+def _bracket(gamma, zeta, mu, beta, terms, sgn):
+    """G(d) = sgn*d*h(mu + sgn*d) - beta with h anchored at its pole mu.
 
-    G increases through zero toward the zero on that side of the pole; the
-    anchored terms are built once for every evaluation.
+    G increases through zero toward the zero on that side of the pole;
+    terms are the anchor's _anchored_terms.
     """
-    mu, beta, terms = mus[i], betas[i], _anchored_terms(mus, betas, i)
-
     def G(d):
         return sgn * d * _anchored_value(gamma, zeta, mu, terms, sgn * d) - beta
 
     return G
 
 
-def _zero_offset(gamma, zeta, mus, betas, i, sgn, hi):
-    """Offset d > 0 of the zero of h at mus[i] + sgn*d, with d <= hi.
+_TINY = 1e-280  # _halving returns the first rung below this as it is
+_NEWTON_FLOOR = 1e-250  # a step below this first asks whether the zero is below 1e-280
+_NEWTON_STEPS = 40
+_WALK_STEPS = 8
 
-    hi=None searches the unbounded outer side.  G(d) = sgn*d*h(mus[i]+sgn*d)
-    increases through zero on the bracket; a descent over the rungs hi*2^-k
-    finds the scale and bisection the mantissa, so offsets hundreds of
-    orders below the gap width keep full relative precision.  The descent
-    gallops (k = 1, 2, 4, ...) and then bisects on k for the first rung with
-    G <= 0: adjacent rungs differ by a factor 2 in d, far above G's
-    rounding, so G's sign is monotone along them and this is the rung that
-    halving one step at a time finds.  A rung below 1e-280 counts as past
-    the zero and is returned as it is.
+
+def _halving(G, hi):
+    """Offset of the zero of G on (0, hi], G(hi) >= 0, by descent and bisection.
+
+    A descent over the rungs hi*2^-k finds the scale and bisection the
+    mantissa, so offsets hundreds of orders below the gap width keep full
+    relative precision.  The descent gallops (k = 1, 2, 4, ...) and then
+    bisects on k for the first rung with G <= 0: adjacent rungs differ by a
+    factor 2 in d, far above G's rounding, so G's sign is monotone along
+    them and this is the rung that halving one step at a time finds.  A
+    rung below 1e-280 counts as past the zero and is returned as it is.
+    The bisection ends on adjacent floats lo < hi with G(lo) <= 0 < G(hi)
+    and returns their midpoint.
     """
-    G = _bracket(gamma, zeta, mus, betas, i, sgn)
-    if hi is None:
-        hi = max(1.0, abs(mus[i]))
-        while not G(hi) >= 0.0:
-            hi *= 2.0
-            if hi > 1e280:
-                raise NonConverged("no zero in the outer range")
-    elif not G(hi) >= 0.0:
-        raise NonConverged("zero bracket lost during Herglotz inversion")
-
     def past(k):  # ldexp is exact on every rung from 1e-280 up
         d = math.ldexp(hi, -k)
-        return d < 1e-280 or G(d) <= 0.0
+        return d < _TINY or G(d) <= 0.0
 
     k_lo, k_hi = 0, 1  # rung k_lo is above the zero, rung k_hi past it
     while not past(k_hi):
@@ -193,7 +209,7 @@ def _zero_offset(gamma, zeta, mus, betas, i, sgn, hi):
         k = (k_lo + k_hi) // 2
         k_lo, k_hi = (k_lo, k) if past(k) else (k, k_hi)
     lo, hi = math.ldexp(hi, -k_hi), math.ldexp(hi, -k_lo)
-    if lo < 1e-280:
+    if lo < _TINY:
         return lo
     for _ in range(80):  # no step moves a bracket of two adjacent floats
         mid = 0.5 * (lo + hi)
@@ -204,6 +220,114 @@ def _zero_offset(gamma, zeta, mus, betas, i, sgn, hi):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _gap_offset(gamma, zeta, mu, beta, terms, sgn, hi, G):
+    """Offset of the zero of G on (0, hi], G(hi) >= 0 known, as _halving finds it.
+
+    With S(d) = sgn*h(mu + sgn*d) anchored at mu, G = d*S(d) - beta, and
+    one pass of _anchored_value_slope gives G and S' > 0.  Each step keeps
+    the anchor pole exact and S linear, S(y) ~ S(d) + S'(d)*(y - d): a
+    one-pole rational model in the spirit of Gu-Eisenstat and Li, whose
+    root y = d + e solves G(d) + G'(d)*e + S'(d)*e^2 = 0.  From d = 0 the
+    step is the start, first-order exact for tiny offsets.  Each value of
+    G narrows the bracket [lo, hi] with G(lo) <= 0 < G(hi), and a step
+    outside it is replaced by sqrt(lo*hi), or hi/8 while lo = 0.
+
+    The iteration stops at a step of at most 2 ulp, or when the bracket
+    has no float left for such a replacement.  A walk then probes G from
+    the step outward in ulp strides that double, a probe outside [lo, hi]
+    replaced by the midpoint, until lo and hi are adjacent floats.  When G
+    changes sign once in floating point near the zero, these are the two
+    floats on which the bisection of _halving ends, and their midpoint is
+    what _halving returns.
+
+    A step below 1e-250 while lo = 0 tests G on the least rung hi*2^-k at
+    or above 1e-280: G > 0 there means _halving returns the next rung, and
+    so does this; otherwise that rung becomes lo.  After _NEWTON_STEPS
+    steps or _WALK_STEPS probes without an answer, a G with several sign
+    changes near the zero is likely, and _halving runs on the original
+    bracket.
+    """
+    top, lo, d, g = hi, 0.0, 0.0, -beta
+    t, s = _anchored_value_slope(gamma, zeta, mu, terms, 0.0)
+    for _ in range(_NEWTON_STEPS):
+        # the model's root y = d + e solves g + a*e + s*e^2 = 0, a = G'(d)
+        a, w = sgn * t + s * d, 2.0 * math.sqrt(s) * math.sqrt(abs(g))
+        if g <= 0.0:
+            r = math.hypot(a, w)
+            e = -2.0 * g / (a + r) if a > 0.0 else (r - a) / (2.0 * s) if s > 0.0 else hi
+        elif a > w:
+            e = -2.0 * g / (a + math.sqrt(a - w) * math.sqrt(a + w))
+        else:  # no root near d
+            e = hi
+        y = d + e
+        if d > 0.0 and abs(e) <= 2.0 * math.ulp(d):
+            break
+        if y < _NEWTON_FLOOR and lo == 0.0:
+            k = max(1, math.frexp(top)[1] - math.frexp(_TINY)[1] - 1)
+            while math.ldexp(top, -k) >= _TINY:
+                k += 1
+            rung = math.ldexp(top, 1 - k)  # the least rung >= 1e-280, or top
+            if k == 1 or G(rung) > 0.0:
+                return math.ldexp(top, -k)
+            lo = rung
+        if not lo < y < hi:
+            y = math.sqrt(lo) * math.sqrt(hi) if lo > 0.0 else 0.125 * hi
+            if not lo < y < hi:  # lo and hi are a few ulps apart
+                break
+        d = y
+        t, s = _anchored_value_slope(gamma, zeta, mu, terms, sgn * d)
+        g = sgn * d * t - beta  # G(d), summed as G sums it
+        if g <= 0.0:
+            lo = d
+        else:
+            hi = d
+    else:
+        return _halving(G, top)
+    # walk from the last step: ulp strides that double, a probe outside
+    # [lo, hi] replaced by the midpoint, until lo and hi are adjacent
+    p = y if lo < y < hi else math.nextafter(lo, hi) if y <= lo else math.nextafter(hi, lo)
+    stride = math.ulp(p)
+    for _ in range(_WALK_STEPS + 1):
+        if math.nextafter(lo, hi) == hi:
+            return 0.5 * (lo + hi)
+        if not lo < p < hi:
+            p = 0.5 * (lo + hi)
+        if G(p) <= 0.0:
+            lo, p = p, p + stride
+        else:
+            hi, p = p, p - stride
+        stride *= 2.0
+    return _halving(G, top)
+
+
+def _zero_offset(gamma, zeta, mus, betas, i, sgn, hi, terms=None):
+    """Offset d > 0 of the zero of h at mus[i] + sgn*d, with d <= hi.
+
+    G(d) = sgn*d*h(mus[i] + sgn*d) increases through zero on the bracket.
+    A gap zero (hi given) goes to _gap_offset: safeguarded Newton steps on
+    a one-pole model, a walk to the adjacent floats across which G changes
+    sign, and _halving as the fallback, all returning the float that
+    _halving returns.  hi=None searches the unbounded outer side by
+    doubling hi until G(hi) >= 0, then _halving; there the slope and
+    constant terms of h cancel near the zero, G is noisy, and a Newton
+    iteration would end on a different float.  terms are the anchor's
+    _anchored_terms, built here if omitted.
+    """
+    if terms is None:
+        terms = _anchored_terms(mus, betas, i)
+    G = _bracket(gamma, zeta, mus[i], betas[i], terms, sgn)
+    if hi is not None:
+        if not G(hi) >= 0.0:
+            raise NonConverged("zero bracket lost during Herglotz inversion")
+        return _gap_offset(gamma, zeta, mus[i], betas[i], terms, sgn, hi, G)
+    hi = max(1.0, abs(mus[i]))
+    while not G(hi) >= 0.0:
+        hi *= 2.0
+        if hi > 1e280:
+            raise NonConverged("no zero in the outer range")
+    return _halving(G, hi)
 
 
 def _pf_neg_reciprocal(gamma, zeta, mus, betas):
@@ -223,20 +347,23 @@ def _pf_neg_reciprocal(gamma, zeta, mus, betas):
     # behaviour at infinity: slope, then constant, else the pole sum
     slope = gamma * span * span > 1e-8 * s1
     const = abs(zeta) * span > 1e-8 * s1
+    terms = [_anchored_terms(mus, betas, i) for i in range(m)]
     found: list[tuple[int, float]] = []  # (anchor pole, signed offset)
     if slope or (const and zeta < 0.0):
-        found.append((0, -_zero_offset(gamma, zeta, mus, betas, 0, -1.0, None)))
+        found.append((0, -_zero_offset(gamma, zeta, mus, betas, 0, -1.0, None, terms[0])))
     for i in range(m - 1):
         # the zero's side of the gap midpoint, by the bracket test of _zero_offset
         half = 0.5 * (mus[i + 1] - mus[i])
-        if _bracket(gamma, zeta, mus, betas, i, +1.0)(half) >= 0.0:
-            found.append((i, +_zero_offset(gamma, zeta, mus, betas, i, +1.0, half)))
-        elif _bracket(gamma, zeta, mus, betas, i + 1, -1.0)(half) >= 0.0:
-            found.append((i + 1, -_zero_offset(gamma, zeta, mus, betas, i + 1, -1.0, half)))
+        for j, sgn in ((i, +1.0), (i + 1, -1.0)):
+            G = _bracket(gamma, zeta, mus[j], betas[j], terms[j], sgn)
+            if G(half) >= 0.0:
+                d = _gap_offset(gamma, zeta, mus[j], betas[j], terms[j], sgn, half, G)
+                found.append((j, sgn * d))
+                break
         else:  # both anchors round past the midpoint: the zero is the midpoint
             found.append((i, half))
     if slope or (const and zeta > 0.0):
-        found.append((m - 1, +_zero_offset(gamma, zeta, mus, betas, m - 1, +1.0, None)))
+        found.append((m - 1, +_zero_offset(gamma, zeta, mus, betas, m - 1, +1.0, None, terms[-1])))
     zeros = tuple(mus[i] + d for i, d in found)
     res = tuple(1.0 / _anchored_slope(gamma, mus, betas, i, d) for i, d in found)
     if slope:

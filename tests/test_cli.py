@@ -129,6 +129,32 @@ def test_interior_splits_flag_selects_family_member(tmp_path, capsys):
     assert out["solutions"]
 
 
+def test_unparsable_splits_flag_exits_2(tmp_path, capsys):
+    f = _interior_file(tmp_path, 0.0, [(0.5, math.exp(-0.5))])
+    assert main(["interior", f, "--enumerate", "--splits", "abc"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("inverse", {"eigenvalues": [1e-320, 2.0], "norming": [1.0, 1.0]}),
+        ("inverse", {"eigenvalues": [-1e-300, 2.0], "norming": [1.0, 1.0]}),
+        ("interior", {"a": 0.0, "pairs": [{"lambda": 1.0, "phi": 1e308}]}),
+        ("interior", {"a": 0.0, "pairs": [{"lambda": 1e200, "phi": 0.5}]}),
+    ],
+)
+def test_out_of_range_squares_exit_2(tmp_path, capsys, command, payload):
+    # an eigenvalue whose square underflows, or a phi whose square terms
+    # overflow, leaked ZeroDivisionError or ValueError from the numerics
+    f = tmp_path / "in.json"
+    f.write_text(json.dumps(payload))
+    assert main([command, str(f)] + (["--enumerate"] if command == "interior" else [])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_evolve_csv_series_and_report(tmp_path):
     f = _measure_file(tmp_path, [(0.0, 2.0, 0.0)])
     series = str(tmp_path / "series.csv")

@@ -147,6 +147,9 @@ def test_split_validation():
         enumerate_solutions(d, splits=[1.0])
     with pytest.raises(ValidationError):
         enumerate_solutions(d, splits=[0.0])
+    for bad in (["abc"], {0: "abc"}, [None]):  # these leaked ValueError and TypeError
+        with pytest.raises(ValidationError):
+            enumerate_solutions(d, splits=bad)
 
 
 def test_enumeration_cap():
@@ -290,3 +293,13 @@ def test_every_member_reproduces_its_data(rng):
             back = interior_data(got, a)
             assert back.eigenvalues == pytest.approx(d.eigenvalues, rel=1e-6)
             assert back.phi == pytest.approx(d.phi, abs=1e-6)
+
+
+@pytest.mark.parametrize("lam, phi", [(1.0, 1e308), (1e300, 1e10), (1e200, 0.5)])
+def test_overflowing_phi_terms_are_rejected(lam, phi):
+    # phi^2, lambda*phi^2 or lambda^2*phi^2 overflows: alpha, beta or a
+    # residue of the sum function would be infinite
+    with pytest.raises(ValidationError):
+        InteriorData.from_json_obj({"a": 0.0, "pairs": [{"lambda": lam, "phi": phi}]})
+    with pytest.raises(ValidationError):
+        InteriorData(0.0, (lam,), (phi,))

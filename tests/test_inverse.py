@@ -12,6 +12,7 @@ from peakons import (
     validate,
     weyl,
 )
+from peakons.errors import ValidationError
 
 
 def test_free_minus_side_is_empty():
@@ -78,3 +79,12 @@ def test_far_shifted_support():
     sd2 = spectral_data(validate([(-9.0, 1.5, 0.0), (-8.0, 0.5, 0.2)]))
     back2 = measure_from_spectral_data(sd2)
     assert back2.points[0] == pytest.approx(-9.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("lam", [1e-320, -1e-300])
+def test_eigenvalue_with_underflowing_square_is_rejected(lam):
+    # the inverse divides by lambda^2; this leaked ZeroDivisionError
+    with pytest.raises(ValidationError):
+        measure_from_spectral_data(SpectralData((lam, 2.0), (1.0, 1.0)))
+    with pytest.raises(ValidationError):
+        SpectralData.from_json_obj({"eigenvalues": [lam, 2.0], "norming": [1.0, 1.0]})

@@ -132,6 +132,99 @@ def test_zero_offset_bit_identical_to_halving_reference():
     assert min(seen.values()) > 0, seen
 
 
+def _gap_cases(rng, count):
+    """_zero_offset arguments of gap zeros, each side picked as _pf_neg_reciprocal picks it.
+
+    Pole spacings span seven decades and residues 10^U(-300, 5), so many
+    zeros sit far closer to their anchor pole than the pole spacing.
+    """
+    from peakons.ratfun import _anchored_terms, _bracket
+
+    for _ in range(count):
+        gaps = 10.0 ** rng.uniform(-6.0, 1.0, int(rng.integers(1, 12)))
+        poles = np.concatenate(([0.0], np.cumsum(gaps))) - rng.uniform(0.0, gaps.sum())
+        mus = sorted(set(poles.tolist()))
+        k = len(mus)
+        betas = (10.0 ** rng.uniform(-300.0, 5.0, k)).tolist()
+        gamma = float(rng.choice([0.0, 10.0 ** rng.uniform(-5.0, 2.0)]))
+        zeta = float(rng.choice([0.0, rng.normal() * 10.0 ** rng.uniform(-3.0, 3.0)]))
+        for i in range(k - 1):
+            half = 0.5 * (mus[i + 1] - mus[i])
+            for j, sgn in ((i, +1.0), (i + 1, -1.0)):
+                G = _bracket(gamma, zeta, mus[j], betas[j], _anchored_terms(mus, betas, j), sgn)
+                if G(half) >= 0.0:
+                    yield gamma, zeta, mus, betas, j, sgn, half
+                    break
+
+
+def test_gap_zero_offsets_bit_identical_and_mostly_newton(monkeypatch):
+    # the Newton path must end on the float of the halving reference, and
+    # must answer nearly every gap zero itself rather than fall back
+    from peakons import ratfun
+
+    halving, halved = ratfun._halving, []
+
+    def counted(G, hi):
+        halved.append(hi)
+        return halving(G, hi)
+
+    monkeypatch.setattr(ratfun, "_halving", counted)
+    calls = close = 0
+    for args in _gap_cases(np.random.default_rng(23), 300):
+        ref = _zero_offset_reference(*args)
+        got = ratfun._zero_offset(*args)
+        assert got.hex() == ref.hex(), args
+        calls += 1
+        close += ref < 1e-6 * args[-1]
+    assert calls > 1000 and close > 0.1 * calls, (calls, close)
+    assert len(halved) <= 0.1 * calls, (len(halved), calls)
+
+
+def test_gap_zero_offsets_near_the_rung_floor(monkeypatch):
+    # zeros from 1e-248 down past 1e-280: below 1e-280 the halving returns a
+    # rung, above it the zero; the Newton path tells the two apart itself
+    from peakons import ratfun
+
+    monkeypatch.setattr(ratfun, "_halving", None)  # calling it fails the test
+    for e in range(248, 286, 2):
+        for beta in (10.0 ** -e, 3.7 * 10.0 ** -e):
+            for zeta in (0.0, -0.4, 3.0):
+                args = (0.0, zeta, [0.0, 1.0], [beta, 1.0], 0, +1.0, 0.5)
+                assert ratfun._zero_offset(*args).hex() == _zero_offset_reference(*args).hex()
+
+
+def test_gap_zero_offsets_against_mpmath():
+    # every gap offset within 64 ulps of the 80-digit zero of the same
+    # anchored G, and the median within 1 ulp
+    mpmath = pytest.importorskip("mpmath")
+    from peakons.ratfun import _anchored_terms, _zero_offset
+
+    mp = mpmath.mp
+    errs = []
+    for gamma, zeta, mus, betas, i, sgn, hi in _gap_cases(np.random.default_rng(29), 45):
+        d = _zero_offset(gamma, zeta, mus, betas, i, sgn, hi)
+        if d < 1e-270:  # below 1e-280 the halving returns a rung, not the zero
+            continue
+        with mpmath.workdps(80):
+            terms = [(mp.mpf(u), mp.mpf(b)) for u, b in _anchored_terms(mus, betas, i)]
+            g, z, mu, beta, s = (mp.mpf(v) for v in (gamma, zeta, mus[i], betas[i], sgn))
+
+            def G(e):
+                x = s * e
+                return x * (g * (mu + x) + z + mp.fsum(b / (u - x) for u, b in terms)) - beta
+
+            # a bracket of 2^-19 around d if G changes sign on it, else all of (0, hi]
+            lo, up = mp.mpf(d) * (1 - mp.mpf(2) ** -20), mp.mpf(d) * (1 + mp.mpf(2) ** -20)
+            if G(lo) > 0 or G(up) <= 0:
+                lo, up = mp.mpf(1e-300), mp.mpf(hi)
+            while up / lo - 1 > mp.mpf(1e-24):
+                mid = mp.sqrt(lo * up)
+                lo, up = (mid, up) if G(mid) <= 0 else (lo, mid)
+            errs.append(float(abs(d - lo) / math.ulp(float(lo))))
+    assert len(errs) > 150, len(errs)
+    assert max(errs) <= 64.0 and float(np.median(errs)) <= 1.0, (max(errs), np.median(errs))
+
+
 def test_single_peakon_interior_sum():
     # -1/(alpha z + beta + G) for lambda=0.5, phi(a)=1: alpha=0, beta=-0.5,
     # G = 0.25/(0.5 - z); the sum is z/(2(0.5-z))... its negative reciprocal
