@@ -137,10 +137,7 @@ def _cmd_interior(args, cfg: RunConfig) -> int:
         out["moduli_count"] = interior.modulus_family_count(d, cfg.tol)
     if args.do_enumerate:
         if args.splits is not None:
-            try:
-                splits = tuple(float(s) for s in args.splits.split(",") if s)
-            except ValueError as exc:
-                raise ValidationError(f"bad --splits: {exc}") from exc
+            splits = tuple(s for s in args.splits.split(",") if s)  # parsed by enumerate_solutions
         else:
             splits = cfg.splits or None
         fam = interior.enumerate_solutions(d, splits, cfg.tol)

@@ -120,8 +120,8 @@ class InteriorData:
                 raise ValidationError("eigenvalues must be strictly increasing")
         if any(lam == 0.0 for lam in self.eigenvalues):
             raise ValidationError("0 is never an eigenvalue")
-        for lam, p in zip(self.eigenvalues, self.phi):  # alpha, beta and residue terms
-            if not all(map(math.isfinite, (p * p, lam * p * p, lam * lam * p * p))):
+        for lam, p in zip(self.eigenvalues, self.phi):  # the terms of alpha and beta
+            if not (math.isfinite(p * p) and math.isfinite(lam * p * p)):
                 raise ValidationError(f"a square term of phi overflows at lambda = {lam}")
 
 

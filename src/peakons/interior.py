@@ -124,8 +124,11 @@ def _f_function(d: InteriorData, tol: Tolerances) -> HerglotzRational:
     poles, res = [], []
     for lam, p in zip(d.eigenvalues, phi):
         if p != 0.0:
+            r = lam * lam * p * p
+            if not math.isfinite(r):
+                raise ValidationError(f"residue lambda^2 phi^2 overflows at lambda = {lam}")
             poles.append(lam)
-            res.append(lam * lam * p * p)
+            res.append(r)
     return herglotz(alpha, beta, poles, res, tol)
 
 

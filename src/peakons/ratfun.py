@@ -19,8 +19,11 @@ their relative precision.  A gap zero takes a few safeguarded Newton
 steps on a model that keeps the anchor pole exact, then a walk to the
 adjacent floats across which the offset equation changes sign
 (_gap_offset); an outer zero, and any gap zero on which that fails,
-goes to a descent and bisection down to adjacent floats (_halving).  Both
-paths end on the same pair of floats, so they return the same offset.
+goes to a descent and bisection down to adjacent floats (_halving).  When
+the offset equation changes sign once in floating point near the zero,
+both paths end on the same pair of floats and so return the same offset.
+The walk does not test that condition: the equality is measured, on the
+benchmark workloads and in the tests, not proven.
 
 The polynomial helpers (trim, polyval, eval_scale, _cauchy_bound) serve only
 forward.eigenvalues: its spectral bound, Newton polish and residual test on
@@ -180,7 +183,6 @@ def _bracket(gamma, zeta, mu, beta, terms, sgn):
 
 
 _TINY = 1e-280  # _halving returns the first rung below this as it is
-_NEWTON_FLOOR = 1e-250  # a step below this first asks whether the zero is below 1e-280
 _NEWTON_STEPS = 40
 _WALK_STEPS = 8
 
@@ -242,12 +244,11 @@ def _gap_offset(gamma, zeta, mu, beta, terms, sgn, hi, G):
     floats on which the bisection of _halving ends, and their midpoint is
     what _halving returns.
 
-    A step below 1e-250 while lo = 0 tests G on the least rung hi*2^-k at
-    or above 1e-280: G > 0 there means _halving returns the next rung, and
-    so does this; otherwise that rung becomes lo.  After _NEWTON_STEPS
-    steps or _WALK_STEPS probes without an answer, a G with several sign
-    changes near the zero is likely, and _halving runs on the original
-    bracket.
+    _halving runs on the original bracket instead after a step below
+    1e-250 while lo = 0, where the zero may lie below 1e-280 and _halving
+    returns a rung rather than the zero; and after _NEWTON_STEPS steps or
+    _WALK_STEPS probes without an answer, where a G with several sign
+    changes near the zero is likely.
     """
     top, lo, d, g = hi, 0.0, 0.0, -beta
     t, s = _anchored_value_slope(gamma, zeta, mu, terms, 0.0)
@@ -264,14 +265,8 @@ def _gap_offset(gamma, zeta, mu, beta, terms, sgn, hi, G):
         y = d + e
         if d > 0.0 and abs(e) <= 2.0 * math.ulp(d):
             break
-        if y < _NEWTON_FLOOR and lo == 0.0:
-            k = max(1, math.frexp(top)[1] - math.frexp(_TINY)[1] - 1)
-            while math.ldexp(top, -k) >= _TINY:
-                k += 1
-            rung = math.ldexp(top, 1 - k)  # the least rung >= 1e-280, or top
-            if k == 1 or G(rung) > 0.0:
-                return math.ldexp(top, -k)
-            lo = rung
+        if y < 1e-250 and lo == 0.0:  # the zero may be below _TINY
+            return _halving(G, top)
         if not lo < y < hi:
             y = math.sqrt(lo) * math.sqrt(hi) if lo > 0.0 else 0.125 * hi
             if not lo < y < hi:  # lo and hi are a few ulps apart

@@ -295,11 +295,23 @@ def test_every_member_reproduces_its_data(rng):
             assert back.phi == pytest.approx(d.phi, abs=1e-6)
 
 
-@pytest.mark.parametrize("lam, phi", [(1.0, 1e308), (1e300, 1e10), (1e200, 0.5)])
+@pytest.mark.parametrize("lam, phi", [(1.0, 1e308), (1e300, 1e10)])
 def test_overflowing_phi_terms_are_rejected(lam, phi):
-    # phi^2, lambda*phi^2 or lambda^2*phi^2 overflows: alpha, beta or a
-    # residue of the sum function would be infinite
+    # phi^2 or lambda*phi^2 overflows: alpha or beta would be infinite
     with pytest.raises(ValidationError):
         InteriorData.from_json_obj({"a": 0.0, "pairs": [{"lambda": lam, "phi": phi}]})
     with pytest.raises(ValidationError):
         InteriorData(0.0, (lam,), (phi,))
+
+
+def test_overflowing_residue_is_rejected_where_it_is_built():
+    # lambda^2*phi^2 overflows only for a phi that survives the snap to 0
+    d = InteriorData(0.0, (1e200,), (0.5,))
+    with pytest.raises(ValidationError):
+        sum_weyl(d)
+    for phi in (0.0, 1e-300):  # lambda^2 alone overflows; phi is, or snaps to, 0
+        d = InteriorData.from_json_obj(
+            {"a": 0.0, "pairs": [{"lambda": 0.5, "phi": 0.6}, {"lambda": 1e200, "phi": phi}]}
+        )
+        assert all(map(math.isfinite, alpha_beta(d)))
+        assert sum_weyl(d).poles
