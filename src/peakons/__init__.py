@@ -46,7 +46,6 @@ from .forward import (
     eigenfunction_zero_count,
     eigenvalues,
     interior_data,
-    q_values,
     shoot_minus,
     shoot_plus,
     sign_changes,

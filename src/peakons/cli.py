@@ -67,6 +67,8 @@ def _config(args) -> RunConfig:
                 obj = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ValidationError(f"cannot read config {path}: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise ValidationError(f"config {path} must hold a JSON object")
     try:
         tol = DEFAULT.with_overrides(**obj.get("tolerances", {}))
     except TypeError as exc:
@@ -83,7 +85,7 @@ def _config(args) -> RunConfig:
         x_grid.points()  # surface bad steps here as validation errors
         t_grid.points()
         splits = tuple(float(s) for s in obj.get("splits", ()))
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         raise ValidationError(str(exc)) from exc
     fmt = obj.get("format", base.fmt)
     if fmt not in ("csv", "json"):

@@ -6,7 +6,10 @@ Tolerances value so the CLI can override any of them (--tol.<name>).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field, fields, replace
+
+from .errors import ValidationError
 
 
 @dataclass(frozen=True)
@@ -24,6 +27,13 @@ class Tolerances:
     cons: float = 1e-6     # two-route norming-constant consistency
     g: float = 1e-8        # feasibility condition (i) zero test
 
+    def __post_init__(self):
+        # a NaN makes every "> tol" test false, so no check could ever fire
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 <= v < math.inf:
+                raise ValidationError(f"tolerance {f.name} must be a finite number >= 0, got {v!r}")
+
     def with_overrides(self, **kw: float) -> "Tolerances":
         kw = {k: v for k, v in kw.items() if v is not None}
         return replace(self, **kw) if kw else self
@@ -39,6 +49,11 @@ class GridSpec:
     start: float
     stop: float
     step: float
+
+    def __post_init__(self):
+        # points() would never pass a NaN or infinite stop
+        if not all(map(math.isfinite, (self.start, self.stop, self.step))):
+            raise ValueError(f"grid start, stop and step must be finite, got {self}")
 
     def points(self) -> list[float]:
         if self.step <= 0:
@@ -57,6 +72,8 @@ class GridSpec:
 
     @classmethod
     def parse(cls, text: str) -> "GridSpec":
+        if not isinstance(text, str):
+            raise ValueError(f"grid spec must be a start:stop:step string, got {text!r}")
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError(f"grid spec must be start:stop:step, got {text!r}")

@@ -18,15 +18,15 @@ Every shooting solution comes from one gap-transfer walk, _shoot:
 - z is a float or a complex number: complex z gives the Weyl functions off
   the real axis and, by a complex step, the derivative of W in z.
 
-The determinant recursion Q_0..Q_n has one body, _q_recursion, at a number z
-or, for z=None, as coefficient arrays in z; only eigenvalues uses those, for
-its spectral bound, Newton polish and residual test.  They stay unpadded:
-padding them to one length makes np.convolve sum in another order, which
-moves Q and the eigenvalues in the last bit.  The recursion runs over rows
-(a_{i-1}^2, b_{i-1}, w, v) that depend on the measure alone; eigenvalues
-builds them once for every Sturm count (_count) of its bracket and bisection,
-counts each distinct z once per call, and stops a bisection once its bracket
-is two adjacent floats.
+The determinant recursion Q_0..Q_n runs over rows (a_{i-1}^2, b_{i-1}, w, v)
+that depend on the measure alone.  _count walks it at a number z and counts
+sign changes as it goes; _q_coefficients builds Q_0..Q_n as coefficient
+arrays in z, which only eigenvalues uses, for its spectral bound, Newton
+polish and residual test.  They stay unpadded: padding them to one length
+makes np.convolve sum in another order, which moves Q and the eigenvalues in
+the last bit.  eigenvalues builds the rows once for every Sturm count of its
+bracket and bisection, counts each distinct z once per call, and stops a
+bisection once its bracket is two adjacent floats.
 
 _zero_count and _interior are eigenfunction_zero_count and interior_data for
 a spectrum already solved, so the CLI forward command solves it only once.
@@ -38,7 +38,6 @@ form, the exact inverse of inverse.measure_from_weyl.
 from __future__ import annotations
 
 import math
-import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -266,37 +265,26 @@ def _rows(m: PeakonMeasure) -> list[tuple[float, float, float, float]]:
     return list(zip([ai ** 2 for ai in (0.0, *a)], b, reversed(m.omega), reversed(m.vee)))
 
 
-def _q_recursion(rows: list, z: float | None) -> list:
-    """[Q_0, ..., Q_n] at the number z, or as coefficient arrays for z=None."""
-    if z is None:
-        add, mul, prev1 = npp.polyadd, npp.polymul, np.array([1.0])
-    else:
-        add, mul, prev1 = operator.add, operator.mul, 1.0
-    q, prev2 = [prev1], 0.0
+def _q_coefficients(rows: list) -> list[np.ndarray]:
+    """[Q_0, ..., Q_n] as coefficient arrays in z, ascending."""
+    q, prev2 = [np.array([1.0])], 0.0
     # Q_i = (b_{i-1} - w z - v z^2) Q_{i-1} - a_{i-1}^2 Q_{i-2}, with a_0 = 0, Q_{-1} = 0
-    for a2, bi, w, v in rows:
-        factor = [bi, -w, -v] if z is None else bi - w * z - v * z * z
-        cur = add(mul(factor, prev1), -a2 * prev2)
-        q.append(cur)
-        prev2, prev1 = prev1, cur
+    for a2, b, w, v in rows:
+        q.append(npp.polyadd(npp.polymul([b, -w, -v], q[-1]), -a2 * prev2))
+        prev2 = q[-2]
     return q
 
 
 def _count(rows: list, z: float) -> int:
     """Sign changes along Q_0(z), ..., Q_n(z), exact zeros skipped."""
-    count, last = 0, 1.0  # last: Q_0 = 1
-    for val in _q_recursion(rows, z)[1:]:
-        if val == 0.0:
-            continue
-        if (val > 0) != (last > 0):
-            count += 1
-        last = val
+    count, last, q1, q2 = 0, 1.0, 1.0, 0.0  # last: the last nonzero Q, Q_0 = 1
+    for a2, b, w, v in rows:
+        q1, q2 = (b - w * z - v * z * z) * q1 - a2 * q2, q1
+        if q1 != 0.0:
+            if (q1 > 0) != (last > 0):
+                count += 1
+            last = q1
     return count
-
-
-def q_values(m: PeakonMeasure, z: float) -> list[float]:
-    """[Q_0(z), ..., Q_n(z)] by the three-term recursion."""
-    return _q_recursion(_rows(m), z)
 
 
 def sign_changes(m: PeakonMeasure, z: float) -> int:
@@ -314,9 +302,12 @@ def eigenvalues(m: PeakonMeasure, tol: Tolerances = DEFAULT) -> list[float]:
     """
     n_v, n_plus, n_minus = counts(m)
     rows = _rows(m)
-    qn = _q_recursion(rows, None)[-1]
+    qn = _q_coefficients(rows)[-1]
     dqn = npp.polyder(qn)
-    bound = ratfun._cauchy_bound(ratfun.trim(qn, 1e-14))
+    # Cauchy bound 1 + max |c_i / c_top| of qn trimmed to its last
+    # coefficient above 1e-14 max |c|; qn(0) > 0, so qn is never zero
+    top = np.nonzero(np.abs(qn) > 1e-14 * np.max(np.abs(qn)))[0][-1]
+    bound = 1.0 + float(np.max(np.abs(qn[:top] / qn[top]))) if top else 1.0
     memo: dict[float, int] = {}
 
     def count(z):
@@ -333,8 +324,8 @@ def eigenvalues(m: PeakonMeasure, tol: Tolerances = DEFAULT) -> list[float]:
 
     def polish(x, lo, hi):
         for _ in range(60):
-            f = ratfun.polyval(qn, x)
-            df = ratfun.polyval(dqn, x)
+            f = npp.polyval(x, qn)
+            df = npp.polyval(x, dqn)
             if df == 0.0:
                 break
             step = f / df
@@ -362,10 +353,9 @@ def eigenvalues(m: PeakonMeasure, tol: Tolerances = DEFAULT) -> list[float]:
             lam = polish(0.5 * (lo + hi), min(lo, hi), max(lo, hi))
             out.append(lam)
     out.sort()
-    for lam in out:
-        if abs(ratfun.polyval(qn, lam)) > 1e4 * tol.root * max(
-            1.0, ratfun.eval_scale(qn, lam)
-        ):
+    for lam in out:  # residual against sum |c_i| |lam|^i
+        scale = float(npp.polyval(abs(lam), np.abs(qn)))
+        if abs(npp.polyval(lam, qn)) > 1e4 * tol.root * max(1.0, scale):
             raise NonConverged(f"eigenvalue {lam} residual too large")
     return out
 

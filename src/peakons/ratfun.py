@@ -1,4 +1,4 @@
-"""Rational Herglotz-Nevanlinna arithmetic, and four polynomial helpers.
+"""Rational Herglotz-Nevanlinna arithmetic.
 
 A rational Herglotz function is kept in one form only, the normal form
 gamma*z + zeta + sum b_i/(mu_i - z) with gamma >= 0 and b_i > 0; sums,
@@ -24,10 +24,6 @@ the offset equation changes sign once in floating point near the zero,
 both paths end on the same pair of floats and so return the same offset.
 The walk does not test that condition: the equality is measured, on the
 benchmark workloads and in the tests, not proven.
-
-The polynomial helpers (trim, polyval, eval_scale, _cauchy_bound) serve only
-forward.eigenvalues: its spectral bound, Newton polish and residual test on
-the coefficient array of Q_n, ascending, with the empty array for zero.
 """
 
 from __future__ import annotations
@@ -36,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npp
 
 from .config import Tolerances, DEFAULT
 from .errors import (
@@ -47,45 +42,6 @@ from .errors import (
     NotHerglotz,
     PoleHit,
 )
-
-
-# ---------------------------------------------------------------- polynomials
-
-def trim(c, rel: float = DEFAULT.coef) -> np.ndarray:
-    """Drop trailing coefficients below rel * max|c|; empty array = zero."""
-    c = np.atleast_1d(np.asarray(c, dtype=float))
-    if c.size == 0:
-        return c
-    scale = np.max(np.abs(c))
-    if scale == 0.0:
-        return c[:0]
-    keep = np.nonzero(np.abs(c) > rel * scale)[0]
-    if keep.size == 0:
-        return c[:0]
-    return c[: keep[-1] + 1]
-
-
-def polyval(c, z):
-    c = np.atleast_1d(np.asarray(c, dtype=float))
-    if c.size == 0:
-        return 0.0 * z
-    return npp.polyval(z, c)
-
-
-def eval_scale(c, z) -> float:
-    """sum |c_i| |z|^i, the natural magnitude for residual tests."""
-    c = np.atleast_1d(np.asarray(c, dtype=float))
-    if c.size == 0:
-        return 0.0
-    return float(npp.polyval(abs(z), np.abs(c)))
-
-
-def _cauchy_bound(c: np.ndarray) -> float:
-    # all roots lie in |z| <= 1 + max |c_i / c_lead|
-    lead = c[-1]
-    if len(c) == 1:
-        return 1.0
-    return 1.0 + float(np.max(np.abs(c[:-1] / lead)))
 
 
 # ----------------------------------------------------- rational Herglotz form
@@ -158,15 +114,17 @@ def _anchored_value_slope(gamma, zeta, mu, terms, x):
     return t, s
 
 
-def _anchored_slope(gamma, mus, betas, i, x):
-    """h' at mus[i] + x, same anchoring; positive wherever h is finite."""
+def _anchored_slope(gamma, beta, terms, x):
+    """h' at mu + x, anchored at the pole mu of residue beta; positive wherever h is finite.
+
+    terms are the anchor's _anchored_terms, so the sum runs in their order.
+    """
     x2 = x * x
     if x2 == 0.0:  # |x| below 1.5e-154
         raise NonConverged(f"pole-zero offset {x} underflows its square")
-    t = gamma + betas[i] / x2
-    for j in range(len(mus)):
-        if j != i:
-            t += betas[j] / ((mus[j] - mus[i]) - x) ** 2
+    t = gamma + beta / x2
+    for d, b in terms:
+        t += b / (d - x) ** 2
     return t
 
 
@@ -360,7 +318,7 @@ def _pf_neg_reciprocal(gamma, zeta, mus, betas):
     if slope or (const and zeta > 0.0):
         found.append((m - 1, +_zero_offset(gamma, zeta, mus, betas, m - 1, +1.0, None, terms[-1])))
     zeros = tuple(mus[i] + d for i, d in found)
-    res = tuple(1.0 / _anchored_slope(gamma, mus, betas, i, d) for i, d in found)
+    res = tuple(1.0 / _anchored_slope(gamma, betas[i], terms[i], d) for i, d in found)
     if slope:
         g2, z2 = 0.0, 0.0
     elif const:

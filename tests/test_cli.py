@@ -4,7 +4,7 @@ import math
 import pytest
 
 from peakons.cli import main
-from peakons import serial
+from peakons import DEFAULT, Tolerances, ValidationError, serial
 
 
 @pytest.fixture(autouse=True)
@@ -230,6 +230,61 @@ def test_unknown_config_tolerance_exits_2(tmp_path, monkeypatch, capsys):
     f = _measure_file(tmp_path, [(0.0, 2.0, 0.0)])
     assert main(["forward", f]) == 2
     assert "tolerance" in capsys.readouterr().err
+
+
+def _one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+@pytest.mark.parametrize("flag, grid", [("--t", "nan:1:1"), ("--x", "0:inf:1"), ("--t", "0:1:nan")])
+def test_non_finite_grid_exits_2(tmp_path, capsys, flag, grid):
+    # a NaN or infinite stop once kept GridSpec.points() looping for ever
+    f = _measure_file(tmp_path, [(0.0, 2.0, 0.0)])
+    assert main(["evolve", f, f"{flag}={grid}"]) == 2
+    assert "finite" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("obj", [[1, 2], {"x": 5}, {"splits": 5}])
+def test_config_of_the_wrong_shape_exits_2(tmp_path, monkeypatch, capsys, obj):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(obj))
+    monkeypatch.setenv("PEAKON_CONFIG", str(cfg))
+    f = _measure_file(tmp_path, [(0.0, 2.0, 0.0)])
+    assert main(["evolve", f]) == 2
+    _one_error_line(capsys)
+
+
+_BAD_TOLERANCES = [("pf", math.nan), ("inv", math.nan), ("inv", -1.0), ("cf", math.inf)]
+
+
+@pytest.mark.parametrize("name, value", _BAD_TOLERANCES)
+def test_bad_tolerance_flag_exits_2(tmp_path, capsys, name, value):
+    sd = tmp_path / "sd.json"
+    sd.write_text(json.dumps({"eigenvalues": [0.5], "norming": [1.0]}))
+    assert main(["inverse", str(sd), f"--tol.{name}", str(value)]) == 2
+    assert name in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("value", ["abc", -1e-9, math.nan])
+def test_bad_config_tolerance_exits_2(tmp_path, monkeypatch, capsys, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tolerances": {"pf": value}}))  # nan is written as NaN
+    monkeypatch.setenv("PEAKON_CONFIG", str(cfg))
+    sd = tmp_path / "sd.json"
+    sd.write_text(json.dumps({"eigenvalues": [0.5], "norming": [1.0]}))
+    assert main(["inverse", str(sd)]) == 2
+    assert "pf" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("name, value", _BAD_TOLERANCES + [("pf", "abc"), ("root", True)])
+def test_bad_tolerance_is_rejected_by_the_api(name, value):
+    with pytest.raises(ValidationError):
+        Tolerances(**{name: value})
+    with pytest.raises(ValidationError):
+        DEFAULT.with_overrides(**{name: value})
+    assert getattr(Tolerances(**{name: 0}), name) == 0  # zero is a valid tolerance
 
 
 def test_float_formatting_is_fixed_width_and_parseable():

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npp
 
 from conftest import dense_eigenvalues, random_measure, real_roots
 from peakons import (
@@ -16,7 +17,6 @@ from peakons import (
     interior_data,
     measure_at,
     measure_from_weyl,
-    q_values,
     shoot_minus,
     shoot_plus,
     sign_changes,
@@ -28,9 +28,13 @@ from peakons import (
 from peakons.config import DEFAULT
 from peakons.errors import NonConverged
 from peakons.forward import (
-    ladder_rank, _coefficients, _count, _q_recursion, _rows, _sweep, _wronskian_dz,
+    ladder_rank, _coefficients, _count, _q_coefficients, _rows, _sweep, _wronskian_dz,
 )
-from peakons import ratfun
+
+
+def q_values(m, z):
+    """[Q_0(z), ..., Q_n(z)] from the coefficient arrays of the recursion."""
+    return [npp.polyval(z, c) for c in _q_coefficients(_rows(m))]
 
 
 # ---------------------------------------------------------------- pencil
@@ -121,13 +125,29 @@ def test_sign_change_counts(rng):
         m = random_measure(rng)
         oracle = dense_eigenvalues(m)
         pos = sorted(v for v in oracle if v > 0)
-        if not pos:
-            continue
-        assert sign_changes(m, 0.5 * pos[0]) == 0
-        assert sign_changes(m, pos[-1] * 1.5) == len(pos)
-        if len(pos) >= 2:
-            mid = 0.5 * (pos[0] + pos[1])
-            assert sign_changes(m, mid) == 1
+        neg = sorted((v for v in oracle if v < 0), reverse=True)
+        for ladder in (pos, neg):  # each ladder outward from 0
+            if not ladder:
+                continue
+            assert sign_changes(m, 0.5 * ladder[0]) == 0
+            assert sign_changes(m, ladder[-1] * 1.5) == len(ladder)
+            if len(ladder) >= 2:
+                mid = 0.5 * (ladder[0] + ladder[1])
+                assert sign_changes(m, mid) == 1
+
+
+def test_sign_change_count_skips_an_exact_zero(rng):
+    # the last atom has omega = 1 and v = 0, so Q_1(b_0) = b_0 - b_0 = 0 exactly
+    for _ in range(20):
+        n = int(rng.integers(2, 7))
+        m = random_measure(rng, n=n)
+        m = validate([*zip(m.points, m.omega, m.vee)][:-1] + [(m.points[-1], 1.0, 0.0)])
+        rows = _rows(m)
+        _, z, w, v = rows[0]  # z = b_0
+        assert z - w * z - v * z * z == 0.0
+        oracle = dense_eigenvalues(m)
+        assert min(abs(lam - z) for lam in oracle) > 1e-6
+        assert _count(rows, z) == sum(1 for lam in oracle if 0.0 < lam < z)
 
 
 def test_eigenvalues_match_dense_oracle(rng):
@@ -140,13 +160,52 @@ def test_eigenvalues_match_dense_oracle(rng):
             assert x == pytest.approx(y, rel=1e-9, abs=1e-11)
 
 
+# the polynomial helpers that eigenvalues once called, kept verbatim for the reference
+
+def trim(c, rel: float = DEFAULT.coef) -> np.ndarray:
+    """Drop trailing coefficients below rel * max|c|; empty array = zero."""
+    c = np.atleast_1d(np.asarray(c, dtype=float))
+    if c.size == 0:
+        return c
+    scale = np.max(np.abs(c))
+    if scale == 0.0:
+        return c[:0]
+    keep = np.nonzero(np.abs(c) > rel * scale)[0]
+    if keep.size == 0:
+        return c[:0]
+    return c[: keep[-1] + 1]
+
+
+def polyval(c, z):
+    c = np.atleast_1d(np.asarray(c, dtype=float))
+    if c.size == 0:
+        return 0.0 * z
+    return npp.polyval(z, c)
+
+
+def eval_scale(c, z) -> float:
+    """sum |c_i| |z|^i, the natural magnitude for residual tests."""
+    c = np.atleast_1d(np.asarray(c, dtype=float))
+    if c.size == 0:
+        return 0.0
+    return float(npp.polyval(abs(z), np.abs(c)))
+
+
+def _cauchy_bound(c: np.ndarray) -> float:
+    # all roots lie in |z| <= 1 + max |c_i / c_lead|
+    lead = c[-1]
+    if len(c) == 1:
+        return 1.0
+    return 1.0 + float(np.max(np.abs(c[:-1] / lead)))
+
+
 def _eigenvalues_reference(m, tol=DEFAULT):
     """eigenvalues as it was before the count memo and the adjacency stop."""
     n_v, n_plus, n_minus = counts(m)
     rows = _rows(m)
-    qn = _q_recursion(rows, None)[-1]
+    qn = _q_coefficients(rows)[-1]
     dqn = np.polynomial.polynomial.polyder(qn)
-    bound = ratfun._cauchy_bound(ratfun.trim(qn, 1e-14))
+    bound = _cauchy_bound(trim(qn, 1e-14))
     for _ in range(60):
         if _count(rows, bound) >= n_v + n_plus and _count(rows, -bound) >= n_v + n_minus:
             break
@@ -156,8 +215,8 @@ def _eigenvalues_reference(m, tol=DEFAULT):
 
     def polish(x, lo, hi):
         for _ in range(60):
-            f = ratfun.polyval(qn, x)
-            df = ratfun.polyval(dqn, x)
+            f = polyval(qn, x)
+            df = polyval(dqn, x)
             if df == 0.0:
                 break
             step = f / df
@@ -183,8 +242,8 @@ def _eigenvalues_reference(m, tol=DEFAULT):
             out.append(lam)
     out.sort()
     for lam in out:
-        if abs(ratfun.polyval(qn, lam)) > 1e4 * tol.root * max(
-            1.0, ratfun.eval_scale(qn, lam)
+        if abs(polyval(qn, lam)) > 1e4 * tol.root * max(
+            1.0, eval_scale(qn, lam)
         ):
             raise NonConverged(f"eigenvalue {lam} residual too large")
     return out
@@ -250,7 +309,7 @@ def test_eigenvalue_count_by_signs(rng):
 def test_interlacing_and_no_common_roots(rng):
     for _ in range(10):
         m = random_measure(rng, n=3)
-        polys = _q_recursion(_rows(m), None)
+        polys = _q_coefficients(_rows(m))
         prev_roots = [0.0]
         for i in range(1, m.n + 1):
             roots = real_roots(polys[i])

@@ -22,12 +22,11 @@ from peakons.ratfun import CFStage
 # ---------------------------------------------------------------- roots
 
 def test_q2_roots_match_dense_oracle():
-    from peakons import q_values
     from conftest import dense_eigenvalues, real_roots
-    from peakons.forward import _q_recursion, _rows
+    from peakons.forward import _q_coefficients, _rows
 
     m = validate([(0.0, 1.0, 0.0), (1.0, 1.0, 0.0)])
-    q2 = _q_recursion(_rows(m), None)[-1]
+    q2 = _q_coefficients(_rows(m))[-1]
     roots = real_roots(q2)
     assert len(roots) == 2 and all(r > 0 for r in roots)
     oracle = dense_eigenvalues(m)
