@@ -7,8 +7,9 @@ in NEW_SRC, each in its own process, and compares one line per op: its
 index, kind, n, outcome (``ok``, ``skipped``, ``peakon`` or ``leak``), the
 exception type, and a hash of ``Op.digest`` with every float written in
 hex, so that ``numpy.float64`` and ``float`` of one value hash alike.
-Prints ``k of n ops differ`` per workload and seed, then the differing
-lines, and exits 1 on any difference:
+Prints ``k of n ops differ`` per workload and seed, with how many of them
+went from ``ok`` to a failure (``peakon`` or ``leak``) and back, then the
+differing lines, and exits 1 on any difference:
 
     python3 scripts/bitident.py old/src src --seeds 11 12 13 14
 
@@ -61,6 +62,17 @@ def dump(src_dir, workload, seed):
             print(i, op.kind, f"n={op.n}", rec["status"], rec["exc"], digest)
 
 
+def flips(pairs):
+    """(ok -> fail, fail -> ok) counts over differing line pairs."""
+    def status(line):
+        return line.split()[3] if line else None
+
+    fail = ("peakon", "leak")
+    pairs = [(status(a), status(b)) for a, b in pairs]
+    return (sum(a == "ok" and b in fail for a, b in pairs),
+            sum(a in fail and b == "ok" for a, b in pairs))
+
+
 def compare(old_src, new_src, workload, seed):
     """(number of differing ops, number of ops, differing line pairs)."""
     procs = [
@@ -99,7 +111,9 @@ def main(argv=None):
     for workload in args.workloads:
         for seed in args.seeds:
             k, n, pairs = compare(args.old_src, args.new_src, workload, seed)
-            print(f"{workload} seed {seed}: {k} of {n} ops differ", flush=True)
+            lost, gained = flips(pairs)
+            print(f"{workload} seed {seed}: {k} of {n} ops differ, "
+                  f"{lost} ok->fail, {gained} fail->ok", flush=True)
             found += [(workload, seed, a, b) for a, b in pairs]
     for workload, seed, a, b in found:
         print(f"{workload} seed {seed}\n  - {a}\n  + {b}")

@@ -143,7 +143,7 @@ def _cmd_interior(args, cfg: RunConfig) -> int:
         else:
             splits = cfg.splits or None
         fam = interior.enumerate_solutions(d, splits, cfg.tol)
-        out["count"] = interior.solution_count(d, cfg.tol).to_json_obj()
+        out["count"] = interior._describe(fam.assignment).to_json_obj()
         out["assignment"] = fam.assignment.to_json_obj()
         out["solutions"] = [m.to_json_obj() for m in fam.measures]
         out["branches"] = [

@@ -16,8 +16,7 @@ from .errors import ValidationError
 class Tolerances:
     pos: float = 1e-10     # minimal distance between support points
     zero: float = 1e-12    # weight treated as exactly zero
-    coef: float = 1e-10    # relative polynomial-coefficient trim / remainder test
-    root: float = 1e-12    # root residual bound
+    coef: float = 1e-10    # cf_expand: a minus-side function vanishes at infinity
     pf: float = 1e-9       # pole-residue form reproduction bound
     cf: float = 1e-8       # continued-fraction reconstruction bound
     inv: float = 1e-7      # inverse-problem roundtrip bound (relative)

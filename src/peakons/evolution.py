@@ -55,15 +55,28 @@ def _kernel_u(m: PeakonMeasure, x: float) -> float:
 def solution_at(
     fs: FlowState, t: float, xs, tol: Tolerances = DEFAULT
 ) -> tuple[list[float], PeakonMeasure]:
-    """u on the grid and the reconstructed measure at time t."""
+    """u on the grid and the reconstructed measure at time t.
+
+    phi_i is merged as in forward.eigenfunction_zero_count: left of the peak
+    atom, where rounding rides the growing mode of phi_plus, it is phi_minus
+    scaled to phi_plus at that atom.
+    """
     m = measure_at(fs, t, tol)
     sd = evolve_spectral(fs, t)
+    routes = []  # (scale of phi_minus, peak atom, lambda, kappa * lambda)
+    for lam, kap in zip(sd.eigenvalues, sd.norming):
+        plus, minus = forward._sweep(m, lam, "plus"), forward._sweep(m, lam, "minus")
+        top = max(range(m.n), key=lambda k: abs(plus[k]))
+        if minus[top] == 0.0:
+            raise TraceMismatch(f"phi_minus vanishes at the peak atom for eigenvalue {lam}")
+        routes.append((plus[top] / minus[top], m.points[top], lam, kap * lam))
     us = []
     for x in xs:
         u = _kernel_u(m, x)
         trace = 0.5 * sum(
-            forward.shoot_plus(m, lam, x).value ** 2 / (kap * lam)
-            for lam, kap in zip(sd.eigenvalues, sd.norming)
+            (s * forward._shoot(m, lam, x, "minus")[0] if x < peak
+             else forward._shoot(m, lam, x, "plus")[0]) ** 2 / w
+            for s, peak, lam, w in routes
         )
         if abs(u - trace) > tol.trace * max(1.0, abs(u)):
             raise TraceMismatch(f"u routes disagree at x={x}, t={t}: {u} vs {trace}")

@@ -19,14 +19,14 @@ Every shooting solution comes from one gap-transfer walk, _shoot:
   the real axis and, by a complex step, the derivative of W in z.
 
 The determinant recursion Q_0..Q_n runs over rows (a_{i-1}^2, b_{i-1}, w, v)
-that depend on the measure alone.  _count walks it at a number z and counts
-sign changes as it goes; _q_coefficients builds Q_0..Q_n as coefficient
-arrays in z, which only eigenvalues uses, for its spectral bound, Newton
-polish and residual test.  They stay unpadded: padding them to one length
-makes np.convolve sum in another order, which moves Q and the eigenvalues in
-the last bit.  eigenvalues builds the rows once for every Sturm count of its
-bracket and bisection, counts each distinct z once per call, and stops a
-bisection once its bracket is two adjacent floats.
+that depend on the measure alone; Q_n(z) is W(z) up to a positive factor.
+_count walks the rows at a number z in ratio form, the pivots
+d_i = Q_i(z)/Q_{i-1}(z) of an LDL^T factorisation (Parlett, The Symmetric
+Eigenvalue Problem, sec. 3), and counts the negative ones; no Q_i and no
+coefficient of Q_n in z is ever formed, so the count cannot overflow.
+eigenvalues builds the rows once for every Sturm count of its bracket and
+bisection, counts each distinct z once per call, bisects every root down to
+two adjacent floats and certifies each final bracket by its count.
 
 _zero_count and _interior are eigenfunction_zero_count and interior_data for
 a spectrum already solved, so the CLI forward command solves it only once.
@@ -42,7 +42,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npp
 
 from . import ratfun
 from .config import Tolerances, DEFAULT
@@ -265,25 +264,26 @@ def _rows(m: PeakonMeasure) -> list[tuple[float, float, float, float]]:
     return list(zip([ai ** 2 for ai in (0.0, *a)], b, reversed(m.omega), reversed(m.vee)))
 
 
-def _q_coefficients(rows: list) -> list[np.ndarray]:
-    """[Q_0, ..., Q_n] as coefficient arrays in z, ascending."""
-    q, prev2 = [np.array([1.0])], 0.0
-    # Q_i = (b_{i-1} - w z - v z^2) Q_{i-1} - a_{i-1}^2 Q_{i-2}, with a_0 = 0, Q_{-1} = 0
-    for a2, b, w, v in rows:
-        q.append(npp.polyadd(npp.polymul([b, -w, -v], q[-1]), -a2 * prev2))
-        prev2 = q[-2]
-    return q
+_TINY = math.ulp(0.0)  # the least positive float
 
 
 def _count(rows: list, z: float) -> int:
-    """Sign changes along Q_0(z), ..., Q_n(z), exact zeros skipped."""
-    count, last, q1, q2 = 0, 1.0, 1.0, 0.0  # last: the last nonzero Q, Q_0 = 1
+    """Negative pivots d_i of the LDL^T factorisation at z, i = 1..n.
+
+    d_i = (b_{i-1} - w z - v z^2) - a_{i-1}^2/d_{i-1} with d_0 = 1 is the
+    ratio Q_i(z)/Q_{i-1}(z), so the count equals the sign changes along
+    Q_0(z), ..., Q_n(z) while no Q_i is ever formed or can overflow.  A zero
+    pivot counts as non-negative and becomes the least positive float: the
+    next pivot is then hugely negative, which matches skipping the exact zero
+    Q_i in the sign changes, and no division is by zero.
+    """
+    count, d = 0, 1.0
     for a2, b, w, v in rows:
-        q1, q2 = (b - w * z - v * z * z) * q1 - a2 * q2, q1
-        if q1 != 0.0:
-            if (q1 > 0) != (last > 0):
-                count += 1
-            last = q1
+        d = (b - w * z - v * z * z) - a2 / d
+        if d < 0.0:
+            count += 1
+        elif d == 0.0:
+            d = _TINY
     return count
 
 
@@ -293,21 +293,18 @@ def sign_changes(m: PeakonMeasure, z: float) -> int:
 
 
 def eigenvalues(m: PeakonMeasure, tol: Tolerances = DEFAULT) -> list[float]:
-    """All n + n_v eigenvalues by Sturm-count bisection plus Newton polish.
+    """All n + n_v eigenvalues, ascending, by Sturm-count bisection.
 
-    Every root bisects from [0, +-bound], so the roots walk one dyadic tree;
-    the counts are memoized by z for this call only.  _count is a pure
-    function of (rows, z), so each comparison sees the value it would
-    recompute.
+    The bound doubles from 1 until both ladders are complete.  Every root
+    then bisects from [0, +-bound] until its bracket is two adjacent floats
+    and returns their midpoint, so the roots walk one dyadic tree; the
+    counts are memoized by z for this call only.  Each final bracket must
+    hold exactly one eigenvalue by the count itself, which catches a count
+    that is not monotone and two eigenvalues within one ulp.  The count
+    needs no tolerance; tol is accepted for a uniform signature.
     """
     n_v, n_plus, n_minus = counts(m)
     rows = _rows(m)
-    qn = _q_coefficients(rows)[-1]
-    dqn = npp.polyder(qn)
-    # Cauchy bound 1 + max |c_i / c_top| of qn trimmed to its last
-    # coefficient above 1e-14 max |c|; qn(0) > 0, so qn is never zero
-    top = np.nonzero(np.abs(qn) > 1e-14 * np.max(np.abs(qn)))[0][-1]
-    bound = 1.0 + float(np.max(np.abs(qn[:top] / qn[top]))) if top else 1.0
     memo: dict[float, int] = {}
 
     def count(z):
@@ -315,34 +312,18 @@ def eigenvalues(m: PeakonMeasure, tol: Tolerances = DEFAULT) -> list[float]:
             memo[z] = _count(rows, z)
         return memo[z]
 
-    for _ in range(60):
-        if count(bound) >= n_v + n_plus and count(-bound) >= n_v + n_minus:
-            break
+    bound = 1.0
+    while count(bound) < n_v + n_plus or count(-bound) < n_v + n_minus:
+        if bound > 1e300:
+            raise NonConverged("could not bracket the spectrum")
         bound *= 2.0
-    else:
-        raise NonConverged("could not bracket the spectrum")
-
-    def polish(x, lo, hi):
-        for _ in range(60):
-            f = npp.polyval(x, qn)
-            df = npp.polyval(x, dqn)
-            if df == 0.0:
-                break
-            step = f / df
-            if not (lo <= x - step <= hi):
-                break
-            x -= step
-            if abs(step) <= 1e-16 * max(1.0, abs(x)):
-                break
-        return float(x)  # polyval steps yield numpy.float64
 
     out = []
     for sign, total in ((1.0, n_v + n_plus), (-1.0, n_v + n_minus)):
         for k in range(1, total + 1):
             lo, hi = 0.0, sign * bound
-            # invariant: count(hi) >= k > count(lo); the boundary is the k-th root.
-            # Once lo and hi are adjacent floats no step can move them.
-            for _ in range(90):
+            # invariant: count(hi) >= k > count(lo); the boundary is the k-th root
+            while True:
                 mid = 0.5 * (lo + hi)
                 if mid == lo or mid == hi:
                     break
@@ -350,13 +331,10 @@ def eigenvalues(m: PeakonMeasure, tol: Tolerances = DEFAULT) -> list[float]:
                     hi = mid
                 else:
                     lo = mid
-            lam = polish(0.5 * (lo + hi), min(lo, hi), max(lo, hi))
-            out.append(lam)
+            if count(hi) - count(lo) != 1:
+                raise NonConverged(f"no single eigenvalue certified in [{lo}, {hi}]")
+            out.append(0.5 * (lo + hi))
     out.sort()
-    for lam in out:  # residual against sum |c_i| |lam|^i
-        scale = float(npp.polyval(abs(lam), np.abs(qn)))
-        if abs(npp.polyval(lam, qn)) > 1e4 * tol.root * max(1.0, scale):
-            raise NonConverged(f"eigenvalue {lam} residual too large")
     return out
 
 

@@ -202,7 +202,11 @@ def sum_weyl(d: InteriorData, tol: Tolerances = DEFAULT) -> HerglotzRational:
 
 
 def pole_split(d: InteriorData, tol: Tolerances = DEFAULT) -> PoleAssignment:
-    s = sum_weyl(d, tol)
+    return _pole_split(d, sum_weyl(d, tol), tol)
+
+
+def _pole_split(d: InteriorData, s: HerglotzRational, tol: Tolerances) -> PoleAssignment:
+    """pole_split for the Weyl sum s of d, already solved."""
     phi = _snap_phi(d, tol)
     lams = list(d.eigenvalues)
     match = 0.25 * min(b - a for a, b in zip(lams, lams[1:])) if len(lams) > 1 else 0.25 * abs(lams[0])
@@ -266,7 +270,7 @@ def enumerate_solutions(
     if len(d.eigenvalues) > ENUM_CAP:
         raise ValidationError(f"refusing to enumerate beyond N={ENUM_CAP}")
     s = sum_weyl(d, tol)
-    asg = pole_split(d, tol)
+    asg = _pole_split(d, s, tol)
     thetas = _normalize_splits(splits, len(asg.set_A))
 
     plus_base = [(0.0, asg.shared_zero / 2.0)]
@@ -321,7 +325,11 @@ def _verify_interior(d: InteriorData, m: PeakonMeasure, tol: Tolerances):
 
 
 def solution_count(d: InteriorData, tol: Tolerances = DEFAULT) -> CountDescriptor:
-    asg = pole_split(d, tol)
+    return _describe(pole_split(d, tol))
+
+
+def _describe(asg: PoleAssignment) -> CountDescriptor:
+    """solution_count for the pole assignment asg, already split."""
     k = len(asg.set_A)
     branches = 2 ** len(asg.free_poles)
     if k > 0:

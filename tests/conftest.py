@@ -7,8 +7,10 @@ sign-count bisection used by the library.
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npp
 
 from peakons import build_pencil, validate
+from peakons.forward import _rows
 
 
 def dense_eigenvalues(m):
@@ -29,6 +31,19 @@ def real_roots(c):
     roots = np.polynomial.polynomial.polyroots(c)
     assert not np.iscomplexobj(roots), f"non-real roots {roots}"
     return sorted(float(r) for r in roots)
+
+
+def q_coefficients(m):
+    """[Q_0, ..., Q_n] of m as ascending coefficient arrays in z; oracle only.
+
+    Q_i = (b_{i-1} - w z - v z^2) Q_{i-1} - a_{i-1}^2 Q_{i-2}, with a_0 = 0
+    and Q_{-1} = 0, over the library's recursion rows.
+    """
+    q, prev2 = [np.array([1.0])], 0.0
+    for a2, b, w, v in _rows(m):
+        q.append(npp.polyadd(npp.polymul([b, -w, -v], q[-1]), -a2 * prev2))
+        prev2 = q[-2]
+    return q
 
 
 def random_measure(rng, n=None, signs="mixed", with_v=True, span=4.0):

@@ -104,6 +104,18 @@ def test_interior_enumerates_the_two_branch_example(tmp_path, capsys):
     assert len(out["branches"]) == 2
 
 
+def test_interior_enumerate_solves_the_weyl_sum_once(tmp_path, monkeypatch, capsys):
+    from peakons import interior
+
+    calls = []
+    solve = interior.neg_reciprocal
+    monkeypatch.setattr(interior, "neg_reciprocal", lambda *a: calls.append(a) or solve(*a))
+    f = _interior_file(tmp_path, 0.0, [(0.5, math.exp(-0.5))])
+    assert main(["interior", f, "--enumerate"]) == 0
+    assert json.loads(capsys.readouterr().out)["count"]["branches"] == 2
+    assert len(calls) == 1
+
+
 def test_interior_splits_flag_selects_family_member(tmp_path, capsys):
     # a sits at a root of the second eigenfunction, so one pole is shared
     from peakons import validate, eigenvalues, shoot_plus
@@ -278,7 +290,7 @@ def test_bad_config_tolerance_exits_2(tmp_path, monkeypatch, capsys, value):
     assert "pf" in _one_error_line(capsys)
 
 
-@pytest.mark.parametrize("name, value", _BAD_TOLERANCES + [("pf", "abc"), ("root", True)])
+@pytest.mark.parametrize("name, value", _BAD_TOLERANCES + [("pf", "abc"), ("trace", True)])
 def test_bad_tolerance_is_rejected_by_the_api(name, value):
     with pytest.raises(ValidationError):
         Tolerances(**{name: value})

@@ -9,6 +9,7 @@ from peakons import (
     DEFAULT,
     FlowState,
     SpectralData,
+    TraceMismatch,
     collision_scan,
     evolve_spectral,
     measure_at,
@@ -108,6 +109,39 @@ def test_trace_route_agrees_on_mixed_measures(rng):
         fs = FlowState.from_measure(m)
         us, _ = solution_at(fs, 0.7, xs)
         assert all(math.isfinite(u) for u in us)
+
+
+# 8 atoms: the benchmark generator's measure_triples(sub_rng(11, 5, 6, 5), 8)
+TRACE_LEFT_TAIL_TRIPLES = [
+    (-3.4833579148322737, -2.1533941897115914, 0.3102486343226675),
+    (-2.5398296350432363, -0.7687572703530183, 0.5102516093571192),
+    (-1.4071851328365645, 1.2357349040792793, 0.0),
+    (-0.5415221676683583, 1.1706780671881607, 0.0),
+    (0.400060738216686, 2.025681038579118, 0.0),
+    (1.5295210031741593, 2.3653855308186205, 0.0),
+    (2.5474341220360763, -1.4743623467178437, 0.37362420148729936),
+    (3.4362698438389843, -2.098263828810851, 0.24608717137257874),
+]
+
+
+def test_trace_route_holds_far_left_of_the_support():
+    # phi_plus alone rode its growing mode to a TraceMismatch at x = -20, t = 0
+    fs = FlowState.from_measure(validate(TRACE_LEFT_TAIL_TRIPLES))
+    us, _ = solution_at(fs, 0.0, [-20.0 + 0.5 * k for k in range(81)])
+    assert all(math.isfinite(u) for u in us)
+
+
+def test_trace_route_with_phi_minus_zero_at_the_peak(monkeypatch):
+    # the scale phi_plus/phi_minus at the peak atom raises a PeakonError, not ZeroDivisionError
+    from peakons import forward
+
+    fs = FlowState.from_measure(validate(TRACE_LEFT_TAIL_TRIPLES))
+    measure_at(fs, 0.0)  # reconstructed before the sweep is faked
+    sweep = forward._sweep
+    monkeypatch.setattr(forward, "_sweep", lambda m, z, side: (
+        [0.0] * m.n if side == "minus" else sweep(m, z, side)))
+    with pytest.raises(TraceMismatch):
+        solution_at(fs, 0.0, [0.0])
 
 
 # ------------------------------------------------------------------ collisions

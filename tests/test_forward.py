@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npp
 
-from conftest import dense_eigenvalues, random_measure, real_roots
+from conftest import dense_eigenvalues, q_coefficients, random_measure, real_roots
 from peakons import (
     FlowState,
     Infeasible,
@@ -25,16 +25,12 @@ from peakons import (
     weyl,
     wronskian_at,
 )
-from peakons.config import DEFAULT
-from peakons.errors import NonConverged
-from peakons.forward import (
-    ladder_rank, _coefficients, _count, _q_coefficients, _rows, _sweep, _wronskian_dz,
-)
+from peakons.forward import ladder_rank, _coefficients, _count, _rows, _sweep, _wronskian_dz
 
 
 def q_values(m, z):
     """[Q_0(z), ..., Q_n(z)] from the coefficient arrays of the recursion."""
-    return [npp.polyval(z, c) for c in _q_coefficients(_rows(m))]
+    return [npp.polyval(z, c) for c in q_coefficients(m)]
 
 
 # ---------------------------------------------------------------- pencil
@@ -160,111 +156,56 @@ def test_eigenvalues_match_dense_oracle(rng):
             assert x == pytest.approx(y, rel=1e-9, abs=1e-11)
 
 
-# the polynomial helpers that eigenvalues once called, kept verbatim for the reference
-
-def trim(c, rel: float = DEFAULT.coef) -> np.ndarray:
-    """Drop trailing coefficients below rel * max|c|; empty array = zero."""
-    c = np.atleast_1d(np.asarray(c, dtype=float))
-    if c.size == 0:
-        return c
-    scale = np.max(np.abs(c))
-    if scale == 0.0:
-        return c[:0]
-    keep = np.nonzero(np.abs(c) > rel * scale)[0]
-    if keep.size == 0:
-        return c[:0]
-    return c[: keep[-1] + 1]
+def _q_mpmath(mpmath, rows, z):
+    """Q_n(z) by the recursion over the float rows, in mpmath."""
+    q1, q2 = mpmath.mpf(1), mpmath.mpf(0)
+    for a2, b, w, v in rows:
+        q1, q2 = (b - w * z - v * z * z) * q1 - a2 * q2, q1
+    return q1
 
 
-def polyval(c, z):
-    c = np.atleast_1d(np.asarray(c, dtype=float))
-    if c.size == 0:
-        return 0.0 * z
-    return npp.polyval(z, c)
+def _generator_measure(rng, n):
+    """Unit-spaced atoms, 40% with v, mixed-sign omega: Q_n overflows by n = 24."""
+    xs = np.arange(n) - (n - 1) / 2.0 + rng.uniform(-0.1, 0.1, n)
+    triples = []
+    for x in xs:
+        v = float(rng.uniform(0.2, 1.5)) if rng.random() < 0.4 else 0.0
+        w = float(rng.uniform(0.2, 2.5)) * (1.0 if rng.random() < 0.5 else -1.0)
+        triples.append((float(x), w, v))
+    return validate(triples)
 
 
-def eval_scale(c, z) -> float:
-    """sum |c_i| |z|^i, the natural magnitude for residual tests."""
-    c = np.atleast_1d(np.asarray(c, dtype=float))
-    if c.size == 0:
-        return 0.0
-    return float(npp.polyval(abs(z), np.abs(c)))
-
-
-def _cauchy_bound(c: np.ndarray) -> float:
-    # all roots lie in |z| <= 1 + max |c_i / c_lead|
-    lead = c[-1]
-    if len(c) == 1:
-        return 1.0
-    return 1.0 + float(np.max(np.abs(c[:-1] / lead)))
-
-
-def _eigenvalues_reference(m, tol=DEFAULT):
-    """eigenvalues as it was before the count memo and the adjacency stop."""
-    n_v, n_plus, n_minus = counts(m)
-    rows = _rows(m)
-    qn = _q_coefficients(rows)[-1]
-    dqn = np.polynomial.polynomial.polyder(qn)
-    bound = _cauchy_bound(trim(qn, 1e-14))
-    for _ in range(60):
-        if _count(rows, bound) >= n_v + n_plus and _count(rows, -bound) >= n_v + n_minus:
-            break
-        bound *= 2.0
-    else:
-        raise NonConverged("could not bracket the spectrum")
-
-    def polish(x, lo, hi):
-        for _ in range(60):
-            f = polyval(qn, x)
-            df = polyval(dqn, x)
-            if df == 0.0:
-                break
-            step = f / df
-            if not (lo <= x - step <= hi):
-                break
-            x -= step
-            if abs(step) <= 1e-16 * max(1.0, abs(x)):
-                break
-        return x
-
-    out = []
-    for sign, total in ((1.0, n_v + n_plus), (-1.0, n_v + n_minus)):
-        for k in range(1, total + 1):
-            lo, hi = 0.0, sign * bound
-            # invariant: count(hi) >= k > count(lo); the boundary is the k-th root
-            for _ in range(90):
-                mid = 0.5 * (lo + hi)
-                if _count(rows, mid) >= k:
-                    hi = mid
-                else:
-                    lo = mid
-            lam = polish(0.5 * (lo + hi), min(lo, hi), max(lo, hi))
-            out.append(lam)
-    out.sort()
-    for lam in out:
-        if abs(polyval(qn, lam)) > 1e4 * tol.root * max(
-            1.0, eval_scale(qn, lam)
-        ):
-            raise NonConverged(f"eigenvalue {lam} residual too large")
-    return out
-
-
-def _outcome(f, *args):
-    try:
-        return [float(x).hex() for x in f(*args)]
-    except Exception as exc:
-        return type(exc), str(exc)
-
-
-def test_eigenvalues_bit_identical_to_reference_loop():
-    # the count memo and the adjacency stop must leave every float unchanged
+@pytest.mark.parametrize("make, bound", [
+    (_generator_measure, 1e-15),
+    (lambda rng, n: random_measure(rng, n=n), 1e-14),  # gaps down to 0.05 condition Q_n worse
+], ids=["generator", "close_atoms"])
+def test_eigenvalues_match_mpmath_roots_of_q(make, bound):
+    # each eigenvalue against a 60-digit root of Q_n, the polynomial it counts
+    mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(5)
-    for n in range(1, 17):
-        for _ in range(6):
-            m = random_measure(rng, n=n)
-            ref = _outcome(_eigenvalues_reference, m)
-            assert isinstance(ref, list)
-            assert _outcome(eigenvalues, m) == ref
+    worst = 0.0
+    with mpmath.workdps(60):
+        for n in range(1, 17):
+            for _ in range(3):
+                m = make(rng, n)
+                rows = _rows(m)
+                for lam in eigenvalues(m):
+                    ref = mpmath.findroot(lambda z: _q_mpmath(mpmath, rows, z), mpmath.mpf(lam))
+                    worst = max(worst, float(abs(lam - ref) / abs(ref)))
+    assert worst <= bound
+
+
+@pytest.mark.parametrize("n", [24, 32, 64, 128])
+def test_eigenvalues_reach_large_n(n):
+    # the monomial coefficients of Q_n overflowed here; the ratio count does not
+    rng = np.random.default_rng(900 + n)
+    for _ in range(2):
+        m = _generator_measure(rng, n)
+        mine = eigenvalues(m)
+        oracle = dense_eigenvalues(m)
+        assert len(mine) == len(oracle)
+        for x, y in zip(mine, oracle):
+            assert x == pytest.approx(y, rel=1e-12)
 
 
 # 8 atoms, half with v: the benchmark generator's measure_triples(sub_rng(11, 5, 2, 8), 8)
@@ -309,7 +250,7 @@ def test_eigenvalue_count_by_signs(rng):
 def test_interlacing_and_no_common_roots(rng):
     for _ in range(10):
         m = random_measure(rng, n=3)
-        polys = _q_coefficients(_rows(m))
+        polys = q_coefficients(m)
         prev_roots = [0.0]
         for i in range(1, m.n + 1):
             roots = real_roots(polys[i])

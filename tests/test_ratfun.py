@@ -22,11 +22,10 @@ from peakons.ratfun import CFStage
 # ---------------------------------------------------------------- roots
 
 def test_q2_roots_match_dense_oracle():
-    from conftest import dense_eigenvalues, real_roots
-    from peakons.forward import _q_coefficients, _rows
+    from conftest import dense_eigenvalues, q_coefficients, real_roots
 
     m = validate([(0.0, 1.0, 0.0), (1.0, 1.0, 0.0)])
-    q2 = _q_coefficients(_rows(m))[-1]
+    q2 = q_coefficients(m)[-1]
     roots = real_roots(q2)
     assert len(roots) == 2 and all(r > 0 for r in roots)
     oracle = dense_eigenvalues(m)
