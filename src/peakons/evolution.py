@@ -43,9 +43,19 @@ def evolve_spectral(fs: FlowState, t: float) -> SpectralData:
 
 
 def measure_at(fs: FlowState, t: float, tol: Tolerances = DEFAULT) -> PeakonMeasure:
+    """The measure at time t, reconstructed once per t; a failure is cached too."""
     if t not in fs._cache:
-        fs._cache[t] = inverse.measure_from_spectral_data(evolve_spectral(fs, t), tol)
-    return fs._cache[t]
+        try:
+            fs._cache[t] = inverse.measure_from_spectral_data(evolve_spectral(fs, t), tol)
+        except PeakonError as exc:
+            # not exc itself: its traceback would keep the solver's frames alive
+            fs._cache[t] = (type(exc), exc.args)
+            raise
+    out = fs._cache[t]
+    if isinstance(out, tuple):
+        cls, args = out
+        raise cls(*args)
+    return out
 
 
 def _kernel_u(m: PeakonMeasure, x: float) -> float:

@@ -26,7 +26,11 @@ Eigenvalue Problem, sec. 3), and counts the negative ones; no Q_i and no
 coefficient of Q_n in z is ever formed, so the count cannot overflow.
 eigenvalues builds the rows once for every Sturm count of its bracket and
 bisection, counts each distinct z once per call, bisects every root down to
-two adjacent floats and certifies each final bracket by its count.
+two adjacent floats and certifies each final bracket by its count.  Given
+guesses (near=, as the inverse's verification passes the eigenvalues it
+started from), a root starts from a node of that bisection a few ulps
+wide around its guess when the count certifies it, and ends on the same
+two floats.
 
 _zero_count and _interior are eigenfunction_zero_count and interior_data for
 a spectrum already solved, so the CLI forward command solves it only once.
@@ -292,16 +296,24 @@ def sign_changes(m: PeakonMeasure, z: float) -> int:
     return _count(_rows(m), z)
 
 
-def eigenvalues(m: PeakonMeasure, tol: Tolerances = DEFAULT) -> list[float]:
+def eigenvalues(
+    m: PeakonMeasure, tol: Tolerances = DEFAULT, *, near=None
+) -> list[float]:
     """All n + n_v eigenvalues, ascending, by Sturm-count bisection.
 
-    The bound doubles from 1 until both ladders are complete.  Every root
-    then bisects from [0, +-bound] until its bracket is two adjacent floats
-    and returns their midpoint, so the roots walk one dyadic tree; the
-    counts are memoized by z for this call only.  Each final bracket must
-    hold exactly one eigenvalue by the count itself, which catches a count
-    that is not monotone and two eigenvalues within one ulp.  The count
-    needs no tolerance; tol is accepted for a uniform signature.
+    Root k of each sign ladder (k-th from 0) bisects from a bracket whose
+    count says it holds that root, until the bracket is two adjacent floats,
+    and returns their midpoint; the counts are memoized by z for this call
+    only.  Each final bracket must hold exactly one eigenvalue by the count
+    itself, which catches a count that is not monotone and two eigenvalues
+    within one ulp.  The count needs no tolerance; tol is accepted for a
+    uniform signature.
+
+    The bracket is [0, +-bound], with the bound doubled from 1 until both
+    ladders are complete, unless near (ascending guesses, say a spectrum
+    known to within rounding) gives root k a guess g and _warm_bracket
+    certifies a narrow node of that same bisection around g.  A guess
+    therefore changes only the number of counts, not the result.
     """
     n_v, n_plus, n_minus = counts(m)
     rows = _rows(m)
@@ -312,16 +324,27 @@ def eigenvalues(m: PeakonMeasure, tol: Tolerances = DEFAULT) -> list[float]:
             memo[z] = _count(rows, z)
         return memo[z]
 
-    bound = 1.0
-    while count(bound) < n_v + n_plus or count(-bound) < n_v + n_minus:
-        if bound > 1e300:
-            raise NonConverged("could not bracket the spectrum")
-        bound *= 2.0
+    bound = None
 
+    def cold_bound():
+        b = 1.0
+        while count(b) < n_v + n_plus or count(-b) < n_v + n_minus:
+            if b > 1e300:
+                raise NonConverged("could not bracket the spectrum")
+            b *= 2.0
+        return b
+
+    guesses = [] if near is None else [float(g) for g in near]
     out = []
     for sign, total in ((1.0, n_v + n_plus), (-1.0, n_v + n_minus)):
+        ladder = sorted((g for g in guesses if sign * g > 0.0), key=abs)
         for k in range(1, total + 1):
-            lo, hi = 0.0, sign * bound
+            warm = _warm_bracket(count, ladder[k - 1], k) if k <= len(ladder) else None
+            if warm is None:
+                if bound is None:
+                    bound = cold_bound()
+                warm = (0.0, sign * bound)
+            lo, hi = warm
             # invariant: count(hi) >= k > count(lo); the boundary is the k-th root
             while True:
                 mid = 0.5 * (lo + hi)
@@ -338,6 +361,40 @@ def eigenvalues(m: PeakonMeasure, tol: Tolerances = DEFAULT) -> list[float]:
     return out
 
 
+_WARM_ULPS = 64.0      # first width of a warm bracket, in ulps of the guess
+_WARM_WIDEN = 2.0**16  # factor by which a rejected warm bracket widens
+_WARM_TRIES = 3
+
+
+def _warm_bracket(count, g: float, k: int) -> tuple[float, float] | None:
+    """(lo, hi) holding the guess g with count(lo) < k <= count(hi), or None.
+
+    lo is the end nearer 0.  The bracket is the dyadic interval
+    [j w, (j + 1) w], j >= 1, that holds |g|, with w = _WARM_ULPS ulps of g
+    widened _WARM_TRIES - 1 times.  Such an interval is a node of the
+    bisection from [0, +-bound], bound a power of 2, and the only node of
+    its width that the count certifies unless the count is non-monotone
+    over a width w; the cold bisection passes through it, so both end on
+    the same two floats even where the count wobbles within a few ulps of
+    the root.
+    """
+    if not math.isfinite(g):
+        return None
+    sign = 1.0 if g > 0.0 else -1.0
+    w = _WARM_ULPS * math.ulp(g)
+    for _ in range(_WARM_TRIES):
+        j = math.floor(abs(g) / w)
+        if j < 1:
+            return None
+        lo, hi = sign * j * w, sign * (j + 1) * w
+        if not math.isfinite(hi):
+            return None
+        if count(lo) < k <= count(hi):
+            return lo, hi
+        w *= _WARM_WIDEN
+    return None
+
+
 # ------------------------------------------------------------- spectral data
 
 def _norming(m: PeakonMeasure, lam: float, vals: list[float]) -> float:
@@ -346,8 +403,11 @@ def _norming(m: PeakonMeasure, lam: float, vals: list[float]) -> float:
     return lam * g2
 
 
-def spectral_data(m: PeakonMeasure, tol: Tolerances = DEFAULT) -> SpectralData:
-    lams = eigenvalues(m, tol)
+def spectral_data(
+    m: PeakonMeasure, tol: Tolerances = DEFAULT, *, near=None
+) -> SpectralData:
+    """Eigenvalues and norming constants; near is passed on to eigenvalues."""
+    lams = eigenvalues(m, tol, near=near)
     kappas = []
     for lam in lams:
         plus = _sweep(m, lam, "plus")

@@ -6,6 +6,16 @@ recovers positions, and the affine stage coefficients divided by cosh^2
 recover the weights.  Full-line reconstruction from (eigenvalues, norming)
 places a reference point strictly left of the support, where the minus-side
 Weyl function is exactly -1/(2z), and rebuilds the plus side.
+
+The data fix the left end of the support in closed form.  Left of the
+support phi_i(a)^2 = e^a kappa_i / (lam_i W'(lam_i))^2 with W(0) = 1, so
+alpha(a) = 1 - sum phi_i(a)^2 vanishes exactly at a = x_1:
+
+    x_1 = -log sum_i kappa_i / (lam_i W'(lam_i))^2.
+
+The first reference point tried is x_1 - 1; a blind ladder of points
+further left is the fallback.  Each reconstruction is verified by solving
+its forward problem from brackets around the given eigenvalues.
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ from .errors import (
     NumericalError,
     ValidationError,
 )
-from .measures import PeakonMeasure, validate
+from .measures import PeakonMeasure, counts, validate
 from .ratfun import HerglotzRational, cf_expand, herglotz, neg_reciprocal
 
 
@@ -95,14 +105,31 @@ def _wdot(lams: list[float], i: int) -> float:
     return out
 
 
-def _attempt(sd: forward.SpectralData, a: float, tol: Tolerances) -> PeakonMeasure:
+def _wdots(lams: list[float]) -> list[float]:
+    """_wdot at every eigenvalue; its square must be a positive float.
+
+    W-dot does not depend on the reference point, and _attempt divides by
+    its square, which underflows for eigenvalues a few ulps apart.
+    """
+    wds = [_wdot(lams, i) for i in range(len(lams))]
+    for lam, wd in zip(lams, wds):
+        if not wd * wd > 0.0:
+            raise NumericalError(f"W'({lam}) = {wd} underflows its square")
+    return wds
+
+
+def _attempt(
+    sd: forward.SpectralData, a: float, wds: list[float], tol: Tolerances
+) -> PeakonMeasure:
     lams = list(sd.eigenvalues)
-    ea = math.exp(a)
+    try:
+        ea = math.exp(a)
+    except OverflowError as exc:
+        raise NumericalError(f"e^a overflows at the reference point {a}") from exc
     res = []  # residues of the pole term: lam^2 phi(a)^2
     s_phi2 = 0.0
     s_lphi2 = 0.0
-    for i, (lam, kap) in enumerate(zip(lams, sd.norming)):
-        wd = _wdot(lams, i)
+    for lam, kap, wd in zip(lams, sd.norming, wds):
         r = ea * kap / (wd * wd)
         res.append(r)
         s_phi2 += r / (lam * lam)
@@ -122,7 +149,18 @@ def _attempt(sd: forward.SpectralData, a: float, tol: Tolerances) -> PeakonMeasu
 
 
 def _verify(sd: forward.SpectralData, m: PeakonMeasure, tol: Tolerances) -> float:
-    back = forward.spectral_data(m, tol)
+    """Largest relative error of m's spectral data against sd.
+
+    m's spectrum is solved from brackets around sd's eigenvalues, which
+    ends on the same floats as a cold solve from [0, +-bound].
+    """
+    n_v, n_plus, n_minus = counts(m)
+    size = 2 * n_v + n_plus + n_minus
+    if size != len(sd.eigenvalues):
+        raise NumericalError(
+            f"reconstruction has {size} eigenvalues, expected {len(sd.eigenvalues)}"
+        )
+    back = forward.spectral_data(m, tol, near=sd.eigenvalues)
     err = 0.0
     for lam, kap, lam2, kap2 in zip(
         sd.eigenvalues, sd.norming, back.eigenvalues, back.norming
@@ -132,13 +170,37 @@ def _verify(sd: forward.SpectralData, m: PeakonMeasure, tol: Tolerances) -> floa
     return err
 
 
-def _reference_points(sd: forward.SpectralData) -> list[float]:
-    """Candidate reference points, best conditioned (least negative) first.
+def _left_end(sd: forward.SpectralData) -> float:
+    """x_1, the left end of the support, in closed form (see the module doc).
 
-    The norming-ratio ladder lands near the support when positions drive
-    the kappa spread, but overshoots when eigenvalue magnitudes do; the
-    unit ladder covers that case.  A candidate right of the support is
-    rejected by verification, so trying right to left is safe.
+    log|lam_i W'(lam_i)| = sum_{j != i} (log|lam_j - lam_i| - log|lam_j|) is
+    summed from differences, since 1 - lam_i/lam_j rounds to 0 for adjacent
+    floats, and the outer sum is a log-sum-exp.  A term that overflows makes
+    the result inf or nan; nothing here raises.
+    """
+    lams = sd.eigenvalues
+    terms = []
+    for i, (lam, kap) in enumerate(zip(lams, sd.norming)):
+        ell = sum(
+            math.log(abs(mu - lam)) - math.log(abs(mu))
+            for j, mu in enumerate(lams) if j != i
+        )
+        terms.append(math.log(kap) - 2.0 * ell)
+    top = max(terms)
+    return -(top + math.log(sum(math.exp(t - top) for t in terms)))
+
+
+def _reference_points(sd: forward.SpectralData) -> list[float]:
+    """Candidate reference points: the anchor first, then the ladders.
+
+    The anchor is _left_end(sd) - 1, one unit left of the support's closed-
+    form left end, where the e^a scaling is best conditioned; it is left
+    out when not finite.  The fallback ladders run best conditioned (least
+    negative) first.  The norming-ratio ladder lands near the support when
+    positions drive the kappa spread, but overshoots when eigenvalue
+    magnitudes do; the unit ladder covers that case.  A candidate right of
+    the support is rejected by verification, so trying right to left is
+    safe.
     """
     kmax, kmin = max(sd.norming), min(sd.norming)
     out = []
@@ -152,34 +214,25 @@ def _reference_points(sd: forward.SpectralData) -> list[float]:
             out.append(a)
         a *= 2.0
     out.sort(key=abs)
-    return out
+    anchor = _left_end(sd) - 1.0
+    return [anchor, *out] if math.isfinite(anchor) else out
 
 
 def measure_from_spectral_data(
     sd: forward.SpectralData, tol: Tolerances = DEFAULT
 ) -> PeakonMeasure:
-    """Unique measure with the given eigenvalues and norming constants."""
-    best = None
+    """Unique measure with the given eigenvalues and norming constants.
+
+    The first reference point whose reconstruction reproduces sd within
+    tol.inv wins; on generator data that is the closed-form anchor.
+    """
+    wds = _wdots(list(sd.eigenvalues))
     for a in _reference_points(sd):
         try:
-            m = _attempt(sd, a, tol)
+            m = _attempt(sd, a, wds, tol)
             err = _verify(sd, m, tol)
         except (NumericalError, ValidationError):
             continue
         if err <= tol.inv:
-            best = (err, m)
-            break
-    if best is None:
-        raise Infeasible("no reference point admits a valid reconstruction")
-    # second pass from just left of the recovered support, where the e^a
-    # scaling is best conditioned
-    a2 = best[1].points[0] - 1.0
-    if abs(a2 - a) > 1e-9:
-        try:
-            m2 = _attempt(sd, a2, tol)
-            err2 = _verify(sd, m2, tol)
-            if err2 < best[0]:
-                best = (err2, m2)
-        except (NumericalError, ValidationError):
-            pass
-    return best[1]
+            return m
+    raise Infeasible("no reference point admits a valid reconstruction")

@@ -324,6 +324,8 @@ def _pf_neg_reciprocal(gamma, zeta, mus, betas):
     elif const:
         g2, z2 = 0.0, -1.0 / zeta
     else:
+        if s1 * s1 == 0.0:
+            raise NonConverged(f"residue sum {s1} underflows its square")
         s2 = sum(b * u for b, u in zip(betas, mus))
         g2, z2 = 1.0 / s1, -s2 / (s1 * s1)
     return g2, z2, zeros, res

@@ -362,3 +362,16 @@ def test_forward_at_matches_the_library_calls(tmp_path, capsys, rng):
         n_eig = len(out["eigenvalues"])
         assert out["zero_counts"] == [eigenfunction_zero_count(m, i) for i in range(n_eig)]
         assert out["interior"] == interior_data(m, a).to_json_obj()
+
+
+@pytest.mark.parametrize("payload", [
+    {"eigenvalues": [1.0 + k * 4e-15 for k in range(24)], "norming": [1.0] * 24},
+    {"eigenvalues": [-1e-150, 1e-150], "norming": [1.0, 1.0]},
+], ids=["wdot_square_underflows", "residue_sum_square_underflows"])
+def test_inverse_underflow_exits_3_with_one_error_line(tmp_path, capsys, payload):
+    # both leaked a ZeroDivisionError traceback
+    f = tmp_path / "sd.json"
+    f.write_text(json.dumps(payload))
+    assert main(["inverse", str(f)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -185,3 +185,28 @@ def test_peakon_antipeakon_switches_vee_on_at_the_collision():
     assert at0.n == 1
     assert at0.points[0] == pytest.approx(0.0, abs=1e-9)
     assert at0.vee[0] == pytest.approx(1.0, rel=1e-9)
+
+
+def test_failed_reconstruction_is_cached_across_scan_and_series(tmp_path, monkeypatch):
+    # peakon evolve scans every t, then asks for its series: one inverse per t
+    import json
+
+    from peakons import Infeasible, inverse
+    from peakons.cli import main
+
+    calls = []
+
+    def failing(sd, tol=DEFAULT):
+        calls.append(sd)
+        raise Infeasible("forced failure")
+
+    monkeypatch.delenv("PEAKON_CONFIG", raising=False)
+    monkeypatch.setattr(inverse, "measure_from_spectral_data", failing)
+    f = tmp_path / "m.json"
+    f.write_text(json.dumps({"points": [{"x": 0.0, "w": 2.0, "v": 0.0}, {"x": 1.0, "w": -0.5, "v": 0.0}]}))
+    out = tmp_path / "series.csv"
+    assert main(["evolve", str(f), "--t", "0:200:50", "--x=0:1:1", "--out", str(out)]) == 0
+    assert len(calls) == 5
+    report = json.loads((tmp_path / "series.csv.report.json").read_text())
+    assert [e["error"] for e in report["series_errors"]] == ["forced failure"] * 5
+    assert [r[2] for r in report["collisions"]] == ["forced failure"] * 5

@@ -1,18 +1,25 @@
 import math
 
+import numpy as np
 import pytest
 
 from conftest import random_measure
 from peakons import (
+    DEFAULT,
+    FlowState,
     HerglotzRational,
     SpectralData,
+    eigenvalues,
+    evolve_spectral,
+    measure_at,
     measure_from_spectral_data,
     measure_from_weyl,
     spectral_data,
     validate,
     weyl,
 )
-from peakons.errors import ValidationError
+from peakons.errors import NumericalError, PeakonError, ValidationError
+from peakons.inverse import _left_end
 
 
 def test_free_minus_side_is_empty():
@@ -88,3 +95,117 @@ def test_eigenvalue_with_underflowing_square_is_rejected(lam):
         measure_from_spectral_data(SpectralData((lam, 2.0), (1.0, 1.0)))
     with pytest.raises(ValidationError):
         SpectralData.from_json_obj({"eigenvalues": [lam, 2.0], "norming": [1.0, 1.0]})
+
+
+# ------------------------------------------- closed-form anchor and warm verify
+
+def _generator_spectra(seed, sizes, per_size):
+    """(measure, spectral data) of generator-style measures whose forward solve succeeds."""
+    from test_forward import _generator_measure
+
+    rng = np.random.default_rng(seed)
+    out = []
+    for n in sizes:
+        for _ in range(per_size):
+            m = _generator_measure(rng, n)
+            try:
+                out.append((m, spectral_data(m)))
+            except NumericalError:  # forward limits are tested in test_forward
+                continue
+    return out
+
+
+def test_left_end_closed_form_is_the_first_support_point():
+    cases = _generator_spectra(41, range(1, 17), 4)
+    assert len(cases) >= 60
+    for m, sd in cases:
+        assert _left_end(sd) == pytest.approx(m.points[0], rel=1e-12, abs=1e-12)
+
+
+def test_left_end_closed_form_along_the_flow():
+    checked = 0
+    for m, _ in _generator_spectra(43, (3, 5, 8), 3):
+        fs = FlowState.from_measure(m)
+        for t in (0.0, 5.0, 20.0, 40.0, 80.0):
+            try:
+                mt = measure_at(fs, t)
+            except NumericalError:  # the inverse's reach in t is tested elsewhere
+                continue
+            assert _left_end(evolve_spectral(fs, t)) == pytest.approx(
+                mt.points[0], rel=1e-12, abs=1e-12)
+            checked += 1
+    assert checked >= 20
+
+
+def test_warm_start_returns_the_cold_eigenvalues_bit_for_bit():
+    # guesses change the number of counts only; the count wobbles within a
+    # few ulps of some roots, which a bracket not on the cold tree would show
+    from test_forward import _generator_measure
+
+    rng = np.random.default_rng(47)
+    measures = [_generator_measure(rng, n) for n in range(1, 17) for _ in range(5)]
+    measures += [random_measure(rng, n=int(rng.integers(1, 9))) for _ in range(40)]
+    for m in measures:
+        cold = eigenvalues(m)
+        nears = (
+            cold,
+            [x * (1.0 + 1e-12) for x in cold],
+            [x * (1.0 - 1e-3) for x in cold],
+            cold[:-1],
+            cold + [cold[-1] + 1.0],
+            [-x for x in cold],
+        )
+        for near in nears:
+            warm = eigenvalues(m, near=near)
+            assert [x.hex() for x in warm] == [x.hex() for x in cold]
+
+
+def test_one_continued_fraction_per_inverse_on_generator_measures(monkeypatch):
+    from peakons import inverse
+
+    calls = []
+    expand = inverse.cf_expand
+    monkeypatch.setattr(inverse, "cf_expand", lambda *a: calls.append(a) or expand(*a))
+    cases = _generator_spectra(53, range(1, 13), 3)
+    assert len(cases) >= 30
+    for _, sd in cases:
+        calls.clear()
+        measure_from_spectral_data(sd)
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("eigs, norming", [
+    ((0.5,), (1.7e308,)),
+    ((-2.0, 0.5), (1e-300, 1e300)),
+    ((1e-100, 1e100), (1.0, 1.0)),
+    ((0.5,), (1e-310,)),  # the anchor lies near x = 713, where e^a overflows
+    ((-1e100, 1e-100), (1e-320, 1e308)),
+])
+def test_overflowing_norming_data_ends_in_a_peakon_error(eigs, norming):
+    sd = SpectralData(eigs, norming)
+    x1 = _left_end(sd)  # never raises
+    assert isinstance(x1, float)
+    with pytest.raises(PeakonError):
+        measure_from_spectral_data(sd)
+
+
+def test_wdot_square_underflow_is_a_numerical_error():
+    # 24 eigenvalues 4e-15 apart: W'(lambda)^2 underflowed to a ZeroDivisionError
+    sd = SpectralData(tuple(1.0 + k * 4e-15 for k in range(24)), (1.0,) * 24)
+    with pytest.raises(NumericalError):
+        measure_from_spectral_data(sd)
+
+
+def test_residue_sum_square_underflow_is_a_numerical_error():
+    # the residues of F sum to about 1e-300, whose square underflowed to a ZeroDivisionError
+    with pytest.raises(NumericalError):
+        measure_from_spectral_data(SpectralData((-1e-150, 1e-150), (1.0, 1.0)))
+
+
+def test_verify_rejects_a_spectrum_of_another_size():
+    from peakons.inverse import _verify
+
+    sd = SpectralData((-1.5, 0.5, 2.0), (0.7, 1.3, 0.4))
+    m = validate([(0.0, 2.0, 0.0)])  # one eigenvalue, not three
+    with pytest.raises(NumericalError, match="1 eigenvalues, expected 3"):
+        _verify(sd, m, DEFAULT)
