@@ -16,20 +16,21 @@ import sys
 from peakons import (
     enumerate_solutions,
     interior_data,
-    shoot_plus,
     solution_count,
     spectral_data,
     validate,
 )
+from peakons.forward import _phi_at, _phi_atoms
 
 
 def second_zero(m):
     """Bisect the sign change of the second eigenfunction inside the support."""
     lam = spectral_data(m).eigenvalues[1]
+    vals = _phi_atoms(m, lam)  # phi at the atoms; _phi_at reads it anywhere
     lo, hi = m.points[0], m.points[-1]
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if shoot_plus(m, lam, lo).value * shoot_plus(m, lam, mid).value < 0:
+        if _phi_at(m, vals, lo) * _phi_at(m, vals, mid) <= 0:
             hi = mid
         else:
             lo = mid

@@ -39,19 +39,12 @@ from .ratfun import (
 )
 from .forward import (
     InteriorData,
-    Pencil,
-    ShootingState,
     SpectralData,
-    build_pencil,
     eigenfunction_zero_count,
     eigenvalues,
     interior_data,
-    shoot_minus,
-    shoot_plus,
-    sign_changes,
     spectral_data,
     weyl,
-    wronskian_at,
 )
 from .inverse import HalfLineMeasure, measure_from_spectral_data, measure_from_weyl
 from .interior import (

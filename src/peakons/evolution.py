@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from . import forward, inverse
 from .config import Tolerances, DEFAULT
-from .errors import PeakonError, TraceMismatch
+from .errors import NumericalError, PeakonError, TraceMismatch
 from .forward import SpectralData
 from .measures import PeakonMeasure
 
@@ -35,10 +35,15 @@ class FlowState:
 
 
 def evolve_spectral(fs: FlowState, t: float) -> SpectralData:
-    kappas = tuple(
-        math.exp(-(t - fs.t0) / (2.0 * lam)) * kap
-        for lam, kap in zip(fs.base.eigenvalues, fs.base.norming)
-    )
+    try:
+        kappas = tuple(
+            math.exp(-(t - fs.t0) / (2.0 * lam)) * kap
+            for lam, kap in zip(fs.base.eigenvalues, fs.base.norming)
+        )
+    except OverflowError as exc:
+        raise NumericalError(f"a norming constant overflows at t = {t}") from exc
+    if not all(map(math.isfinite, kappas)):
+        raise NumericalError(f"a norming constant overflows at t = {t}")
     return SpectralData(fs.base.eigenvalues, kappas)
 
 
@@ -67,27 +72,20 @@ def solution_at(
 ) -> tuple[list[float], PeakonMeasure]:
     """u on the grid and the reconstructed measure at time t.
 
-    phi_i is merged as in forward.eigenfunction_zero_count: left of the peak
-    atom, where rounding rides the growing mode of phi_plus, it is phi_minus
-    scaled to phi_plus at that atom.
+    Each u is checked against the trace route 1/2 sum phi_i(x)^2/(kappa_i
+    lambda_i), with phi_i read by forward._phi_at from its values at the
+    atoms (forward._phi_atoms), which are computed once per eigenvalue.
     """
     m = measure_at(fs, t, tol)
     sd = evolve_spectral(fs, t)
-    routes = []  # (scale of phi_minus, peak atom, lambda, kappa * lambda)
-    for lam, kap in zip(sd.eigenvalues, sd.norming):
-        plus, minus = forward._sweep(m, lam, "plus"), forward._sweep(m, lam, "minus")
-        top = max(range(m.n), key=lambda k: abs(plus[k]))
-        if minus[top] == 0.0:
-            raise TraceMismatch(f"phi_minus vanishes at the peak atom for eigenvalue {lam}")
-        routes.append((plus[top] / minus[top], m.points[top], lam, kap * lam))
+    routes = [  # (phi_i at the atoms, kappa_i * lambda_i)
+        (forward._phi_atoms(m, lam), kap * lam)
+        for lam, kap in zip(sd.eigenvalues, sd.norming)
+    ]
     us = []
     for x in xs:
         u = _kernel_u(m, x)
-        trace = 0.5 * sum(
-            (s * forward._shoot(m, lam, x, "minus")[0] if x < peak
-             else forward._shoot(m, lam, x, "plus")[0]) ** 2 / w
-            for s, peak, lam, w in routes
-        )
+        trace = 0.5 * sum(forward._phi_at(m, vals, x) ** 2 / w for vals, w in routes)
         if abs(u - trace) > tol.trace * max(1.0, abs(u)):
             raise TraceMismatch(f"u routes disagree at x={x}, t={t}: {u} vs {trace}")
         us.append(u)

@@ -14,9 +14,17 @@ Every shooting solution comes from one gap-transfer walk, _shoot:
   crosses only the atoms strictly below x; the side fixes the seed, the
   sign of sinh on the gaps and the sign of the jump;
 - an optional record list receives phi at each crossed atom, before its
-  jump (the one-pass sweeps over the support);
+  jump (the one-pass sweeps over the support, _sweep);
 - z is a float or a complex number: complex z gives the Weyl functions off
   the real axis and, by a complex step, the derivative of W in z.
+
+_shoot serves spectral_data (the norming sweeps and the complex-step W'),
+weyl's check off the real axis, and _phi_atoms.  Every eigenfunction
+reader (zero counts, interior data, evolution's trace route) reads phi at
+an eigenvalue through one evaluator: _phi_atoms takes phi at the atoms
+from the plus and minus sweeps merged at the peak atom, so that no value
+comes from a sweep that rode its growing mode, and _phi_at gives phi
+anywhere from those values in closed form.
 
 The determinant recursion Q_0..Q_n runs over rows (a_{i-1}^2, b_{i-1}, w, v)
 that depend on the measure alone; Q_n(z) is W(z) up to a positive factor.
@@ -33,7 +41,8 @@ wide around its guess when the count certifies it, and ends on the same
 two floats.
 
 _zero_count and _interior are eigenfunction_zero_count and interior_data for
-a spectrum already solved, so the CLI forward command solves it only once.
+a spectrum, and its eigenfunctions at the atoms, already solved, so the CLI
+forward command solves the spectrum and reads each eigenfunction only once.
 
 weyl folds M_+ or M_- from its Stieltjes continued fraction in pole-residue
 form, the exact inverse of inverse.measure_from_weyl.
@@ -44,8 +53,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import ratfun
 from .config import Tolerances, DEFAULT
@@ -69,13 +76,13 @@ class SpectralData:
             nm = tuple(float(v) for v in obj["norming"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"bad spectral-data object: {exc}") from exc
-        if not all(map(math.isfinite, ev + nm)):
-            raise ValidationError("eigenvalues and norming constants must be finite")
         return cls(ev, nm)
 
     def __post_init__(self):
         if len(self.eigenvalues) != len(self.norming) or not self.eigenvalues:
             raise ValidationError("eigenvalues and norming lengths differ or empty")
+        if not all(map(math.isfinite, (*self.eigenvalues, *self.norming))):
+            raise ValidationError("eigenvalues and norming constants must be finite")
         for a, b in zip(self.eigenvalues, self.eigenvalues[1:]):
             if not b > a:
                 raise ValidationError("eigenvalues must be strictly increasing")
@@ -127,20 +134,6 @@ class InteriorData:
                 raise ValidationError(f"a square term of phi overflows at lambda = {lam}")
 
 
-@dataclass(frozen=True)
-class ShootingState:
-    value: float
-    left_derivative: float
-    A: float  # e^{x/2} coefficient on the gap left of x
-    B: float  # e^{-x/2} coefficient on the gap left of x
-
-
-@dataclass(frozen=True)
-class Pencil:
-    J: np.ndarray
-    D: np.ndarray
-
-
 # ------------------------------------------------------------------- shooting
 
 def _shoot(m: PeakonMeasure, z: complex, x: float, side: str, record: list | None = None):
@@ -170,27 +163,52 @@ def _shoot(m: PeakonMeasure, z: complex, x: float, side: str, record: list | Non
         cur = xi
 
 
-def _state(x: float, phi: float, dphi: float) -> ShootingState:
-    A = 0.5 * math.exp(-x / 2.0) * (phi + 2.0 * dphi)
-    B = 0.5 * math.exp(x / 2.0) * (phi - 2.0 * dphi)
-    return ShootingState(phi, dphi, A, B)
-
-
-def shoot_plus(m: PeakonMeasure, z: float, x: float) -> ShootingState:
-    """phi_plus and its left derivative at x; the jump at x itself is included."""
-    return _state(x, *_shoot(m, z, x, "plus"))
-
-
-def shoot_minus(m: PeakonMeasure, z: float, x: float) -> ShootingState:
-    """phi_minus and its left derivative at x; atoms strictly below x are crossed."""
-    return _state(x, *_shoot(m, z, x, "minus"))
-
-
 def _sweep(m: PeakonMeasure, z: float, side: str) -> list[float]:
     """phi_side(z, x_j) for every support point, one pass."""
     vals = [0.0] * m.n
     _shoot(m, z, m.points[0] if side == "plus" else m.points[-1] + 1.0, side, vals)
     return vals
+
+
+def _phi_atoms(m: PeakonMeasure, lam: float) -> list[float]:
+    """phi_plus(lam, x_j) at every atom, for an eigenvalue lam.
+
+    Left of its peak phi_plus decays toward the left while rounding rides
+    the growing mode of the plus sweep, so the two sweeps are merged at the
+    peak atom (the largest |phi_plus|): plus values from the peak on, and
+    left of it the minus values scaled to phi_plus at the peak.
+    """
+    plus = _sweep(m, lam, "plus")
+    minus = _sweep(m, lam, "minus")
+    top = max(range(m.n), key=lambda k: abs(plus[k]))
+    if minus[top] == 0.0:
+        raise ConsistencyFail(f"phi_minus vanishes at the peak atom for eigenvalue {lam}")
+    s = plus[top] / minus[top]
+    return [s * p for p in minus[:top]] + plus[top:]
+
+
+def _phi_at(m: PeakonMeasure, vals: list[float], x: float) -> float:
+    """phi(x) of an eigenfunction from its values vals at the atoms (_phi_atoms).
+
+    On a gap phi = A e^{x/2} + B e^{-x/2} through the two neighbouring atom
+    values p and q; with l and r the distances to them and g = l + r,
+    phi = (p sinh(r/2) + q sinh(l/2))/sinh(g/2), written with e^{-l/2},
+    e^{-r/2} and expm1 so that no gap overflows.  Outside the support an
+    eigenfunction is e^{x/2} or e^{-x/2} times a constant, so phi decays
+    from the end atom.
+    """
+    pts = m.points
+    k = bisect_left(pts, x)  # atoms k.. lie at or above x
+    if k < m.n and pts[k] == x:
+        return vals[k]
+    if k == 0:
+        return vals[0] * math.exp((x - pts[0]) / 2.0)
+    if k == m.n:
+        return vals[-1] * math.exp((pts[-1] - x) / 2.0)
+    l, r = x - pts[k - 1], pts[k] - x
+    den = math.expm1(pts[k - 1] - pts[k])
+    return (vals[k - 1] * math.exp(-l / 2.0) * math.expm1(-r)
+            + vals[k] * math.exp(-r / 2.0) * math.expm1(-l)) / den
 
 
 def _wronskian_dz(m: PeakonMeasure, lam: float) -> float:
@@ -204,12 +222,6 @@ def _wronskian_dz(m: PeakonMeasure, lam: float) -> float:
     x1 = m.points[0]
     phi, dphi = _shoot(m, complex(lam, h), x1, "plus")
     return (0.5 * math.exp(x1 / 2.0) * (phi - 2.0 * dphi)).imag / h
-
-
-def wronskian_at(m: PeakonMeasure, z: float, x: float) -> float:
-    p = shoot_plus(m, z, x)
-    q = shoot_minus(m, z, x)
-    return p.value * q.left_derivative - p.left_derivative * q.value
 
 
 # ------------------------------------------------------- determinant recursion
@@ -234,32 +246,6 @@ def _coefficients(m: PeakonMeasure) -> tuple[list[float], list[float]]:
         left = 1.0 if n - i == 1 else 1.0 / math.tanh(gaps[n - 2 - i] / 2.0)
         b.append(0.5 * (right + left))
     return a, b
-
-
-def build_pencil(m: PeakonMeasure) -> Pencil:
-    n = m.n
-    n_v = sum(1 for v in m.vee if v != 0.0)
-    a, b = _coefficients(m)
-    size = n + n_v
-    J = np.zeros((size, size))
-    D = np.zeros((size, size))
-    for j in range(n):
-        J[j, j] = b[j]
-        D[j, j] = m.omega[n - 1 - j]
-    for j in range(n - 1):
-        J[j, j + 1] = J[j + 1, j] = -a[j]
-    k = 0
-    for j in range(n):
-        vj = m.vee[n - 1 - j]
-        if vj != 0.0:
-            J[n + k, n + k] = 1.0
-            D[j, n + k] = D[n + k, j] = math.sqrt(vj)
-            k += 1
-    try:
-        np.linalg.cholesky(J)
-    except np.linalg.LinAlgError as exc:
-        raise NonConverged("pencil J block is not positive definite") from exc
-    return Pencil(J, D)
 
 
 def _rows(m: PeakonMeasure) -> list[tuple[float, float, float, float]]:
@@ -289,11 +275,6 @@ def _count(rows: list, z: float) -> int:
         elif d == 0.0:
             d = _TINY
     return count
-
-
-def sign_changes(m: PeakonMeasure, z: float) -> int:
-    """S_n(z): eigenvalues strictly between 0 and z (either sign of z)."""
-    return _count(_rows(m), z)
 
 
 def eigenvalues(
@@ -431,12 +412,16 @@ def interior_data(m: PeakonMeasure, a: float, tol: Tolerances = DEFAULT) -> Inte
     return _interior(m, spectral_data(m, tol), a, tol)
 
 
-def _interior(m: PeakonMeasure, sd: SpectralData, a: float, tol: Tolerances) -> InteriorData:
-    """interior_data for the spectral data sd of m, already solved."""
-    phis = [
-        shoot_plus(m, lam, a).value / math.sqrt(k)
-        for lam, k in zip(sd.eigenvalues, sd.norming)
-    ]
+def _interior(
+    m: PeakonMeasure, sd: SpectralData, a: float, tol: Tolerances, atoms=None
+) -> InteriorData:
+    """interior_data for the spectral data sd of m, already solved.
+
+    atoms[i] is _phi_atoms(m, lambda_i), computed here if omitted.
+    """
+    if atoms is None:
+        atoms = [_phi_atoms(m, lam) for lam in sd.eigenvalues]
+    phis = [_phi_at(m, vals, a) / math.sqrt(k) for vals, k in zip(atoms, sd.norming)]
     top = max(abs(p) for p in phis)
     phis = [0.0 if abs(p) <= tol.phi * top else p for p in phis]
     return InteriorData(a, sd.eigenvalues, tuple(phis))
@@ -487,36 +472,21 @@ def weyl(m: PeakonMeasure, a: float, side: str, tol: Tolerances = DEFAULT) -> He
 def eigenfunction_zero_count(m: PeakonMeasure, i: int, tol: Tolerances = DEFAULT) -> int:
     """Zeros of the i-th (ascending-order index) eigenfunction on the line.
 
-    A zero landing on a support point is attributed to the gap on its left.
-    A one-sided shooting solution loses sign accuracy past the peak (the
-    signal decays there while rounding rides the growing mode), so the two
-    sweeps are merged at the largest sample: minus-side values left of the
-    peak, plus-side values from the peak on, signs aligned at the peak.  A
-    genuine zero at an atom crosses, so noise of either sign at a near-zero
-    sample leaves the count unchanged.
+    The sign changes of phi along the atoms, read by _phi_atoms so that no
+    value comes from past the peak of a one-sided sweep.  A zero landing on
+    a support point is attributed to the gap on its left.  A genuine zero
+    at an atom crosses, so noise of either sign at a near-zero sample
+    leaves the count unchanged.
     """
-    return _zero_count(m, eigenvalues(m, tol)[i])
+    return _zero_count(_phi_atoms(m, eigenvalues(m, tol)[i]))
 
 
-def _zero_count(m: PeakonMeasure, lam: float) -> int:
-    """eigenfunction_zero_count for the eigenvalue lam of m, already solved."""
-    plus = _sweep(m, lam, "plus")
-    minus = _sweep(m, lam, "minus")
-    top = max(range(m.n), key=lambda k: abs(plus[k]))
-    s = 1.0 if plus[top] * minus[top] > 0 else -1.0
-    vals = [s * p for p in minus[:top]] + plus[top:]
+def _zero_count(vals: list[float]) -> int:
+    """eigenfunction_zero_count from the eigenfunction's values at the atoms (_phi_atoms)."""
     count = 0
-    for j in range(m.n - 1):
-        if vals[j + 1] == 0.0:
+    for p, q in zip(vals, vals[1:]):
+        if q == 0.0:
             count += 1
-        elif vals[j] != 0.0 and (vals[j] > 0) != (vals[j + 1] > 0):
+        elif p != 0.0 and (p > 0) != (q > 0):
             count += 1
     return count
-
-
-def ladder_rank(lams: list[float], i: int) -> int:
-    """1-based rank of eigenvalue i within its sign ladder (distance from 0)."""
-    lam = lams[i]
-    if lam > 0:
-        return sum(1 for x in lams if 0 < x <= lam)
-    return sum(1 for x in lams if lam <= x < 0)

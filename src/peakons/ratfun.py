@@ -14,24 +14,23 @@ with head = 0 permitted on the plus side only (reference point on an atom).
 
 The poles of -1/h are the zeros of h, one per gap between poles and at
 most one on each outer side.  Each is solved as an offset from the pole
-nearer to it (_zero_offset), so offsets far below the pole spacing keep
-their relative precision.  A gap zero takes a few safeguarded Newton
-steps on a model that keeps the anchor pole exact, then a walk to the
-adjacent floats across which the offset equation changes sign
-(_gap_offset); an outer zero, and any gap zero on which that fails,
-goes to a descent and bisection down to adjacent floats (_halving).  When
-the offset equation changes sign once in floating point near the zero,
-both paths end on the same pair of floats and so return the same offset.
-The walk does not test that condition: the equality is measured, on the
-benchmark workloads and in the tests, not proven.
+nearer to it, so offsets far below the pole spacing keep their relative
+precision.  A gap zero is bracketed by the gap midpoint and an outer
+zero by doubling (_zero_offset); either then takes a few safeguarded
+Newton steps on a model that keeps the anchor pole exact, and a walk to
+the adjacent floats across which the offset equation changes sign
+(_gap_offset).  Where that fails, a descent and bisection down to
+adjacent floats (_halving) is the fallback.  When the offset equation
+changes sign once in floating point near the zero, both paths end on the
+same pair of floats and so return the same offset.  The walk does not
+test that condition: the equality is measured, on the benchmark
+workloads and in the tests, not proven.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .config import Tolerances, DEFAULT
 from .errors import (
@@ -58,8 +57,6 @@ class HerglotzRational:
 
     def __call__(self, z):
         val = self.gamma * z + self.zeta
-        if isinstance(z, np.ndarray):
-            val = val + np.zeros_like(z)
         for mu, b in zip(self.poles, self.residues):
             val = val + b / (mu - z)
         return val
@@ -259,28 +256,25 @@ def _zero_offset(gamma, zeta, mus, betas, i, sgn, hi, terms=None):
     """Offset d > 0 of the zero of h at mus[i] + sgn*d, with d <= hi.
 
     G(d) = sgn*d*h(mus[i] + sgn*d) increases through zero on the bracket.
-    A gap zero (hi given) goes to _gap_offset: safeguarded Newton steps on
-    a one-pole model, a walk to the adjacent floats across which G changes
-    sign, and _halving as the fallback, all returning the float that
-    _halving returns.  hi=None searches the unbounded outer side by
-    doubling hi until G(hi) >= 0, then _halving; there the slope and
-    constant terms of h cancel near the zero, G is noisy, and a Newton
-    iteration would end on a different float.  terms are the anchor's
+    hi=None searches the unbounded outer side by doubling hi from
+    max(1, |mus[i]|) until G(hi) >= 0.  Either bracket goes to _gap_offset:
+    safeguarded Newton steps on a one-pole model, a walk to the adjacent
+    floats across which G changes sign, and _halving as the fallback, all
+    returning the float that _halving returns.  terms are the anchor's
     _anchored_terms, built here if omitted.
     """
     if terms is None:
         terms = _anchored_terms(mus, betas, i)
     G = _bracket(gamma, zeta, mus[i], betas[i], terms, sgn)
-    if hi is not None:
-        if not G(hi) >= 0.0:
-            raise NonConverged("zero bracket lost during Herglotz inversion")
-        return _gap_offset(gamma, zeta, mus[i], betas[i], terms, sgn, hi, G)
-    hi = max(1.0, abs(mus[i]))
-    while not G(hi) >= 0.0:
-        hi *= 2.0
-        if hi > 1e280:
-            raise NonConverged("no zero in the outer range")
-    return _halving(G, hi)
+    if hi is None:
+        hi = max(1.0, abs(mus[i]))
+        while not G(hi) >= 0.0:
+            hi *= 2.0
+            if hi > 1e280:
+                raise NonConverged("no zero in the outer range")
+    elif not G(hi) >= 0.0:
+        raise NonConverged("zero bracket lost during Herglotz inversion")
+    return _gap_offset(gamma, zeta, mus[i], betas[i], terms, sgn, hi, G)
 
 
 def _pf_neg_reciprocal(gamma, zeta, mus, betas):

@@ -5,12 +5,60 @@ Cholesky reduction and a dense symmetric eigensolver, independently of the
 sign-count bisection used by the library.
 """
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npp
 
-from peakons import build_pencil, validate
-from peakons.forward import _rows
+from peakons import NonConverged, validate
+from peakons.forward import _coefficients, _rows
+
+
+@dataclass(frozen=True)
+class Pencil:
+    J: np.ndarray
+    D: np.ndarray
+
+
+def build_pencil(m):
+    """The dense pencil (J, D) of m, reversed support order; oracle only.
+
+    J is tridiagonal over the plain rows with a unit block per v-atom, D
+    carries the omega weights and couples each v-atom's row by sqrt(v).
+    """
+    n = m.n
+    n_v = sum(1 for v in m.vee if v != 0.0)
+    a, b = _coefficients(m)
+    size = n + n_v
+    J = np.zeros((size, size))
+    D = np.zeros((size, size))
+    for j in range(n):
+        J[j, j] = b[j]
+        D[j, j] = m.omega[n - 1 - j]
+    for j in range(n - 1):
+        J[j, j + 1] = J[j + 1, j] = -a[j]
+    k = 0
+    for j in range(n):
+        vj = m.vee[n - 1 - j]
+        if vj != 0.0:
+            J[n + k, n + k] = 1.0
+            D[j, n + k] = D[n + k, j] = math.sqrt(vj)
+            k += 1
+    try:
+        np.linalg.cholesky(J)
+    except np.linalg.LinAlgError as exc:
+        raise NonConverged("pencil J block is not positive definite") from exc
+    return Pencil(J, D)
+
+
+def ladder_rank(lams, i):
+    """1-based rank of eigenvalue i within its sign ladder (distance from 0)."""
+    lam = lams[i]
+    if lam > 0:
+        return sum(1 for x in lams if 0 < x <= lam)
+    return sum(1 for x in lams if lam <= x < 0)
 
 
 def dense_eigenvalues(m):

@@ -24,15 +24,14 @@ from peakons import (
     measure_at,
     measure_from_spectral_data,
     modulus_family_count,
-    shoot_plus,
     solution_count,
     spectral_data,
     sup_u,
     validate,
 )
-from peakons.forward import eigenfunction_zero_count, ladder_rank
+from peakons.forward import _shoot, eigenfunction_zero_count
 
-from conftest import random_measure
+from conftest import ladder_rank, random_measure
 
 
 def _report(n, ok, detail):
@@ -234,7 +233,7 @@ def _second_eigenfunction_zero(m):
     lo, hi = m.points[0], m.points[-1]
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if shoot_plus(m, lam, lo).value * shoot_plus(m, lam, mid).value < 0:
+        if _shoot(m, lam, lo, "plus")[0] * _shoot(m, lam, mid, "plus")[0] < 0:
             hi = mid
         else:
             lo = mid
@@ -277,7 +276,7 @@ def test_criterion_6_trace_formula_matches_kernel_sum():
                 w * math.exp(-abs(x - xj)) for xj, w in zip(m.points, m.omega)
             )
             trace = 0.5 * sum(
-                shoot_plus(m, lam, x).value ** 2 / (kap * lam)
+                _shoot(m, lam, x, "plus")[0] ** 2 / (kap * lam)
                 for lam, kap in zip(sd.eigenvalues, sd.norming)
             )
             worst = max(worst, abs(kern - trace))

@@ -118,14 +118,15 @@ def test_interior_enumerate_solves_the_weyl_sum_once(tmp_path, monkeypatch, caps
 
 def test_interior_splits_flag_selects_family_member(tmp_path, capsys):
     # a sits at a root of the second eigenfunction, so one pole is shared
-    from peakons import validate, eigenvalues, shoot_plus
+    from peakons import validate, eigenvalues
+    from peakons.forward import _shoot
 
     m = validate([(0.0, 1.0, 0.0), (1.0, 1.0, 0.0)])
     lam = eigenvalues(m)[1]
     lo, hi = 0.0, 1.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if shoot_plus(m, lam, mid).value > 0:
+        if _shoot(m, lam, mid, "plus")[0] > 0:
             hi = mid
         else:
             lo = mid
@@ -185,6 +186,18 @@ def test_evolve_csv_series_and_report(tmp_path):
         )
     assert main(["evolve", f, "--t", "0:2:1", "--x=-1:1:1", "--out", series]) == 0
     assert (tmp_path / "series.csv").read_text().splitlines() == lines
+
+
+def test_evolve_norming_overflow_lists_the_failing_times(tmp_path):
+    # lambda_1 = -0.0509, so exp(-t/(2 lambda_1)) overflows from t = 72 on;
+    # it leaked an OverflowError traceback
+    f = _measure_file(tmp_path, [(0.0, -20.0, 0.0), (1.0, 1.0, 0.0)])
+    series = str(tmp_path / "series.csv")
+    assert main(["evolve", f, "--t", "0:200:50", "--x=0:1:1", "--out", series]) == 0
+    report = json.loads((tmp_path / "series.csv.report.json").read_text())
+    overflow = [t for t, _, err in report["collisions"] if err and "overflows" in err]
+    assert overflow == [100.0, 150.0, 200.0]
+    assert set(overflow) <= {e["t"] for e in report["series_errors"]}
 
 
 def test_config_file_sets_format_and_grids(tmp_path, monkeypatch, capsys):

@@ -7,9 +7,10 @@ import pytest
 
 from peakons import (
     DEFAULT,
+    ConsistencyFail,
     FlowState,
+    NumericalError,
     SpectralData,
-    TraceMismatch,
     collision_scan,
     evolve_spectral,
     measure_at,
@@ -132,16 +133,32 @@ def test_trace_route_holds_far_left_of_the_support():
 
 
 def test_trace_route_with_phi_minus_zero_at_the_peak(monkeypatch):
-    # the scale phi_plus/phi_minus at the peak atom raises a PeakonError, not ZeroDivisionError
+    # the evaluator's scale phi_plus/phi_minus at the peak atom raises a
+    # PeakonError, not ZeroDivisionError, for every reader of phi
     from peakons import forward
 
-    fs = FlowState.from_measure(validate(TRACE_LEFT_TAIL_TRIPLES))
-    measure_at(fs, 0.0)  # reconstructed before the sweep is faked
+    m0 = validate(TRACE_LEFT_TAIL_TRIPLES)
+    fs = FlowState.from_measure(m0)
+    m = measure_at(fs, 0.0)  # reconstructed before the sweep is faked
     sweep = forward._sweep
     monkeypatch.setattr(forward, "_sweep", lambda m, z, side: (
         [0.0] * m.n if side == "minus" else sweep(m, z, side)))
-    with pytest.raises(TraceMismatch):
+    with pytest.raises(ConsistencyFail, match="phi_minus vanishes at the peak atom"):
         solution_at(fs, 0.0, [0.0])
+    with pytest.raises(ConsistencyFail):
+        forward.eigenfunction_zero_count(m, 0)
+    with pytest.raises(ConsistencyFail):
+        forward._interior(m0, fs.base, 0.0, DEFAULT)
+
+
+def test_norming_overflow_is_a_numerical_error():
+    fs = FlowState(SpectralData((-0.05, 1.0), (1.0, 1.0)))
+    assert evolve_spectral(fs, 10.0).norming[0] == pytest.approx(math.exp(100.0))
+    with pytest.raises(NumericalError, match="overflows at t = 100"):
+        evolve_spectral(fs, 100.0)  # exp(1000)
+    fs = FlowState(SpectralData((-0.5, 1.0), (1e300, 1.0)))
+    with pytest.raises(NumericalError, match="overflows at t = 700"):
+        evolve_spectral(fs, 700.0)  # exp(700) is finite, its product is not
 
 
 # ------------------------------------------------------------------ collisions

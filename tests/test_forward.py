@@ -5,32 +5,55 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npp
 
-from conftest import dense_eigenvalues, q_coefficients, random_measure, real_roots
+from conftest import (
+    build_pencil,
+    dense_eigenvalues,
+    ladder_rank,
+    q_coefficients,
+    random_measure,
+    real_roots,
+)
 from peakons import (
     FlowState,
     Infeasible,
     NearCollision,
-    build_pencil,
     counts,
     eigenfunction_zero_count,
     eigenvalues,
     interior_data,
     measure_at,
     measure_from_weyl,
-    shoot_minus,
-    shoot_plus,
-    sign_changes,
     spectral_data,
     validate,
     weyl,
-    wronskian_at,
 )
-from peakons.forward import ladder_rank, _coefficients, _count, _rows, _sweep, _wronskian_dz
+from peakons.forward import (
+    _coefficients,
+    _count,
+    _phi_at,
+    _phi_atoms,
+    _rows,
+    _shoot,
+    _sweep,
+    _wronskian_dz,
+)
 
 
 def q_values(m, z):
     """[Q_0(z), ..., Q_n(z)] from the coefficient arrays of the recursion."""
     return [npp.polyval(z, c) for c in q_coefficients(m)]
+
+
+def wronskian_at(m, z, x):
+    """phi_plus phi_minus' - phi_plus' phi_minus at x, both by _shoot."""
+    p, dp = _shoot(m, z, x, "plus")
+    q, dq = _shoot(m, z, x, "minus")
+    return p * dq - dp * q
+
+
+def b_coefficient(x, phi, dphi):
+    """B of phi = A e^{x/2} + B e^{-x/2} on the gap left of x, from (phi, phi') at x."""
+    return 0.5 * math.exp(x / 2.0) * (phi - 2.0 * dphi)
 
 
 # ---------------------------------------------------------------- pencil
@@ -110,8 +133,8 @@ def test_q_phi_identity(rng):
         # both one-pass sweeps record exactly the shooting values at the atoms
         minus = _sweep(m, z, "minus")
         for j, xj in enumerate(m.points):
-            assert vals[j] == shoot_plus(m, z, xj).value
-            assert minus[j] == shoot_minus(m, z, xj).value
+            assert vals[j] == _shoot(m, z, xj, "plus")[0]
+            assert minus[j] == _shoot(m, z, xj, "minus")[0]
 
 
 # ----------------------------------------------------------- eigenvalues
@@ -125,11 +148,12 @@ def test_sign_change_counts(rng):
         for ladder in (pos, neg):  # each ladder outward from 0
             if not ladder:
                 continue
-            assert sign_changes(m, 0.5 * ladder[0]) == 0
-            assert sign_changes(m, ladder[-1] * 1.5) == len(ladder)
+            rows = _rows(m)
+            assert _count(rows, 0.5 * ladder[0]) == 0
+            assert _count(rows, ladder[-1] * 1.5) == len(ladder)
             if len(ladder) >= 2:
                 mid = 0.5 * (ladder[0] + ladder[1])
-                assert sign_changes(m, mid) == 1
+                assert _count(rows, mid) == 1
 
 
 def test_sign_change_count_skips_an_exact_zero(rng):
@@ -268,17 +292,17 @@ def test_interlacing_and_no_common_roots(rng):
 
 def test_shoot_seed_above_support():
     m = validate([(0.0, 1.0, 0.0)])
-    s = shoot_plus(m, 0.0, 1.0)
-    assert s.value == pytest.approx(math.exp(-0.5), rel=1e-14)
-    assert s.left_derivative == pytest.approx(-0.5 * math.exp(-0.5), rel=1e-14)
+    phi, dphi = _shoot(m, 0.0, 1.0, "plus")
+    assert phi == pytest.approx(math.exp(-0.5), rel=1e-14)
+    assert dphi == pytest.approx(-0.5 * math.exp(-0.5), rel=1e-14)
 
 
 def test_single_peakon_eigenfunction_left_tail():
     m = validate([(0.0, 2.0, 0.0)])
-    s = shoot_plus(m, 0.5, -3.0)
-    assert s.value == pytest.approx(math.exp(-1.5), rel=1e-12)
-    assert s.left_derivative == pytest.approx(0.5 * math.exp(-1.5), rel=1e-12)
-    assert s.B == pytest.approx(0.0, abs=1e-14)  # W vanishes at the eigenvalue
+    phi, dphi = _shoot(m, 0.5, -3.0, "plus")
+    assert phi == pytest.approx(math.exp(-1.5), rel=1e-12)
+    assert dphi == pytest.approx(0.5 * math.exp(-1.5), rel=1e-12)
+    assert b_coefficient(-3.0, phi, dphi) == pytest.approx(0.0, abs=1e-14)  # W(1/2) = 0
 
 
 def _w_from_q(m, z):
@@ -290,8 +314,8 @@ def _w_from_q(m, z):
 def test_w_at_zero_is_one(rng):
     for _ in range(10):
         m = random_measure(rng)
-        s = shoot_plus(m, 0.0, float(m.points[0]))
-        assert s.B == pytest.approx(1.0, rel=1e-12)
+        x1 = float(m.points[0])
+        assert b_coefficient(x1, *_shoot(m, 0.0, x1, "plus")) == pytest.approx(1.0, rel=1e-12)
         w0 = _w_from_q(m, 0.0)
         assert w0 == pytest.approx(1.0, rel=1e-12)
 
@@ -299,9 +323,9 @@ def test_w_at_zero_is_one(rng):
 def test_shoot_minus_seed():
     m = validate([(0.0, 1.0, 0.0)])
     x = -1.0
-    s = shoot_minus(m, 0.0, x)
-    assert s.value == pytest.approx(math.exp(x / 2.0), rel=1e-14)
-    assert s.left_derivative == pytest.approx(0.5 * math.exp(x / 2.0), rel=1e-14)
+    phi, dphi = _shoot(m, 0.0, x, "minus")
+    assert phi == pytest.approx(math.exp(x / 2.0), rel=1e-14)
+    assert dphi == pytest.approx(0.5 * math.exp(x / 2.0), rel=1e-14)
 
 
 def test_wronskian_sides_and_x_independence(rng):
@@ -315,9 +339,9 @@ def test_wronskian_sides_and_x_independence(rng):
 
 def test_single_peakon_c_lambda():
     m = validate([(1.0, 2.0, 0.0)])
-    s_plus = shoot_plus(m, 0.5, 1.0)
-    s_minus = shoot_minus(m, 0.5, 1.0)
-    assert s_minus.value / s_plus.value == pytest.approx(math.exp(1.0), rel=1e-12)
+    phi_plus, _ = _shoot(m, 0.5, 1.0, "plus")
+    phi_minus, _ = _shoot(m, 0.5, 1.0, "minus")
+    assert phi_minus / phi_plus == pytest.approx(math.exp(1.0), rel=1e-12)
 
 
 def _w_mpmath(mpmath, m, z):
@@ -344,6 +368,73 @@ def test_wronskian_derivative_matches_mpmath():
                 ref = mpmath.diff(lambda z: _w_mpmath(mpmath, m, z), mpmath.mpf(lam))
                 worst = max(worst, float(abs(_wronskian_dz(m, lam) - ref) / abs(ref)))
     assert worst <= 1e-12
+
+
+def _phi_plus_mpmath(mpmath, m, z, x):
+    """phi_plus(z, x) carried right to left in A e^{x/2} + B e^{-x/2} form, in mpmath."""
+    A, B = mpmath.mpf(0), mpmath.mpf(1)
+    for xj, w, v in reversed(list(zip(m.points, m.omega, m.vee))):
+        if x >= xj:
+            break
+        e = mpmath.exp(mpmath.mpf(xj) / 2)
+        phi, dphi = A * e + B / e, (A * e - B / e) / 2
+        dphi += (z * w + z * z * v) * phi
+        A, B = (phi + 2 * dphi) / (2 * e), e * (phi - 2 * dphi) / 2
+    e = mpmath.exp(mpmath.mpf(x) / 2)
+    return A * e + B / e
+
+
+def _phi_test_points(m):
+    """Every atom, every gap at a quarter and a half, and four points outside the support."""
+    x = m.points
+    gaps = [a + f * (b - a) for a, b in zip(x, x[1:]) for f in (0.25, 0.5)]
+    return [*x, *gaps, x[0] - 3.0, x[0] - 0.5, x[-1] + 0.5, x[-1] + 3.0]
+
+
+# ------------------------------------------------------ eigenfunction evaluator
+
+def test_phi_at_matches_shooting(rng):
+    # at the atoms, in the gaps and outside the support; small n, where the
+    # plus shot loses few digits past the peak
+    for _ in range(20):
+        m = random_measure(rng, n=int(rng.integers(1, 6)))
+        for lam in eigenvalues(m):
+            vals = _phi_atoms(m, lam)
+            top = max(abs(p) for p in vals)
+            for j, xj in enumerate(m.points):
+                assert _phi_at(m, vals, xj) == vals[j]
+            for x in _phi_test_points(m):
+                ref = _shoot(m, lam, x, "plus")[0]
+                assert abs(_phi_at(m, vals, x) - ref) <= 1e-9 * top
+
+
+def test_phi_atoms_are_the_plus_sweep_from_the_peak_on(rng):
+    for _ in range(10):
+        m = random_measure(rng, n=5)
+        for lam in eigenvalues(m):
+            plus, vals = _sweep(m, lam, "plus"), _phi_atoms(m, lam)
+            top = max(range(m.n), key=lambda k: abs(plus[k]))
+            assert vals[top:] == plus[top:]
+
+
+def test_phi_at_matches_mpmath_left_of_the_peak():
+    # n = 16, where phi_plus shot past its peak is off by O(1) of max|phi|
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(7)
+    worst = 0.0
+    with mpmath.workdps(50):
+        for n in (8, 16):
+            for _ in range(2):
+                m = _generator_measure(rng, n)
+                for lam in eigenvalues(m):
+                    lam_mp = mpmath.findroot(lambda z: _w_mpmath(mpmath, m, z), mpmath.mpf(lam))
+                    vals = _phi_atoms(m, lam)
+                    xs = _phi_test_points(m)
+                    ref = [_phi_plus_mpmath(mpmath, m, lam_mp, mpmath.mpf(x)) for x in xs]
+                    top = max(abs(r) for r in ref)
+                    worst = max(worst, *(float(abs(_phi_at(m, vals, x) - r) / top)
+                                         for x, r in zip(xs, ref)))
+    assert worst <= 1e-13
 
 
 # ---------------------------------------------------------- spectral data
@@ -388,10 +479,10 @@ def test_sign_flip_around_zero_of_second_eigenfunction(rng):
             continue
         lam2 = lams[1]
         lo, hi = m.points[0], m.points[-1]
-        flo = shoot_plus(m, lam2, lo).value
+        flo = _shoot(m, lam2, lo, "plus")[0]
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            fm = shoot_plus(m, lam2, mid).value
+            fm = _shoot(m, lam2, mid, "plus")[0]
             if fm == 0.0:
                 break
             if (fm > 0) == (flo > 0):
@@ -442,10 +533,10 @@ WEYL_OMEGA_ZERO_TRIPLES = [
 def _check_weyl(m, a, side):
     """weyl agrees with the shooting quotient off the axis and inverts to its atoms."""
     h = weyl(m, a, side)
-    shoot, sign = (shoot_plus, 1.0) if side == "plus" else (shoot_minus, -1.0)
+    sign = 1.0 if side == "plus" else -1.0
     for z in (0.3 + 0.5j, -1.7 + 2.0j, 4.0 + 0.25j, -0.05 + 9.0j):
-        s = shoot(m, z, a)
-        ref = sign * s.left_derivative / (z * s.value)
+        phi, dphi = _shoot(m, z, a, side)
+        ref = sign * dphi / (z * phi)
         assert abs(h(z) - ref) <= 1e-9 * max(1.0, abs(ref))
     half = measure_from_weyl(h, a, side)
     atoms = [t for t in zip(m.points, m.omega, m.vee) if (t[0] >= a) == (side == "plus")]

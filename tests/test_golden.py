@@ -6,9 +6,8 @@ file, byte for byte, with the copy stored in tests/data/golden/.  The
 stored bytes were produced by an earlier build; a change that is meant to
 leave every float bit-identical must reproduce them exactly.
 
-The bytes depend on the platform's libm (exp, sinh, cosh, tanh) and on
-numpy's polynomial routines, so a different platform or numpy build may
-legitimately differ in the last digit.  Regenerate the files there with
+The bytes depend on the platform's libm (exp, expm1, sinh, cosh, tanh),
+so a different platform may legitimately differ in the last digit.  Regenerate the files there with
 
     PYTHONPATH=src python tests/test_golden.py
 

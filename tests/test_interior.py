@@ -22,7 +22,7 @@ from peakons import (
     validate,
 )
 from peakons.errors import NotHerglotz, ValidationError
-from peakons.forward import shoot_plus
+from peakons.forward import _shoot
 
 from conftest import random_measure
 
@@ -35,7 +35,7 @@ def _phi_zero_of_second(m, lo, hi):
     """Bisect the root of the second eigenfunction between two atoms."""
     sd = spectral_data(m)
     lam = sd.eigenvalues[1]
-    f = lambda x: shoot_plus(m, lam, x).value
+    f = lambda x: _shoot(m, lam, x, "plus")[0]
     flo = f(lo)
     assert flo * f(hi) < 0
     for _ in range(200):
@@ -279,6 +279,34 @@ def test_family_contains_the_source_measure(rng):
         assert best < 1e-6
         hits += 1
     assert hits == 20
+
+
+# 9 atoms, two with v, anchored 0.36 left of the support: the benchmark's
+# cli_mix chain of seed 11, round 0 (its op 14).  phi_i(a) shot through the
+# growing mode of phi_plus once turned its true branch into a DuplicatePoint
+CLI_CHAIN_ANCHOR = -4.43442109368159
+CLI_CHAIN_TRIPLES = [
+    (-4.073536221262562, -2.1935265776613253, 0.0),
+    (-2.9021480785186715, 1.6348213015174027, 1.2660240112269914),
+    (-1.9081581303593191, 1.0658572118520364, 0.0),
+    (-0.913040005479326, -0.4926686419668727, 0.0),
+    (0.030267030150541274, -1.5772235909762344, 0.0),
+    (0.9818925395003066, -2.460725831512929, 0.0),
+    (1.982682286832624, 1.3266419097398108, 0.0),
+    (2.900502950467571, -1.7847030773963402, 0.9595512206835948),
+    (4.049935081541294, -1.4836828506347306, 0.9554219994918765),
+]
+
+
+def test_benchmark_chain_recovers_the_original_measure():
+    m = validate(CLI_CHAIN_TRIPLES)
+    fam = enumerate_solutions(interior_data(m, CLI_CHAIN_ANCHOR))
+    errs = [
+        max(abs(p - q) for p, q in zip(got.points + got.omega + got.vee,
+                                       m.points + m.omega + m.vee))
+        for got in fam if got.n == m.n
+    ]
+    assert errs and min(errs) < 1e-6, [str(e) for _, e in fam.errors]
 
 
 def test_every_member_reproduces_its_data(rng):

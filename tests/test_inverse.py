@@ -189,6 +189,17 @@ def test_overflowing_norming_data_ends_in_a_peakon_error(eigs, norming):
         measure_from_spectral_data(sd)
 
 
+@pytest.mark.parametrize("eigs, norming", [
+    ((0.5,), (math.nan,)),
+    ((math.nan,), (1.0,)),
+    ((0.5, 1.5), (1.0, math.inf)),
+])
+def test_non_finite_spectral_data_is_a_validation_error(eigs, norming):
+    # a NaN norming constant passed every check and leaked ValueError from the inverse
+    with pytest.raises(ValidationError, match="must be finite"):
+        measure_from_spectral_data(SpectralData(eigs, norming))
+
+
 def test_wdot_square_underflow_is_a_numerical_error():
     # 24 eigenvalues 4e-15 apart: W'(lambda)^2 underflowed to a ZeroDivisionError
     sd = SpectralData(tuple(1.0 + k * 4e-15 for k in range(24)), (1.0,) * 24)

@@ -130,29 +130,42 @@ def test_zero_offset_bit_identical_to_halving_reference():
     assert min(seen.values()) > 0, seen
 
 
-def _gap_cases(rng, count):
-    """_zero_offset arguments of gap zeros, each side picked as _pf_neg_reciprocal picks it.
-
-    Pole spacings span seven decades and residues 10^U(-300, 5), so many
-    zeros sit far closer to their anchor pole than the pole spacing.
-    """
-    from peakons.ratfun import _anchored_terms, _bracket
-
+def _pole_sets(rng, count):
+    """(gamma, zeta, mus, betas) with pole spacings over seven decades, residues 10^U(-300, 5)."""
     for _ in range(count):
         gaps = 10.0 ** rng.uniform(-6.0, 1.0, int(rng.integers(1, 12)))
         poles = np.concatenate(([0.0], np.cumsum(gaps))) - rng.uniform(0.0, gaps.sum())
         mus = sorted(set(poles.tolist()))
-        k = len(mus)
-        betas = (10.0 ** rng.uniform(-300.0, 5.0, k)).tolist()
+        betas = (10.0 ** rng.uniform(-300.0, 5.0, len(mus))).tolist()
         gamma = float(rng.choice([0.0, 10.0 ** rng.uniform(-5.0, 2.0)]))
         zeta = float(rng.choice([0.0, rng.normal() * 10.0 ** rng.uniform(-3.0, 3.0)]))
-        for i in range(k - 1):
+        yield gamma, zeta, mus, betas
+
+
+def _gap_cases(rng, count):
+    """_zero_offset arguments of gap zeros, each side picked as _pf_neg_reciprocal picks it.
+
+    Many zeros sit far closer to their anchor pole than the pole spacing.
+    """
+    from peakons.ratfun import _anchored_terms, _bracket
+
+    for gamma, zeta, mus, betas in _pole_sets(rng, count):
+        for i in range(len(mus) - 1):
             half = 0.5 * (mus[i + 1] - mus[i])
             for j, sgn in ((i, +1.0), (i + 1, -1.0)):
                 G = _bracket(gamma, zeta, mus[j], betas[j], _anchored_terms(mus, betas, j), sgn)
                 if G(half) >= 0.0:
                     yield gamma, zeta, mus, betas, j, sgn, half
                     break
+
+
+def _outer_cases(rng, count):
+    """_zero_offset arguments of outer zeros (hi=None) on each side that has one."""
+    for gamma, zeta, mus, betas in _pole_sets(rng, count):
+        if gamma > 0.0 or zeta < 0.0:
+            yield gamma, zeta, mus, betas, 0, -1.0, None
+        if gamma > 0.0 or zeta > 0.0:
+            yield gamma, zeta, mus, betas, len(mus) - 1, +1.0, None
 
 
 def test_gap_zero_offsets_bit_identical_and_mostly_newton(monkeypatch):
@@ -195,36 +208,45 @@ def test_gap_zero_offsets_near_the_rung_floor():
                 assert ratfun._zero_offset(*args).hex() == _zero_offset_reference(*args).hex()
 
 
-def test_gap_zero_offsets_against_mpmath():
-    # every gap offset within 64 ulps of the 80-digit zero of the same
-    # anchored G, and the median within 1 ulp
-    mpmath = pytest.importorskip("mpmath")
-    from peakons.ratfun import _anchored_terms, _zero_offset
+def _mpmath_offset_ulps(mpmath, gamma, zeta, mus, betas, i, sgn, hi, d):
+    """|d - d*|/ulp(d*), d* the 80-digit zero of the same anchored G."""
+    from peakons.ratfun import _anchored_terms
 
     mp = mpmath.mp
-    errs = []
-    for gamma, zeta, mus, betas, i, sgn, hi in _gap_cases(np.random.default_rng(29), 45):
-        d = _zero_offset(gamma, zeta, mus, betas, i, sgn, hi)
-        if d < 1e-270:  # below 1e-280 the halving returns a rung, not the zero
-            continue
-        with mpmath.workdps(80):
-            terms = [(mp.mpf(u), mp.mpf(b)) for u, b in _anchored_terms(mus, betas, i)]
-            g, z, mu, beta, s = (mp.mpf(v) for v in (gamma, zeta, mus[i], betas[i], sgn))
+    with mpmath.workdps(80):
+        terms = [(mp.mpf(u), mp.mpf(b)) for u, b in _anchored_terms(mus, betas, i)]
+        g, z, mu, beta, s = (mp.mpf(v) for v in (gamma, zeta, mus[i], betas[i], sgn))
 
-            def G(e):
-                x = s * e
-                return x * (g * (mu + x) + z + mp.fsum(b / (u - x) for u, b in terms)) - beta
+        def G(e):
+            x = s * e
+            return x * (g * (mu + x) + z + mp.fsum(b / (u - x) for u, b in terms)) - beta
 
-            # a bracket of 2^-19 around d if G changes sign on it, else all of (0, hi]
-            lo, up = mp.mpf(d) * (1 - mp.mpf(2) ** -20), mp.mpf(d) * (1 + mp.mpf(2) ** -20)
-            if G(lo) > 0 or G(up) <= 0:
-                lo, up = mp.mpf(1e-300), mp.mpf(hi)
-            while up / lo - 1 > mp.mpf(1e-24):
-                mid = mp.sqrt(lo * up)
-                lo, up = (mid, up) if G(mid) <= 0 else (lo, mid)
-            errs.append(float(abs(d - lo) / math.ulp(float(lo))))
-    assert len(errs) > 150, len(errs)
-    assert max(errs) <= 64.0 and float(np.median(errs)) <= 1.0, (max(errs), np.median(errs))
+        # a bracket of 2^-19 around d if G changes sign on it, else all of (0, hi]
+        lo, up = mp.mpf(d) * (1 - mp.mpf(2) ** -20), mp.mpf(d) * (1 + mp.mpf(2) ** -20)
+        if G(lo) > 0 or G(up) <= 0:
+            lo, up = mp.mpf(1e-300), mp.mpf(1e300 if hi is None else hi)
+        while up / lo - 1 > mp.mpf(1e-24):
+            mid = mp.sqrt(lo * up)
+            lo, up = (mid, up) if G(mid) <= 0 else (lo, mid)
+        return float(abs(d - lo) / math.ulp(float(lo)))
+
+
+def test_gap_zero_offsets_against_mpmath():
+    # every gap offset within 64 ulps of the 80-digit zero of the same
+    # anchored G, and the median within 1 ulp; outer zeros (hi=None) alike
+    mpmath = pytest.importorskip("mpmath")
+    from peakons.ratfun import _zero_offset
+
+    for cases, at_least in ((_gap_cases(np.random.default_rng(29), 45), 150),
+                            (_outer_cases(np.random.default_rng(31), 60), 50)):
+        errs = []
+        for args in cases:
+            d = _zero_offset(*args)
+            if d < 1e-270:  # below 1e-280 the halving returns a rung, not the zero
+                continue
+            errs.append(_mpmath_offset_ulps(mpmath, *args, d))
+        assert len(errs) > at_least, len(errs)
+        assert max(errs) <= 64.0 and float(np.median(errs)) <= 1.0, (max(errs), np.median(errs))
 
 
 def test_single_peakon_interior_sum():
