@@ -111,13 +111,12 @@ def _write(text: str, out: str | None):
 
 def _cmd_forward(args, cfg: RunConfig) -> int:
     m = PeakonMeasure.from_json_obj(_read_json(args.file), cfg.tol)
-    sd = forward.spectral_data(m, cfg.tol)
+    # one solve and one read of each eigenfunction serve kappa, the zero counts and --at
+    sd, atoms = forward._spectral(m, cfg.tol)
     report = sd.to_json_obj()
-    # one solve and one read of each eigenfunction serve the zero counts and --at
-    atoms = [forward._phi_atoms(m, lam) for lam in sd.eigenvalues]
     report["zero_counts"] = [forward._zero_count(vals) for vals in atoms]
     if args.at is not None:
-        report["interior"] = forward._interior(m, sd, args.at, cfg.tol, atoms).to_json_obj()
+        report["interior"] = forward._interior(m, sd, atoms, args.at, cfg.tol).to_json_obj()
     _write(serial.dumps_json(report), args.out)
     return 0
 

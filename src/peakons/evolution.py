@@ -44,6 +44,8 @@ def evolve_spectral(fs: FlowState, t: float) -> SpectralData:
         raise NumericalError(f"a norming constant overflows at t = {t}") from exc
     if not all(map(math.isfinite, kappas)):
         raise NumericalError(f"a norming constant overflows at t = {t}")
+    if 0.0 in kappas:
+        raise NumericalError(f"a norming constant underflows at t = {t}")
     return SpectralData(fs.base.eigenvalues, kappas)
 
 

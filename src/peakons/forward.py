@@ -15,16 +15,22 @@ Every shooting solution comes from one gap-transfer walk, _shoot:
   sign of sinh on the gaps and the sign of the jump;
 - an optional record list receives phi at each crossed atom, before its
   jump (the one-pass sweeps over the support, _sweep);
-- z is a float or a complex number: complex z gives the Weyl functions off
-  the real axis and, by a complex step, the derivative of W in z.
+- z is a float, or a complex number for weyl's check off the real axis.
 
-_shoot serves spectral_data (the norming sweeps and the complex-step W'),
-weyl's check off the real axis, and _phi_atoms.  Every eigenfunction
-reader (zero counts, interior data, evolution's trace route) reads phi at
-an eigenvalue through one evaluator: _phi_atoms takes phi at the atoms
-from the plus and minus sweeps merged at the peak atom, so that no value
-comes from a sweep that rode its growing mode, and _phi_at gives phi
-anywhere from those values in closed form.
+_eigenfunction reads an eigenfunction once, by one plus and one minus
+sweep and one peak pick: the raw plus sweep gives kappa (_norming), the
+sweeps merged at the peak atom give phi at the atoms with no value from a
+sweep that rode its growing mode (_phi_atoms), and c_lam = phi_minus/phi_plus
+is read at that atom.  _spectral returns the spectral data with those atom
+values, which every eigenfunction reader of a measure just solved takes
+(the CLI forward command, interior_data, interior's verification); _phi_at
+gives phi anywhere from them in closed form.
+
+W(0) = 1 and W vanishes on the spectrum, so W'(lam_i) = -(1/lam_i)
+prod_{j != i}(1 - lam_i/lam_j) (_wdot), with no shooting and no cancelling
+sum.  spectral_data checks it against -c_lam kappa/lam; the inverse divides
+by its square.  A seed, cosh or sinh out of float range raises
+NumericalError.
 
 The determinant recursion Q_0..Q_n runs over rows (a_{i-1}^2, b_{i-1}, w, v)
 that depend on the measure alone; Q_n(z) is W(z) up to a positive factor.
@@ -40,10 +46,6 @@ started from), a root starts from a node of that bisection a few ulps
 wide around its guess when the count certifies it, and ends on the same
 two floats.
 
-_zero_count and _interior are eigenfunction_zero_count and interior_data for
-a spectrum, and its eigenfunctions at the atoms, already solved, so the CLI
-forward command solves the spectrum and reads each eigenfunction only once.
-
 weyl folds M_+ or M_- from its Stieltjes continued fraction in pole-residue
 form, the exact inverse of inverse.measure_from_weyl.
 """
@@ -56,7 +58,8 @@ from dataclasses import dataclass
 
 from . import ratfun
 from .config import Tolerances, DEFAULT
-from .errors import ConsistencyFail, NearCollision, NonConverged, NotHerglotz, ValidationError
+from .errors import (ConsistencyFail, NearCollision, NonConverged, NotHerglotz,
+                     NumericalError, ValidationError)
 from .measures import PeakonMeasure, counts
 from .ratfun import HerglotzRational
 
@@ -116,12 +119,12 @@ class InteriorData:
             pairs = [(float(p["lambda"]), float(p["phi"])) for p in obj["pairs"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"bad interior-data object: {exc}") from exc
-        if not all(map(math.isfinite, (a, *(c for pair in pairs for c in pair)))):
-            raise ValidationError("a, lambda and phi must be finite")
         pairs.sort(key=lambda t: t[0])
         return cls(a, tuple(t[0] for t in pairs), tuple(t[1] for t in pairs))
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.a, *self.eigenvalues, *self.phi))):
+            raise ValidationError("a, lambda and phi must be finite")
         if len(self.eigenvalues) != len(self.phi) or not self.eigenvalues:
             raise ValidationError("eigenvalue and phi lengths differ or empty")
         for a, b in zip(self.eigenvalues, self.eigenvalues[1:]):
@@ -139,7 +142,9 @@ class InteriorData:
 def _shoot(m: PeakonMeasure, z: complex, x: float, side: str, record: list | None = None):
     """(phi, phi') of phi_side at x, phi' left-continuous; see the module doc.
 
-    With a record list, record[j] = phi(x_j) for every crossed atom j.
+    z is real for the eigenfunction sweeps; a complex z serves only weyl's
+    check off the real axis.  With a record list, record[j] = phi(x_j) for
+    every crossed atom j.
     """
     # sgn is the sign of sinh on the gaps; the jump enters with -sgn
     k = bisect_left(m.points, x)  # atoms k.. lie at or above x
@@ -147,20 +152,23 @@ def _shoot(m: PeakonMeasure, z: complex, x: float, side: str, record: list | Non
         sgn, cur, crossed = -1.0, max(m.points[-1], x) + 1.0, range(m.n - 1, k - 1, -1)
     else:
         sgn, cur, crossed = 1.0, min(m.points[0], x) - 1.0, range(k)
-    phi = math.exp(sgn * cur / 2.0)
-    dphi = sgn * 0.5 * phi
-    for j in (*crossed, None):  # None: the last gap, up to x
-        xi = x if j is None else m.points[j]
-        h = sgn * (xi - cur) / 2.0  # half the gap length
-        c, s = math.cosh(h), sgn * math.sinh(h)
-        phi, dphi = phi * c + 2.0 * dphi * s, dphi * c + 0.5 * phi * s
-        if j is None:
-            return phi, dphi
-        if record is not None:
-            record[j] = phi
-        w, v = m.omega[j], m.vee[j]
-        dphi -= sgn * ((z * w + z * z * v) * phi)
-        cur = xi
+    try:
+        phi = math.exp(sgn * cur / 2.0)
+        dphi = sgn * 0.5 * phi
+        for j in (*crossed, None):  # None: the last gap, up to x
+            xi = x if j is None else m.points[j]
+            h = sgn * (xi - cur) / 2.0  # half the gap length
+            c, s = math.cosh(h), sgn * math.sinh(h)
+            phi, dphi = phi * c + 2.0 * dphi * s, dphi * c + 0.5 * phi * s
+            if j is None:
+                return phi, dphi
+            if record is not None:
+                record[j] = phi
+            w, v = m.omega[j], m.vee[j]
+            dphi -= sgn * ((z * w + z * z * v) * phi)
+            cur = xi
+    except OverflowError as exc:
+        raise NumericalError(f"phi_{side} overflows on its way to {x}") from exc
 
 
 def _sweep(m: PeakonMeasure, z: float, side: str) -> list[float]:
@@ -170,21 +178,29 @@ def _sweep(m: PeakonMeasure, z: float, side: str) -> list[float]:
     return vals
 
 
-def _phi_atoms(m: PeakonMeasure, lam: float) -> list[float]:
-    """phi_plus(lam, x_j) at every atom, for an eigenvalue lam.
+def _eigenfunction(m: PeakonMeasure, lam: float) -> tuple[list[float], list[float], float]:
+    """(plus sweep, phi_plus at the atoms, c_lam) for an eigenvalue lam, one pass.
 
     Left of its peak phi_plus decays toward the left while rounding rides
     the growing mode of the plus sweep, so the two sweeps are merged at the
     peak atom (the largest |phi_plus|): plus values from the peak on, and
-    left of it the minus values scaled to phi_plus at the peak.
+    left of it the minus values scaled to phi_plus at the peak.  c_lam is
+    phi_minus/phi_plus at that atom.
     """
     plus = _sweep(m, lam, "plus")
     minus = _sweep(m, lam, "minus")
     top = max(range(m.n), key=lambda k: abs(plus[k]))
+    if plus[top] == 0.0:
+        raise NumericalError(f"phi_plus underflows at every atom for eigenvalue {lam}")
     if minus[top] == 0.0:
         raise ConsistencyFail(f"phi_minus vanishes at the peak atom for eigenvalue {lam}")
     s = plus[top] / minus[top]
-    return [s * p for p in minus[:top]] + plus[top:]
+    return plus, [s * p for p in minus[:top]] + plus[top:], minus[top] / plus[top]
+
+
+def _phi_atoms(m: PeakonMeasure, lam: float) -> list[float]:
+    """phi_plus(lam, x_j) at every atom, for an eigenvalue lam (_eigenfunction)."""
+    return _eigenfunction(m, lam)[1]
 
 
 def _phi_at(m: PeakonMeasure, vals: list[float], x: float) -> float:
@@ -211,17 +227,13 @@ def _phi_at(m: PeakonMeasure, vals: list[float], x: float) -> float:
             + vals[k] * math.exp(-r / 2.0) * math.expm1(-l)) / den
 
 
-def _wronskian_dz(m: PeakonMeasure, lam: float) -> float:
-    """W'(lam) by a complex step (Squire & Trapp, SIAM Rev. 40, 1998).
-
-    W(z) = e^{x_1/2}(phi_+ - 2 phi_+')/2 at x_1, the e^{-x/2} coefficient of
-    phi_plus left of the support, is real on the real axis, so
-    Im W(lam + ih)/h = W'(lam) + O(h^2) with no difference to cancel.
-    """
-    h = 1e-30 * max(1.0, abs(lam))
-    x1 = m.points[0]
-    phi, dphi = _shoot(m, complex(lam, h), x1, "plus")
-    return (0.5 * math.exp(x1 / 2.0) * (phi - 2.0 * dphi)).imag / h
+def _wdot(lams: list[float], i: int) -> float:
+    """W'(lam_i), the derivative of W(z) = prod(1 - z/lam_j) at lam_i."""
+    out = -1.0 / lams[i]
+    for j, lam in enumerate(lams):
+        if j != i:
+            out *= 1.0 - lams[i] / lam
+    return out
 
 
 # ------------------------------------------------------- determinant recursion
@@ -239,7 +251,10 @@ def _coefficients(m: PeakonMeasure) -> tuple[list[float], list[float]]:
             raise NearCollision(f"support gap {g} below 1e-8")
     # a_i couples atoms n-i+1 and n-i; b_i sums the coth of both adjacent half-gaps,
     # with the outermost half-infinite gaps contributing coth(inf) = 1
-    a = [1.0 / (2.0 * math.sinh(gaps[n - 1 - i] / 2.0)) for i in range(1, n)]
+    try:
+        a = [1.0 / (2.0 * math.sinh(gaps[n - 1 - i] / 2.0)) for i in range(1, n)]
+    except OverflowError as exc:
+        raise NumericalError(f"a support gap of {max(gaps)} overflows sinh") from exc
     b = []
     for i in range(n):
         right = 1.0 if n - i == n else 1.0 / math.tanh(gaps[n - 1 - i] / 2.0)
@@ -388,39 +403,38 @@ def spectral_data(
     m: PeakonMeasure, tol: Tolerances = DEFAULT, *, near=None
 ) -> SpectralData:
     """Eigenvalues and norming constants; near is passed on to eigenvalues."""
+    return _spectral(m, tol, near)[0]
+
+
+def _spectral(m: PeakonMeasure, tol: Tolerances, near=None) -> tuple[SpectralData, list]:
+    """(spectral_data, [_phi_atoms at each eigenvalue]) from one _eigenfunction pass each."""
     lams = eigenvalues(m, tol, near=near)
-    kappas = []
-    for lam in lams:
-        plus = _sweep(m, lam, "plus")
+    kappas, atoms = [], []
+    for i, lam in enumerate(lams):
+        plus, vals, c_lam = _eigenfunction(m, lam)
         kappa = _norming(m, lam, plus)
-        if kappa <= 0.0:
+        if not 0.0 < kappa < math.inf:
             raise ConsistencyFail(f"norming constant {kappa} for eigenvalue {lam}")
-        minus = _sweep(m, lam, "minus")
-        j = max(range(m.n), key=lambda i: abs(plus[i]))
-        c_lam = minus[j] / plus[j]
-        lhs = _wronskian_dz(m, lam)
+        lhs = _wdot(lams, i)
         rhs = -c_lam * (kappa / lam)
         if abs(lhs - rhs) > tol.cons * max(1.0, abs(lhs), abs(rhs)):
             raise ConsistencyFail(
                 f"Wronskian-derivative route disagrees at {lam}: {lhs} vs {rhs}"
             )
         kappas.append(kappa)
-    return SpectralData(tuple(lams), tuple(kappas))
+        atoms.append(vals)
+    return SpectralData(tuple(lams), tuple(kappas)), atoms
 
 
 def interior_data(m: PeakonMeasure, a: float, tol: Tolerances = DEFAULT) -> InteriorData:
-    return _interior(m, spectral_data(m, tol), a, tol)
+    sd, atoms = _spectral(m, tol)
+    return _interior(m, sd, atoms, a, tol)
 
 
 def _interior(
-    m: PeakonMeasure, sd: SpectralData, a: float, tol: Tolerances, atoms=None
+    m: PeakonMeasure, sd: SpectralData, atoms: list, a: float, tol: Tolerances
 ) -> InteriorData:
-    """interior_data for the spectral data sd of m, already solved.
-
-    atoms[i] is _phi_atoms(m, lambda_i), computed here if omitted.
-    """
-    if atoms is None:
-        atoms = [_phi_atoms(m, lam) for lam in sd.eigenvalues]
+    """interior_data for the spectral data sd of m and atoms[i] = _phi_atoms(m, lambda_i)."""
     phis = [_phi_at(m, vals, a) / math.sqrt(k) for vals, k in zip(atoms, sd.norming)]
     top = max(abs(p) for p in phis)
     phis = [0.0 if abs(p) <= tol.phi * top else p for p in phis]
@@ -446,23 +460,28 @@ def weyl(m: PeakonMeasure, a: float, side: str, tol: Tolerances = DEFAULT) -> He
     atoms = [(abs(m.points[j] - a), m.omega[j], m.vee[j]) for j in far_first]
     neg = ratfun._pf_neg_reciprocal
     u = atoms[0][0] if atoms else 0.0
-    gamma, zeta, poles, residues = neg(2.0 * math.exp(-u / 2.0) / math.cosh(u / 2.0), 0.0, (), ())
-    for t, (u, w, v) in enumerate(atoms):
-        ch = math.cosh(u / 2.0)
-        gamma, zeta = gamma + v * ch * ch, zeta + w * ch * ch
-        if t + 1 < len(atoms):
-            un = atoms[t + 1][0]
-            length = 2.0 * math.sinh((u - un) / 2.0) / (math.cosh(un / 2.0) * ch)
-        else:
-            length = 2.0 * math.tanh(u / 2.0)
-        if length > 0.0:
-            gamma, zeta, poles, residues = neg(gamma, zeta, poles, residues)
-            gamma, zeta, poles, residues = neg(gamma + length, zeta, poles, residues)
+    try:
+        gamma, zeta, poles, residues = neg(2.0 * math.exp(-u / 2.0) / math.cosh(u / 2.0), 0.0, (), ())
+        for t, (u, w, v) in enumerate(atoms):
+            ch = math.cosh(u / 2.0)
+            gamma, zeta = gamma + v * ch * ch, zeta + w * ch * ch
+            if t + 1 < len(atoms):
+                un = atoms[t + 1][0]
+                length = 2.0 * math.sinh((u - un) / 2.0) / (math.cosh(un / 2.0) * ch)
+            else:
+                length = 2.0 * math.tanh(u / 2.0)
+            if length > 0.0:
+                gamma, zeta, poles, residues = neg(gamma, zeta, poles, residues)
+                gamma, zeta, poles, residues = neg(gamma + length, zeta, poles, residues)
+    except OverflowError as exc:
+        raise NumericalError(f"an atom {u} from {a} overflows cosh") from exc
     h = ratfun.herglotz(gamma, zeta, poles, residues, tol)
     sign = 1.0 if side == "plus" else -1.0
     for y in ratfun._GRID_Y:
         z = 1j * y
         phi, dphi = _shoot(m, z, a, side)
+        if phi == 0.0:
+            raise NumericalError(f"phi_{side} underflows at {a}")
         ref = sign * dphi / (z * phi)
         if abs(h(z) - ref) > tol.pf * max(1.0, abs(ref)):
             raise NotHerglotz(f"continued fraction does not reproduce the Weyl function at {z}")

@@ -311,8 +311,8 @@ def enumerate_solutions(
 
 def _verify_interior(d: InteriorData, m: PeakonMeasure, tol: Tolerances):
     # the data's eigenvalues start the solve; they change its count, not its floats
-    sd = forward.spectral_data(m, tol, near=d.eigenvalues)
-    back = forward._interior(m, sd, d.a, tol)
+    sd, atoms = forward._spectral(m, tol, near=d.eigenvalues)
+    back = forward._interior(m, sd, atoms, d.a, tol)
     if len(back.eigenvalues) != len(d.eigenvalues):
         raise NumericalError(
             f"reconstruction has {len(back.eigenvalues)} eigenvalues, "

@@ -8,7 +8,8 @@ places a reference point strictly left of the support, where the minus-side
 Weyl function is exactly -1/(2z), and rebuilds the plus side.
 
 The data fix the left end of the support in closed form.  Left of the
-support phi_i(a)^2 = e^a kappa_i / (lam_i W'(lam_i))^2 with W(0) = 1, so
+support phi_i(a)^2 = e^a kappa_i / (lam_i W'(lam_i))^2, with W' in the
+product form forward._wdot that spectral_data checks kappa against, so
 alpha(a) = 1 - sum phi_i(a)^2 vanishes exactly at a = x_1:
 
     x_1 = -log sum_i kappa_i / (lam_i W'(lam_i))^2.
@@ -96,22 +97,13 @@ def measure_from_weyl(
     )
 
 
-def _wdot(lams: list[float], i: int) -> float:
-    """Derivative of prod(1 - z/lam_j) at lam_i."""
-    out = -1.0 / lams[i]
-    for j, lam in enumerate(lams):
-        if j != i:
-            out *= 1.0 - lams[i] / lam
-    return out
-
-
 def _wdots(lams: list[float]) -> list[float]:
-    """_wdot at every eigenvalue; its square must be a positive float.
+    """forward._wdot at every eigenvalue; its square must be a positive float.
 
     W-dot does not depend on the reference point, and _attempt divides by
     its square, which underflows for eigenvalues a few ulps apart.
     """
-    wds = [_wdot(lams, i) for i in range(len(lams))]
+    wds = [forward._wdot(lams, i) for i in range(len(lams))]
     for lam, wd in zip(lams, wds):
         if not wd * wd > 0.0:
             raise NumericalError(f"W'({lam}) = {wd} underflows its square")

@@ -377,6 +377,33 @@ def test_forward_at_matches_the_library_calls(tmp_path, capsys, rng):
         assert out["interior"] == interior_data(m, a).to_json_obj()
 
 
+def test_forward_at_sweeps_each_eigenfunction_once(tmp_path, monkeypatch, capsys):
+    # kappa, the zero counts and --at share one plus and one minus sweep per
+    # eigenvalue, and W' needs no complex shot
+    from peakons import forward
+
+    sweeps, complex_shots = [], []
+    sweep, shoot = forward._sweep, forward._shoot
+    monkeypatch.setattr(forward, "_sweep", lambda *a: sweeps.append(a) or sweep(*a))
+    monkeypatch.setattr(forward, "_shoot", lambda m, z, *a: (
+        complex_shots.append(z) if isinstance(z, complex) else None) or shoot(m, z, *a))
+    f = _measure_file(tmp_path, [(-1.0, 1.0, 0.5), (0.0, -0.7, 0.0), (1.2, 2.0, 0.3)])
+    assert main(["forward", f, "--at", "0.5"]) == 0
+    n_eig = len(json.loads(capsys.readouterr().out)["eigenvalues"])
+    assert n_eig == 5 and len(sweeps) == 2 * n_eig
+    assert complex_shots == []
+
+
+@pytest.mark.parametrize("command", ["forward", "evolve"])
+def test_atoms_too_far_apart_exit_3(tmp_path, capsys, command):
+    # sinh and cosh of a 1500-wide gap overflow; both printed an OverflowError traceback
+    f = _measure_file(tmp_path, [(0.0, 1.0, 0.0), (1500.0, 1.0, 0.0)])
+    flags = {"forward": ["--at", "0"], "evolve": ["--t", "0:1:1", "--x=0:1:1"]}[command]
+    assert main([command, f, *flags]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("payload", [
     {"eigenvalues": [1.0 + k * 4e-15 for k in range(24)], "norming": [1.0] * 24},
     {"eigenvalues": [-1e-150, 1e-150], "norming": [1.0, 1.0]},

@@ -148,7 +148,17 @@ def test_trace_route_with_phi_minus_zero_at_the_peak(monkeypatch):
     with pytest.raises(ConsistencyFail):
         forward.eigenfunction_zero_count(m, 0)
     with pytest.raises(ConsistencyFail):
-        forward._interior(m0, fs.base, 0.0, DEFAULT)
+        forward.interior_data(m0, 0.0)
+
+
+def test_norming_underflow_is_a_numerical_error():
+    # lambda_1 = 0.049, so exp(-t/(2 lambda_1)) underflows to 0 at t = 200;
+    # SpectralData rejected the zero as an input error
+    fs = FlowState.from_measure(validate([(0.0, 20.0, 0.0), (1.0, 1.0, 0.0)]))
+    with pytest.raises(NumericalError, match="underflows at t = 200"):
+        evolve_spectral(fs, 200.0)
+    with pytest.raises(NumericalError, match="underflows at t = 200"):
+        measure_at(fs, 200.0)
 
 
 def test_norming_overflow_is_a_numerical_error():

@@ -14,9 +14,11 @@ from conftest import (
     real_roots,
 )
 from peakons import (
+    DEFAULT,
     FlowState,
     Infeasible,
     NearCollision,
+    NumericalError,
     counts,
     eigenfunction_zero_count,
     eigenvalues,
@@ -34,8 +36,9 @@ from peakons.forward import (
     _phi_atoms,
     _rows,
     _shoot,
+    _spectral,
     _sweep,
-    _wronskian_dz,
+    _wdot,
 )
 
 
@@ -357,16 +360,17 @@ def _w_mpmath(mpmath, m, z):
 
 
 def test_wronskian_derivative_matches_mpmath():
-    # the complex step against an 80-digit derivative of the shooting W
+    # the product form from the spectrum against an 80-digit derivative of the shooting W
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(44)
     worst = 0.0
     with mpmath.workdps(80):
         for n in range(4, 17):
             m = random_measure(rng, n=n)
-            for lam in eigenvalues(m):
+            lams = eigenvalues(m)
+            for i, lam in enumerate(lams):
                 ref = mpmath.diff(lambda z: _w_mpmath(mpmath, m, z), mpmath.mpf(lam))
-                worst = max(worst, float(abs(_wronskian_dz(m, lam) - ref) / abs(ref)))
+                worst = max(worst, float(abs(_wdot(lams, i) - ref) / abs(ref)))
     assert worst <= 1e-12
 
 
@@ -415,6 +419,31 @@ def test_phi_atoms_are_the_plus_sweep_from_the_peak_on(rng):
             plus, vals = _sweep(m, lam, "plus"), _phi_atoms(m, lam)
             top = max(range(m.n), key=lambda k: abs(plus[k]))
             assert vals[top:] == plus[top:]
+
+
+def test_spectral_atoms_are_phi_atoms(rng):
+    for _ in range(10):
+        m = random_measure(rng, n=int(rng.integers(1, 8)))
+        sd, atoms = _spectral(m, DEFAULT)
+        assert sd == spectral_data(m)
+        assert atoms == [_phi_atoms(m, lam) for lam in sd.eigenvalues]
+
+
+def test_spectral_data_sweeps_each_eigenfunction_once(rng, monkeypatch):
+    # one plus and one minus sweep per eigenvalue, and no complex shot for W'
+    from peakons import forward
+
+    sweeps, complex_shots = [], []
+    sweep, shoot = forward._sweep, forward._shoot
+    monkeypatch.setattr(forward, "_sweep", lambda *a: sweeps.append(a) or sweep(*a))
+    monkeypatch.setattr(forward, "_shoot", lambda m, z, *a: (
+        complex_shots.append(z) if isinstance(z, complex) else None) or shoot(m, z, *a))
+    for _ in range(5):
+        m = random_measure(rng, n=int(rng.integers(1, 8)))
+        del sweeps[:]
+        sd = spectral_data(m)
+        assert len(sweeps) == 2 * len(sd.eigenvalues)
+    assert complex_shots == []
 
 
 def test_phi_at_matches_mpmath_left_of_the_peak():
@@ -602,3 +631,39 @@ def test_extreme_eigenfunctions_positive(rng):
         for i in extremes:
             vals = _sweep(m, lams[i], "plus")
             assert all(v > 0 for v in vals)
+
+
+# ------------------------------------------------------------ float range
+
+_FAR_LEFT = validate([(-1500.0, 2.0, 0.0)])  # the plus seed e^{-x/2} overflows
+_FAR_RIGHT = validate([(1500.0, 2.0, 0.0)])  # the minus seed e^{x/2} overflows
+_WIDE_GAP = validate([(0.0, 1.0, 0.0), (1500.0, 1.0, 0.0)])  # sinh and cosh of the gap overflow
+_PLUS_UNDERFLOWS = validate([(1400.0, 1.0, 0.0), (1495.0, 1.0, 0.0)])  # phi_plus is 0 at every atom
+_WEYL_PAIR = validate([(0.0, 1.0, 0.0), (1.0, 0.5, 0.2)])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: spectral_data(_FAR_LEFT),
+    lambda: interior_data(_FAR_LEFT, -1500.0),
+    lambda: eigenfunction_zero_count(_FAR_LEFT, 0),
+    lambda: eigenfunction_zero_count(_FAR_RIGHT, 0),
+    lambda: spectral_data(_WIDE_GAP),
+    lambda: interior_data(_WIDE_GAP, 0.0),
+    lambda: eigenfunction_zero_count(_PLUS_UNDERFLOWS, 0),
+    lambda: spectral_data(validate([(-1000.0, 2.0, 0.0)])),  # kappa overflows to inf
+    lambda: weyl(_WEYL_PAIR, -1500.0, "plus"),  # cosh of the atom distance
+    lambda: weyl(_WEYL_PAIR, -1500.0, "minus"),  # phi_minus underflows to 0 at a
+    lambda: weyl(_WEYL_PAIR, 1500.0, "plus"),
+    lambda: weyl(_WEYL_PAIR, 1500.0, "minus"),
+], ids=[
+    "spectral_far_left", "interior_far_left", "zero_count_far_left", "zero_count_far_right",
+    "spectral_wide_gap", "interior_wide_gap", "zero_count_plus_underflows",
+    "kappa_overflows", "weyl_plus_left", "weyl_minus_left", "weyl_plus_right",
+    "weyl_minus_right",
+])
+def test_float_range_failures_are_numerical_errors(call):
+    # these leaked OverflowError or ZeroDivisionError, raised ValidationError
+    # (an input error) for an overflowing kappa, or counted zeros of a
+    # phi_plus that had underflowed to 0
+    with pytest.raises(NumericalError):
+        call()

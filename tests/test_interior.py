@@ -332,6 +332,15 @@ def test_overflowing_phi_terms_are_rejected(lam, phi):
         InteriorData(0.0, (lam,), (phi,))
 
 
+@pytest.mark.parametrize("a, lam, phi", [
+    (math.nan, 1.0, 0.5), (0.0, math.nan, 0.5), (0.0, 1.0, math.inf), (math.inf, 1.0, 0.5),
+])
+def test_non_finite_interior_data_is_rejected(a, lam, phi):
+    # a NaN a passed feasibility; a NaN lambda read as an overflowing phi term
+    with pytest.raises(ValidationError, match="must be finite"):
+        InteriorData(a, (lam,), (phi,))
+
+
 def test_overflowing_residue_is_rejected_where_it_is_built():
     # lambda^2*phi^2 overflows only for a phi that survives the snap to 0
     d = InteriorData(0.0, (1e200,), (0.5,))
