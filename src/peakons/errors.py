@@ -72,7 +72,7 @@ class TraceMismatch(NumericalError):
 
 
 class Infeasible(NumericalError):
-    # inverse-module failure: no reference point makes the data expandable
+    # inverse-module failure: the reconstruction at the anchor fails or misses the data
     pass
 
 

@@ -18,12 +18,13 @@ Every shooting solution comes from one gap-transfer walk, _shoot:
 - z is a float, or a complex number for weyl's check off the real axis.
 
 _eigenfunction reads an eigenfunction once, by one plus and one minus
-sweep and one peak pick: the raw plus sweep gives kappa (_norming), the
-sweeps merged at the peak atom give phi at the atoms with no value from a
-sweep that rode its growing mode (_phi_atoms), and c_lam = phi_minus/phi_plus
-is read at that atom.  _spectral returns the spectral data with those atom
-values, which every eigenfunction reader of a measure just solved takes
-(the CLI forward command, interior_data, interior's verification); _phi_at
+sweep and one peak pick: the sweeps merged at the peak atom give phi at
+the atoms with no value from a sweep that rode its growing mode
+(_phi_atoms), and c_lam = phi_minus/phi_plus is read at that atom.  The
+norming constant kappa = lam sum phi^2 (omega + 2 lam v) (_norming) comes
+from those same atom values.  _spectral returns the spectral data with
+them, which every eigenfunction reader of a measure just solved takes (the
+CLI forward command, interior_data, interior's verification); _phi_at
 gives phi anywhere from them in closed form.
 
 W(0) = 1 and W vanishes on the spectrum, so W'(lam_i) = -(1/lam_i)
@@ -178,8 +179,8 @@ def _sweep(m: PeakonMeasure, z: float, side: str) -> list[float]:
     return vals
 
 
-def _eigenfunction(m: PeakonMeasure, lam: float) -> tuple[list[float], list[float], float]:
-    """(plus sweep, phi_plus at the atoms, c_lam) for an eigenvalue lam, one pass.
+def _eigenfunction(m: PeakonMeasure, lam: float) -> tuple[list[float], float]:
+    """(phi_plus at the atoms, c_lam) for an eigenvalue lam, one pass.
 
     Left of its peak phi_plus decays toward the left while rounding rides
     the growing mode of the plus sweep, so the two sweeps are merged at the
@@ -195,12 +196,12 @@ def _eigenfunction(m: PeakonMeasure, lam: float) -> tuple[list[float], list[floa
     if minus[top] == 0.0:
         raise ConsistencyFail(f"phi_minus vanishes at the peak atom for eigenvalue {lam}")
     s = plus[top] / minus[top]
-    return plus, [s * p for p in minus[:top]] + plus[top:], minus[top] / plus[top]
+    return [s * p for p in minus[:top]] + plus[top:], minus[top] / plus[top]
 
 
 def _phi_atoms(m: PeakonMeasure, lam: float) -> list[float]:
     """phi_plus(lam, x_j) at every atom, for an eigenvalue lam (_eigenfunction)."""
-    return _eigenfunction(m, lam)[1]
+    return _eigenfunction(m, lam)[0]
 
 
 def _phi_at(m: PeakonMeasure, vals: list[float], x: float) -> float:
@@ -302,8 +303,9 @@ def eigenvalues(
     and returns their midpoint; the counts are memoized by z for this call
     only.  Each final bracket must hold exactly one eigenvalue by the count
     itself, which catches a count that is not monotone and two eigenvalues
-    within one ulp.  The count needs no tolerance; tol is accepted for a
-    uniform signature.
+    between the same two floats.  Two roots whose brackets share an end
+    float can both round to it, so equal midpoints raise NonConverged.  The
+    count needs no tolerance; tol is accepted for a uniform signature.
 
     The bracket is [0, +-bound], with the bound doubled from 1 until both
     ladders are complete, unless near (ascending guesses, say a spectrum
@@ -354,6 +356,9 @@ def eigenvalues(
                 raise NonConverged(f"no single eigenvalue certified in [{lo}, {hi}]")
             out.append(0.5 * (lo + hi))
     out.sort()
+    for x, y in zip(out, out[1:]):
+        if x == y:
+            raise NonConverged(f"two eigenvalues share the float {x}")
     return out
 
 
@@ -411,8 +416,8 @@ def _spectral(m: PeakonMeasure, tol: Tolerances, near=None) -> tuple[SpectralDat
     lams = eigenvalues(m, tol, near=near)
     kappas, atoms = [], []
     for i, lam in enumerate(lams):
-        plus, vals, c_lam = _eigenfunction(m, lam)
-        kappa = _norming(m, lam, plus)
+        vals, c_lam = _eigenfunction(m, lam)
+        kappa = _norming(m, lam, vals)
         if not 0.0 < kappa < math.inf:
             raise ConsistencyFail(f"norming constant {kappa} for eigenvalue {lam}")
         lhs = _wdot(lams, i)

@@ -14,9 +14,10 @@ alpha(a) = 1 - sum phi_i(a)^2 vanishes exactly at a = x_1:
 
     x_1 = -log sum_i kappa_i / (lam_i W'(lam_i))^2.
 
-The first reference point tried is x_1 - 1; a blind ladder of points
-further left is the fallback.  Each reconstruction is verified by solving
-its forward problem from brackets around the given eigenvalues.
+The one reference point is the anchor x_1 - 1.  The reconstruction is
+verified by solving its forward problem from brackets around the given
+eigenvalues; a failure at the anchor is reported as Infeasible, chained to
+the error of the stage that failed.
 """
 
 from __future__ import annotations
@@ -97,23 +98,17 @@ def measure_from_weyl(
     )
 
 
-def _wdots(lams: list[float]) -> list[float]:
-    """forward._wdot at every eigenvalue; its square must be a positive float.
+def _attempt(sd: forward.SpectralData, a: float, tol: Tolerances) -> PeakonMeasure:
+    """The measure whose plus-side Weyl function at a fits sd.
 
-    W-dot does not depend on the reference point, and _attempt divides by
-    its square, which underflows for eigenvalues a few ulps apart.
+    W'(lam_i) is forward._wdot; _attempt divides by its square, which
+    underflows for eigenvalues a few ulps apart.
     """
+    lams = list(sd.eigenvalues)
     wds = [forward._wdot(lams, i) for i in range(len(lams))]
     for lam, wd in zip(lams, wds):
         if not wd * wd > 0.0:
             raise NumericalError(f"W'({lam}) = {wd} underflows its square")
-    return wds
-
-
-def _attempt(
-    sd: forward.SpectralData, a: float, wds: list[float], tol: Tolerances
-) -> PeakonMeasure:
-    lams = list(sd.eigenvalues)
     try:
         ea = math.exp(a)
     except OverflowError as exc:
@@ -182,49 +177,22 @@ def _left_end(sd: forward.SpectralData) -> float:
     return -(top + math.log(sum(math.exp(t - top) for t in terms)))
 
 
-def _reference_points(sd: forward.SpectralData) -> list[float]:
-    """Candidate reference points: the anchor first, then the ladders.
-
-    The anchor is _left_end(sd) - 1, one unit left of the support's closed-
-    form left end, where the e^a scaling is best conditioned; it is left
-    out when not finite.  The fallback ladders run best conditioned (least
-    negative) first.  The norming-ratio ladder lands near the support when
-    positions drive the kappa spread, but overshoots when eigenvalue
-    magnitudes do; the unit ladder covers that case.  A candidate right of
-    the support is rejected by verification, so trying right to left is
-    safe.
-    """
-    kmax, kmin = max(sd.norming), min(sd.norming)
-    out = []
-    a = -max(1.0, math.log(kmax / kmin))
-    while a >= -700.0:
-        out.append(a)
-        a *= 2.0
-    a = -1.0
-    while a >= -700.0:
-        if all(abs(a - b) > 1e-9 for b in out):
-            out.append(a)
-        a *= 2.0
-    out.sort(key=abs)
-    anchor = _left_end(sd) - 1.0
-    return [anchor, *out] if math.isfinite(anchor) else out
-
-
 def measure_from_spectral_data(
     sd: forward.SpectralData, tol: Tolerances = DEFAULT
 ) -> PeakonMeasure:
     """Unique measure with the given eigenvalues and norming constants.
 
-    The first reference point whose reconstruction reproduces sd within
-    tol.inv wins; on generator data that is the closed-form anchor.
+    Rebuilt once, at the anchor _left_end(sd) - 1, and accepted when it
+    reproduces sd within tol.inv; otherwise Infeasible.
     """
-    wds = _wdots(list(sd.eigenvalues))
-    for a in _reference_points(sd):
-        try:
-            m = _attempt(sd, a, wds, tol)
-            err = _verify(sd, m, tol)
-        except (NumericalError, ValidationError):
-            continue
-        if err <= tol.inv:
-            return m
-    raise Infeasible("no reference point admits a valid reconstruction")
+    a = _left_end(sd) - 1.0
+    if not math.isfinite(a):
+        raise Infeasible(f"the anchor a = {a} is not finite")
+    try:
+        m = _attempt(sd, a, tol)
+        err = _verify(sd, m, tol)
+    except (NumericalError, ValidationError) as exc:
+        raise Infeasible(f"no reconstruction at the anchor a = {a}: {exc}") from exc
+    if err > tol.inv:
+        raise Infeasible(f"the reconstruction at the anchor a = {a} misses the data by {err}")
+    return m

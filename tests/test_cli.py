@@ -415,3 +415,11 @@ def test_inverse_underflow_exits_3_with_one_error_line(tmp_path, capsys, payload
     assert main(["inverse", str(f)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_eigenvalues_sharing_a_float_exit_3_with_one_error_line(tmp_path, capsys):
+    # both roots round to 1.0; this ended in "phi_minus vanishes at the peak atom"
+    f = _measure_file(tmp_path, [(0.0, 1.0, 0.0), (75.0, 1.0, 0.0)])
+    assert main(["forward", f]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: two eigenvalues share the float 1.0\n"

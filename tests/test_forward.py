@@ -18,6 +18,7 @@ from peakons import (
     FlowState,
     Infeasible,
     NearCollision,
+    NonConverged,
     NumericalError,
     counts,
     eigenfunction_zero_count,
@@ -233,6 +234,12 @@ def test_eigenvalues_reach_large_n(n):
         assert len(mine) == len(oracle)
         for x, y in zip(mine, oracle):
             assert x == pytest.approx(y, rel=1e-12)
+
+
+def test_eigenvalues_sharing_a_float_raise_non_converged():
+    # the two roots straddle 1.0 and both brackets' midpoints round to it
+    with pytest.raises(NonConverged, match=r"share the float 1\.0$"):
+        eigenvalues(validate([(0.0, 1.0, 0.0), (75.0, 1.0, 0.0)]))
 
 
 # 8 atoms, half with v: the benchmark generator's measure_triples(sub_rng(11, 5, 2, 8), 8)
@@ -467,6 +474,27 @@ def test_phi_at_matches_mpmath_left_of_the_peak():
 
 
 # ---------------------------------------------------------- spectral data
+
+def test_norming_matches_mpmath_on_generator_measures():
+    # kappa = lam sum phi^2 (omega + 2 lam v) from the merged atom values; the
+    # raw plus sweep, read past its peak, was off by up to 8.7e-9 here
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(2)
+    worst, checked = 0.0, 0
+    with mpmath.workdps(80):
+        for n in range(4, 17):
+            m = _generator_measure(rng, n)
+            sd = spectral_data(m)
+            for lam, kappa in zip(sd.eigenvalues, sd.norming):
+                lam_mp = mpmath.findroot(lambda z: _w_mpmath(mpmath, m, z), mpmath.mpf(lam))
+                ref = lam_mp * sum(
+                    _phi_plus_mpmath(mpmath, m, lam_mp, mpmath.mpf(x)) ** 2 * (w + 2 * lam_mp * v)
+                    for x, w, v in zip(m.points, m.omega, m.vee))
+                worst = max(worst, float(abs(kappa - ref) / abs(ref)))
+                checked += 1
+    assert checked >= 150
+    assert worst <= 1e-12
+
 
 def test_single_peakon_spectral_closed_form():
     sd = spectral_data(validate([(0.0, 2.0, 0.0)]))

@@ -11,10 +11,13 @@ so a different platform may legitimately differ in the last digit.  Regenerate t
 
     PYTHONPATH=src python tests/test_golden.py
 
-and review the diff before committing it.
+and review the diff before committing it.  Before it overwrites a file the
+script prints how many of its numbers changed, the worst change relative
+to max(1, |x|), and whether any text other than the numbers changed.
 """
 
 import json
+import re
 import shutil
 import sys
 from pathlib import Path
@@ -64,6 +67,20 @@ def test_cli_output_matches_golden_bytes(name, tmp_path):
         assert (tmp_path / fname).read_bytes() == golden.read_bytes(), golden.name
 
 
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def golden_diff(old: str, new: str) -> str:
+    """How the numbers and the other text of new differ from old, in one line."""
+    a, b = NUMBER.findall(old), NUMBER.findall(new)
+    text = "unchanged" if NUMBER.sub("#", old) == NUMBER.sub("#", new) else "CHANGED"
+    if len(a) != len(b):
+        return f"{len(a)} numbers became {len(b)}; text {text}"
+    moves = [abs(float(y) - float(x)) / max(1.0, abs(float(x))) for x, y in zip(a, b) if x != y]
+    return (f"{len(moves)} of {len(a)} numbers changed, worst {max(moves, default=0.0):.1e}"
+            f" relative to max(1,|x|); text {text}")
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -74,4 +91,7 @@ if __name__ == "__main__":
             if codes != [0, 0, 0, 0]:
                 sys.exit(f"{case}: exit codes {codes}")
             for fname in OUTPUTS:
-                shutil.copyfile(Path(tmp) / fname, GOLDEN / f"{case}.{fname}")
+                new, old = Path(tmp) / fname, GOLDEN / f"{case}.{fname}"
+                diff = golden_diff(old.read_text(), new.read_text()) if old.exists() else "new file"
+                print(f"{old.name}: {diff}")
+                shutil.copyfile(new, old)

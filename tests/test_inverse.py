@@ -18,7 +18,8 @@ from peakons import (
     validate,
     weyl,
 )
-from peakons.errors import NumericalError, PeakonError, ValidationError
+from peakons.errors import (ConsistencyFail, Infeasible, NumericalError, PeakonError,
+                            ValidationError)
 from peakons.inverse import _left_end
 
 
@@ -79,7 +80,7 @@ def test_reconstruction_deterministic():
 
 
 def test_far_shifted_support():
-    # kappa ratio heuristic must adapt: support far right of the default start
+    # the closed-form anchor follows the support far from the origin either way
     sd = spectral_data(validate([(8.0, 1.5, 0.0), (9.0, 0.5, 0.2)]))
     back = measure_from_spectral_data(sd)
     assert back.points[0] == pytest.approx(8.0, abs=1e-6)
@@ -160,18 +161,50 @@ def test_warm_start_returns_the_cold_eigenvalues_bit_for_bit():
             assert [x.hex() for x in warm] == [x.hex() for x in cold]
 
 
-def test_one_continued_fraction_per_inverse_on_generator_measures(monkeypatch):
+def _count_cf_expand(monkeypatch) -> list:
     from peakons import inverse
 
     calls = []
     expand = inverse.cf_expand
     monkeypatch.setattr(inverse, "cf_expand", lambda *a: calls.append(a) or expand(*a))
-    cases = _generator_spectra(53, range(1, 13), 3)
-    assert len(cases) >= 30
+    return calls
+
+
+def test_one_continued_fraction_per_inverse_on_generator_measures(monkeypatch):
+    calls = _count_cf_expand(monkeypatch)
+    cases = _generator_spectra(53, range(1, 17), 3)
+    assert len(cases) >= 45
     for _, sd in cases:
         calls.clear()
         measure_from_spectral_data(sd)
         assert len(calls) == 1
+
+
+def test_a_failed_anchor_is_infeasible_after_one_attempt(monkeypatch):
+    # a flow step whose reconstruction fails its verification: no fallback
+    # point is tried, and the verification's error is the cause
+    calls = _count_cf_expand(monkeypatch)
+    sd = SpectralData((0.44942166003438744, 1.774610845127742, 5.6337372468186295),
+                      (1.726086399315825e-49, 3.464143367094688e-12, 0.020992661617613928))
+    with pytest.raises(Infeasible, match=r"anchor a = 9\.30816") as info:
+        measure_from_spectral_data(sd)
+    assert len(calls) == 1
+    assert isinstance(info.value.__cause__, ConsistencyFail)
+    assert str(info.value.__cause__) in str(info.value)
+
+
+@pytest.mark.parametrize("k", [23, 34, 38, 39, 41, 44])
+def test_roundtrip_at_n16_once_rejected_by_the_norming_check(k):
+    # the k-th n = 16 generator measure of seed 61; its raw-sweep kappa failed
+    # the W' check with ConsistencyFail
+    from test_forward import _generator_measure
+
+    rng = np.random.default_rng(61)
+    for _ in range(k + 1):
+        m = _generator_measure(rng, 16)
+    back = measure_from_spectral_data(spectral_data(m))
+    assert back.n == m.n
+    assert max(abs(x - y) for x, y in zip(back.points, m.points)) <= 1e-8
 
 
 @pytest.mark.parametrize("eigs, norming", [
