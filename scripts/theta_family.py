@@ -20,13 +20,13 @@ from peakons import (
     spectral_data,
     validate,
 )
-from peakons.forward import _phi_at, _phi_atoms
+from peakons.forward import _eigenfunction, _phi_at
 
 
 def second_zero(m):
     """Bisect the sign change of the second eigenfunction inside the support."""
     lam = spectral_data(m).eigenvalues[1]
-    vals = _phi_atoms(m, lam)  # phi at the atoms; _phi_at reads it anywhere
+    vals = _eigenfunction(m, lam)[0]  # phi at the atoms; _phi_at reads it anywhere
     lo, hi = m.points[0], m.points[-1]
     for _ in range(200):
         mid = 0.5 * (lo + hi)

@@ -1,7 +1,9 @@
 """Tolerance bundle and run configuration.
 
-Every numerical decision threshold in the library is routed through a
-Tolerances value so the CLI can override any of them (--tol.<name>).
+The CLI can override every field of Tolerances (--tol.<name>).  Not every
+numerical threshold is one: forward._coefficients' 1e-8 gap floor, the two
+1e-8 tests of ratfun._pf_neg_reciprocal, cf_expand's 1e-6 remainder test
+and ratfun's 1e-280/1e-250 zero-search floors are fixed in the code.
 """
 
 from __future__ import annotations
@@ -40,6 +42,8 @@ class Tolerances:
 
 DEFAULT = Tolerances()
 
+GRID_CAP = 10**6  # points per grid: a tiny step would fill memory, not fail
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -57,11 +61,14 @@ class GridSpec:
     def points(self) -> list[float]:
         if self.step <= 0:
             raise ValueError("grid step must be positive")
+        limit = self.stop + 1e-12 * max(1.0, abs(self.stop))
+        if (limit - self.start) / self.step >= GRID_CAP:
+            raise ValueError(f"grid {self} has more than {GRID_CAP} points")
         out = []
         k = 0
         while True:
             x = self.start + k * self.step
-            if x > self.stop + 1e-12 * max(1.0, abs(self.stop)):
+            if x > limit:
                 break
             out.append(x)
             k += 1

@@ -9,6 +9,7 @@ spectral route u(x) = 1/2 sum phi_i(x)^2 / lambda_i.
 
 from __future__ import annotations
 
+import copy
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -51,17 +52,25 @@ def evolve_spectral(fs: FlowState, t: float) -> SpectralData:
 
 def measure_at(fs: FlowState, t: float, tol: Tolerances = DEFAULT) -> PeakonMeasure:
     """The measure at time t, reconstructed once per t; a failure is cached too."""
+    return _reconstruction(fs, t, tol)[0]
+
+
+def _reconstruction(fs: FlowState, t: float, tol: Tolerances):
+    """(m, routes) at t, cached: inverse._reconstruct and the trace routes of solution_at."""
     if t not in fs._cache:
         try:
-            fs._cache[t] = inverse.measure_from_spectral_data(evolve_spectral(fs, t), tol)
+            sd = evolve_spectral(fs, t)
+            m, back, atoms = inverse._reconstruct(sd, tol)
         except PeakonError as exc:
-            # not exc itself: its traceback would keep the solver's frames alive
-            fs._cache[t] = (type(exc), exc.args)
+            # a copy of the cause holds no traceback or chain: no solver frame stays alive
+            fs._cache[t] = (type(exc), exc.args, copy.copy(exc.__cause__))
             raise
+        ws = [k * lam for lam, k in zip(back.eigenvalues, sd.norming)]  # sd's kappa, not back's
+        fs._cache[t] = (m, list(zip(atoms, ws)))
     out = fs._cache[t]
-    if isinstance(out, tuple):
-        cls, args = out
-        raise cls(*args)
+    if isinstance(out[0], type):
+        cls, args, cause = out
+        raise cls(*args) from cause
     return out
 
 
@@ -75,15 +84,11 @@ def solution_at(
     """u on the grid and the reconstructed measure at time t.
 
     Each u is checked against the trace route 1/2 sum phi_i(x)^2/(kappa_i
-    lambda_i), with phi_i read by forward._phi_at from its values at the
-    atoms (forward._phi_atoms), which are computed once per eigenvalue.
+    lambda_i), with m's own eigenvalues and values at the atoms from
+    inverse._reconstruct (phi_i read anywhere by forward._phi_at) over the
+    flow's evolved kappa_i, so it also checks m's kappa against the flow's.
     """
-    m = measure_at(fs, t, tol)
-    sd = evolve_spectral(fs, t)
-    routes = [  # (phi_i at the atoms, kappa_i * lambda_i)
-        (forward._phi_atoms(m, lam), kap * lam)
-        for lam, kap in zip(sd.eigenvalues, sd.norming)
-    ]
+    m, routes = _reconstruction(fs, t, tol)
     us = []
     for x in xs:
         u = _kernel_u(m, x)

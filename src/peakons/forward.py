@@ -19,13 +19,14 @@ Every shooting solution comes from one gap-transfer walk, _shoot:
 
 _eigenfunction reads an eigenfunction once, by one plus and one minus
 sweep and one peak pick: the sweeps merged at the peak atom give phi at
-the atoms with no value from a sweep that rode its growing mode
-(_phi_atoms), and c_lam = phi_minus/phi_plus is read at that atom.  The
-norming constant kappa = lam sum phi^2 (omega + 2 lam v) (_norming) comes
-from those same atom values.  _spectral returns the spectral data with
-them, which every eigenfunction reader of a measure just solved takes (the
-CLI forward command, interior_data, interior's verification); _phi_at
-gives phi anywhere from them in closed form.
+the atoms with no value from a sweep that rode its growing mode, and
+c_lam = phi_minus/phi_plus is read at that atom.  The norming constant
+kappa = lam sum phi^2 (omega + 2 lam v) (_norming) comes from those same
+atom values.  _spectral returns the spectral data with them: the CLI
+forward command and interior_data take them directly, and the inverse,
+interior branches and the flow's trace route through _resolve, which also
+checks that a reconstruction reproduces its eigenvalues.  _phi_at gives
+phi anywhere from them.
 
 W(0) = 1 and W vanishes on the spectrum, so W'(lam_i) = -(1/lam_i)
 prod_{j != i}(1 - lam_i/lam_j) (_wdot), with no shooting and no cancelling
@@ -42,8 +43,8 @@ coefficient of Q_n in z is ever formed, so the count cannot overflow.
 eigenvalues builds the rows once for every Sturm count of its bracket and
 bisection, counts each distinct z once per call, bisects every root down to
 two adjacent floats and certifies each final bracket by its count.  Given
-guesses (near=, as the inverse's verification passes the eigenvalues it
-started from), a root starts from a node of that bisection a few ulps
+guesses (near=, as _resolve passes the eigenvalues a reconstruction
+was built from), a root starts from a node of that bisection a few ulps
 wide around its guess when the count certifies it, and ends on the same
 two floats.
 
@@ -199,13 +200,8 @@ def _eigenfunction(m: PeakonMeasure, lam: float) -> tuple[list[float], float]:
     return [s * p for p in minus[:top]] + plus[top:], minus[top] / plus[top]
 
 
-def _phi_atoms(m: PeakonMeasure, lam: float) -> list[float]:
-    """phi_plus(lam, x_j) at every atom, for an eigenvalue lam (_eigenfunction)."""
-    return _eigenfunction(m, lam)[0]
-
-
 def _phi_at(m: PeakonMeasure, vals: list[float], x: float) -> float:
-    """phi(x) of an eigenfunction from its values vals at the atoms (_phi_atoms).
+    """phi(x) of an eigenfunction from its values vals at the atoms (_eigenfunction).
 
     On a gap phi = A e^{x/2} + B e^{-x/2} through the two neighbouring atom
     values p and q; with l and r the distances to them and g = l + r,
@@ -404,15 +400,13 @@ def _norming(m: PeakonMeasure, lam: float, vals: list[float]) -> float:
     return lam * g2
 
 
-def spectral_data(
-    m: PeakonMeasure, tol: Tolerances = DEFAULT, *, near=None
-) -> SpectralData:
-    """Eigenvalues and norming constants; near is passed on to eigenvalues."""
-    return _spectral(m, tol, near)[0]
+def spectral_data(m: PeakonMeasure, tol: Tolerances = DEFAULT) -> SpectralData:
+    """Eigenvalues and norming constants."""
+    return _spectral(m, tol)[0]
 
 
 def _spectral(m: PeakonMeasure, tol: Tolerances, near=None) -> tuple[SpectralData, list]:
-    """(spectral_data, [_phi_atoms at each eigenvalue]) from one _eigenfunction pass each."""
+    """(spectral_data, [phi at the atoms for each eigenvalue]), one _eigenfunction pass each."""
     lams = eigenvalues(m, tol, near=near)
     kappas, atoms = [], []
     for i, lam in enumerate(lams):
@@ -431,6 +425,21 @@ def _spectral(m: PeakonMeasure, tol: Tolerances, near=None) -> tuple[SpectralDat
     return SpectralData(tuple(lams), tuple(kappas)), atoms
 
 
+def _resolve(m: PeakonMeasure, lams, tol: Tolerances) -> tuple[SpectralData, list]:
+    """_spectral of a reconstruction m, solved from brackets around the
+    eigenvalues lams it was built from, which it must reproduce in number and
+    each within tol.inv: the one reproduction check of every reconstruction."""
+    n_v, n_plus, n_minus = counts(m)
+    size = 2 * n_v + n_plus + n_minus
+    if size != len(lams):
+        raise NumericalError(f"reconstruction has {size} eigenvalues, expected {len(lams)}")
+    sd, atoms = _spectral(m, tol, near=lams)
+    for lam, lam2 in zip(lams, sd.eigenvalues):
+        if abs(lam - lam2) > tol.inv * max(1.0, abs(lam)):
+            raise NumericalError(f"eigenvalue {lam} reproduced as {lam2}")
+    return sd, atoms
+
+
 def interior_data(m: PeakonMeasure, a: float, tol: Tolerances = DEFAULT) -> InteriorData:
     sd, atoms = _spectral(m, tol)
     return _interior(m, sd, atoms, a, tol)
@@ -439,7 +448,7 @@ def interior_data(m: PeakonMeasure, a: float, tol: Tolerances = DEFAULT) -> Inte
 def _interior(
     m: PeakonMeasure, sd: SpectralData, atoms: list, a: float, tol: Tolerances
 ) -> InteriorData:
-    """interior_data for the spectral data sd of m and atoms[i] = _phi_atoms(m, lambda_i)."""
+    """interior_data for the spectral data sd of m and its atom values atoms (_spectral)."""
     phis = [_phi_at(m, vals, a) / math.sqrt(k) for vals, k in zip(atoms, sd.norming)]
     top = max(abs(p) for p in phis)
     phis = [0.0 if abs(p) <= tol.phi * top else p for p in phis]
@@ -496,17 +505,17 @@ def weyl(m: PeakonMeasure, a: float, side: str, tol: Tolerances = DEFAULT) -> He
 def eigenfunction_zero_count(m: PeakonMeasure, i: int, tol: Tolerances = DEFAULT) -> int:
     """Zeros of the i-th (ascending-order index) eigenfunction on the line.
 
-    The sign changes of phi along the atoms, read by _phi_atoms so that no
-    value comes from past the peak of a one-sided sweep.  A zero landing on
+    The sign changes of phi along the atoms, read by _eigenfunction so that
+    no value comes from past the peak of a one-sided sweep.  A zero landing on
     a support point is attributed to the gap on its left.  A genuine zero
     at an atom crosses, so noise of either sign at a near-zero sample
     leaves the count unchanged.
     """
-    return _zero_count(_phi_atoms(m, eigenvalues(m, tol)[i]))
+    return _zero_count(_eigenfunction(m, eigenvalues(m, tol)[i])[0])
 
 
 def _zero_count(vals: list[float]) -> int:
-    """eigenfunction_zero_count from the eigenfunction's values at the atoms (_phi_atoms)."""
+    """eigenfunction_zero_count from the eigenfunction's values at the atoms (_eigenfunction)."""
     count = 0
     for p, q in zip(vals, vals[1:]):
         if q == 0.0:

@@ -15,9 +15,10 @@ alpha(a) = 1 - sum phi_i(a)^2 vanishes exactly at a = x_1:
     x_1 = -log sum_i kappa_i / (lam_i W'(lam_i))^2.
 
 The one reference point is the anchor x_1 - 1.  The reconstruction is
-verified by solving its forward problem from brackets around the given
-eigenvalues; a failure at the anchor is reported as Infeasible, chained to
-the error of the stage that failed.
+verified by forward._resolve, which solves its forward problem from
+brackets around the given eigenvalues, and by its norming constants; a
+failure at the anchor is reported as Infeasible, chained to the error of
+the stage that failed.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .errors import (
     NumericalError,
     ValidationError,
 )
-from .measures import PeakonMeasure, counts, validate
+from .measures import PeakonMeasure, validate
 from .ratfun import HerglotzRational, cf_expand, herglotz, neg_reciprocal
 
 
@@ -135,28 +136,6 @@ def _attempt(sd: forward.SpectralData, a: float, tol: Tolerances) -> PeakonMeasu
     return validate(half.triples(), tol)
 
 
-def _verify(sd: forward.SpectralData, m: PeakonMeasure, tol: Tolerances) -> float:
-    """Largest relative error of m's spectral data against sd.
-
-    m's spectrum is solved from brackets around sd's eigenvalues, which
-    ends on the same floats as a cold solve from [0, +-bound].
-    """
-    n_v, n_plus, n_minus = counts(m)
-    size = 2 * n_v + n_plus + n_minus
-    if size != len(sd.eigenvalues):
-        raise NumericalError(
-            f"reconstruction has {size} eigenvalues, expected {len(sd.eigenvalues)}"
-        )
-    back = forward.spectral_data(m, tol, near=sd.eigenvalues)
-    err = 0.0
-    for lam, kap, lam2, kap2 in zip(
-        sd.eigenvalues, sd.norming, back.eigenvalues, back.norming
-    ):
-        err = max(err, abs(lam - lam2) / max(1.0, abs(lam)))
-        err = max(err, abs(kap - kap2) / max(1.0, abs(kap)))
-    return err
-
-
 def _left_end(sd: forward.SpectralData) -> float:
     """x_1, the left end of the support, in closed form (see the module doc).
 
@@ -185,14 +164,21 @@ def measure_from_spectral_data(
     Rebuilt once, at the anchor _left_end(sd) - 1, and accepted when it
     reproduces sd within tol.inv; otherwise Infeasible.
     """
+    return _reconstruct(sd, tol)[0]
+
+
+def _reconstruct(sd: forward.SpectralData, tol: Tolerances):
+    """(m, back, atoms): measure_from_spectral_data, with m's own spectral data
+    back and eigenfunction values atoms from forward._resolve."""
     a = _left_end(sd) - 1.0
     if not math.isfinite(a):
         raise Infeasible(f"the anchor a = {a} is not finite")
     try:
         m = _attempt(sd, a, tol)
-        err = _verify(sd, m, tol)
+        back, atoms = forward._resolve(m, sd.eigenvalues, tol)
     except (NumericalError, ValidationError) as exc:
         raise Infeasible(f"no reconstruction at the anchor a = {a}: {exc}") from exc
+    err = max(abs(k - k2) / max(1.0, abs(k)) for k, k2 in zip(sd.norming, back.norming))
     if err > tol.inv:
         raise Infeasible(f"the reconstruction at the anchor a = {a} misses the data by {err}")
-    return m
+    return m, back, atoms

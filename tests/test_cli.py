@@ -271,6 +271,24 @@ def test_non_finite_grid_exits_2(tmp_path, capsys, flag, grid):
     assert "finite" in _one_error_line(capsys)
 
 
+@pytest.mark.parametrize("flag, grid", [("--t", "0:1:1e-300"), ("--x", "-1e300:1e300:1")])
+def test_a_grid_of_too_many_points_exits_2(tmp_path, capsys, flag, grid):
+    # a tiny step once kept GridSpec.points() looping until memory ran out
+    from peakons.config import GRID_CAP  # imported first: the loop never starts without it
+
+    f = _measure_file(tmp_path, [(0.0, 2.0, 0.0)])
+    assert main(["evolve", f, f"{flag}={grid}"]) == 2
+    assert f"more than {GRID_CAP} points" in _one_error_line(capsys)
+
+
+def test_grid_cap_is_the_largest_grid_accepted():
+    from peakons.config import GRID_CAP, GridSpec
+
+    assert len(GridSpec(0.0, GRID_CAP - 1.0, 1.0).points()) == GRID_CAP
+    with pytest.raises(ValueError, match="more than"):
+        GridSpec(0.0, float(GRID_CAP), 1.0).points()
+
+
 @pytest.mark.parametrize("obj", [[1, 2], {"x": 5}, {"splits": 5}])
 def test_config_of_the_wrong_shape_exits_2(tmp_path, monkeypatch, capsys, obj):
     cfg = tmp_path / "cfg.json"

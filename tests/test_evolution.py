@@ -9,8 +9,10 @@ from peakons import (
     DEFAULT,
     ConsistencyFail,
     FlowState,
+    Infeasible,
     NumericalError,
     SpectralData,
+    TraceMismatch,
     collision_scan,
     evolve_spectral,
     measure_at,
@@ -21,6 +23,7 @@ from peakons import (
 )
 
 from conftest import random_measure
+from peakons.evolution import _kernel_u
 
 
 def _positive_measure(rng, n):
@@ -134,21 +137,97 @@ def test_trace_route_holds_far_left_of_the_support():
 
 def test_trace_route_with_phi_minus_zero_at_the_peak(monkeypatch):
     # the evaluator's scale phi_plus/phi_minus at the peak atom raises a
-    # PeakonError, not ZeroDivisionError, for every reader of phi
+    # PeakonError, not ZeroDivisionError, for every reader of phi; the flow
+    # reads phi once, in the reconstruction's verification
     from peakons import forward
 
     m0 = validate(TRACE_LEFT_TAIL_TRIPLES)
     fs = FlowState.from_measure(m0)
-    m = measure_at(fs, 0.0)  # reconstructed before the sweep is faked
     sweep = forward._sweep
     monkeypatch.setattr(forward, "_sweep", lambda m, z, side: (
         [0.0] * m.n if side == "minus" else sweep(m, z, side)))
-    with pytest.raises(ConsistencyFail, match="phi_minus vanishes at the peak atom"):
-        solution_at(fs, 0.0, [0.0])
+    for step in (lambda: measure_at(fs, 0.0), lambda: solution_at(fs, 0.0, [0.0])):
+        with pytest.raises(Infeasible) as info:
+            step()
+        assert isinstance(info.value.__cause__, ConsistencyFail)
+        assert "phi_minus vanishes at the peak atom" in str(info.value.__cause__)
     with pytest.raises(ConsistencyFail):
-        forward.eigenfunction_zero_count(m, 0)
+        forward.eigenfunction_zero_count(m0, 0)
     with pytest.raises(ConsistencyFail):
         forward.interior_data(m0, 0.0)
+
+
+# a flow step whose support is 80 wide at t = 80: the eigenfunctions read at
+# the data's eigenvalues, not the reconstruction's, rode the plus sweep's
+# growing mode to a TraceMismatch at x = -20 (2.6e-17 vs 7.4e-7)
+WIDE_SUPPORT_TRIPLES = [
+    (-0.9688402242916356, 1.9802756892727162, 0.0),
+    (-0.03706939910611427, 1.047739054948053, 0.0),
+    (1.0147939155878933, 0.737145769793768, 0.0),
+]
+
+
+def test_trace_route_reads_the_reconstruction_s_own_eigenpairs():
+    fs = FlowState.from_measure(validate(WIDE_SUPPORT_TRIPLES))
+    us, m = solution_at(fs, 80.0, [-20.0])
+    assert m.points[-1] - m.points[0] > 50.0
+    assert us == [_kernel_u(m, -20.0)]
+
+
+def test_trace_route_checks_the_reconstruction_s_kappa_against_the_flow(monkeypatch):
+    # a reconstruction of kappa (1 + 9e-8) passes the inverse's absolute kappa
+    # test (tol.inv = 1e-7), but not the trace over the flow's evolved kappa;
+    # over m's own kappa the trace would only check the forward solver
+    from peakons import inverse
+
+    reconstruct = inverse._reconstruct
+    monkeypatch.setattr(inverse, "_reconstruct", lambda sd, tol: reconstruct(
+        SpectralData(sd.eigenvalues, tuple(k * (1 + 9e-8) for k in sd.norming)), tol))
+    fs = FlowState.from_measure(validate([(0.0, 1.0, 0.0), (1.0, 1.0, 0.0)]))
+    measure_at(fs, 0.0)
+    with pytest.raises(TraceMismatch):
+        solution_at(fs, 0.0, [0.0, 1.0])
+
+
+def test_solution_at_reads_no_eigenfunction_after_measure_at(rng, monkeypatch):
+    # the trace route reuses the eigenpairs that verified the reconstruction
+    from peakons import forward
+
+    sweeps = []
+    sweep = forward._sweep
+    monkeypatch.setattr(forward, "_sweep", lambda *a: sweeps.append(a) or sweep(*a))
+    for _ in range(5):
+        fs = FlowState.from_measure(random_measure(rng, n=int(rng.integers(1, 6))))
+        measure_at(fs, 1.5)
+        del sweeps[:]
+        solution_at(fs, 1.5, [-3.0, 0.0, 3.0])
+        assert sweeps == []
+
+
+@pytest.mark.parametrize("sd, cause", [
+    # the failing anchor of test_inverse, chained to a ConsistencyFail
+    (SpectralData((0.44942166003438744, 1.774610845127742, 5.6337372468186295),
+                  (1.726086399315825e-49, 3.464143367094688e-12, 0.020992661617613928)),
+     ConsistencyFail),
+    # x_1 = -log kappa = 720: e^a overflows, a NumericalError chained to an OverflowError
+    (SpectralData((1.0,), (1e-313,)), NumericalError),
+])
+def test_a_cached_flow_failure_keeps_its_cause(sd, cause):
+    # the second call re-raised the cached failure with no cause
+    fs = FlowState(sd)
+    causes = []
+    for _ in range(2):
+        with pytest.raises(Infeasible) as info:
+            measure_at(fs, 0.0)
+        causes.append(info.value.__cause__)
+    first, second = causes
+    assert type(first) is type(second) is cause and first.args == second.args
+    assert first.__traceback__ is not None  # the first report keeps its frames
+    if cause is NumericalError:
+        assert isinstance(first.__cause__, OverflowError)
+    # the cached cause keeps no frame of the solver alive
+    assert second.__traceback__ is None
+    assert second.__cause__ is None and second.__context__ is None
 
 
 def test_norming_underflow_is_a_numerical_error():
@@ -228,7 +307,7 @@ def test_failed_reconstruction_is_cached_across_scan_and_series(tmp_path, monkey
         raise Infeasible("forced failure")
 
     monkeypatch.delenv("PEAKON_CONFIG", raising=False)
-    monkeypatch.setattr(inverse, "measure_from_spectral_data", failing)
+    monkeypatch.setattr(inverse, "_reconstruct", failing)
     f = tmp_path / "m.json"
     f.write_text(json.dumps({"points": [{"x": 0.0, "w": 2.0, "v": 0.0}, {"x": 1.0, "w": -0.5, "v": 0.0}]}))
     out = tmp_path / "series.csv"

@@ -33,8 +33,8 @@ from peakons import (
 from peakons.forward import (
     _coefficients,
     _count,
+    _eigenfunction,
     _phi_at,
-    _phi_atoms,
     _rows,
     _shoot,
     _spectral,
@@ -410,7 +410,7 @@ def test_phi_at_matches_shooting(rng):
     for _ in range(20):
         m = random_measure(rng, n=int(rng.integers(1, 6)))
         for lam in eigenvalues(m):
-            vals = _phi_atoms(m, lam)
+            vals = _eigenfunction(m, lam)[0]
             top = max(abs(p) for p in vals)
             for j, xj in enumerate(m.points):
                 assert _phi_at(m, vals, xj) == vals[j]
@@ -423,7 +423,7 @@ def test_phi_atoms_are_the_plus_sweep_from_the_peak_on(rng):
     for _ in range(10):
         m = random_measure(rng, n=5)
         for lam in eigenvalues(m):
-            plus, vals = _sweep(m, lam, "plus"), _phi_atoms(m, lam)
+            plus, vals = _sweep(m, lam, "plus"), _eigenfunction(m, lam)[0]
             top = max(range(m.n), key=lambda k: abs(plus[k]))
             assert vals[top:] == plus[top:]
 
@@ -433,7 +433,7 @@ def test_spectral_atoms_are_phi_atoms(rng):
         m = random_measure(rng, n=int(rng.integers(1, 8)))
         sd, atoms = _spectral(m, DEFAULT)
         assert sd == spectral_data(m)
-        assert atoms == [_phi_atoms(m, lam) for lam in sd.eigenvalues]
+        assert atoms == [_eigenfunction(m, lam)[0] for lam in sd.eigenvalues]
 
 
 def test_spectral_data_sweeps_each_eigenfunction_once(rng, monkeypatch):
@@ -464,7 +464,7 @@ def test_phi_at_matches_mpmath_left_of_the_peak():
                 m = _generator_measure(rng, n)
                 for lam in eigenvalues(m):
                     lam_mp = mpmath.findroot(lambda z: _w_mpmath(mpmath, m, z), mpmath.mpf(lam))
-                    vals = _phi_atoms(m, lam)
+                    vals = _eigenfunction(m, lam)[0]
                     xs = _phi_test_points(m)
                     ref = [_phi_plus_mpmath(mpmath, m, lam_mp, mpmath.mpf(x)) for x in xs]
                     top = max(abs(r) for r in ref)

@@ -247,9 +247,22 @@ def test_residue_sum_square_underflow_is_a_numerical_error():
 
 
 def test_verify_rejects_a_spectrum_of_another_size():
-    from peakons.inverse import _verify
+    from peakons.forward import _resolve
 
-    sd = SpectralData((-1.5, 0.5, 2.0), (0.7, 1.3, 0.4))
     m = validate([(0.0, 2.0, 0.0)])  # one eigenvalue, not three
     with pytest.raises(NumericalError, match="1 eigenvalues, expected 3"):
-        _verify(sd, m, DEFAULT)
+        _resolve(m, (-1.5, 0.5, 2.0), DEFAULT)
+
+
+def test_resolve_rejects_an_eigenvalue_outside_tol_inv():
+    from peakons.forward import _resolve
+
+    m = validate([(0.0, 2.0, 0.0), (1.0, 0.5, 0.0)])
+    lams = spectral_data(m).eigenvalues
+    sd, atoms = _resolve(m, lams, DEFAULT)
+    assert sd == spectral_data(m) and len(atoms) == 2
+    off = (lams[0], lams[1] * (1.0 + 1e-5))
+    with pytest.raises(NumericalError, match=f"eigenvalue {off[1]} reproduced as {lams[1]}"):
+        _resolve(m, off, DEFAULT)
+    tight = DEFAULT.with_overrides(inv=0.0)
+    _resolve(m, lams, tight)  # exactly reproduced
