@@ -3,7 +3,10 @@
 The CLI can override every field of Tolerances (--tol.<name>).  Not every
 numerical threshold is one: forward._coefficients' 1e-8 gap floor, the two
 1e-8 tests of ratfun._pf_neg_reciprocal, cf_expand's 1e-6 remainder test
-and ratfun's 1e-280/1e-250 zero-search floors are fixed in the code.
+and ratfun's 1e-280/1e-250 zero-search floors are fixed in the code, and so
+are forward._newton's cap of _NEWTON_STEPS = 40 steps per root and its stop
+rule, a step of at most _NEWTON_ULPS = 2 ulps; neither moves an eigenvalue,
+only the number of counts it takes.
 """
 
 from __future__ import annotations

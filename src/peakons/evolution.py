@@ -51,23 +51,25 @@ def evolve_spectral(fs: FlowState, t: float) -> SpectralData:
 
 
 def measure_at(fs: FlowState, t: float, tol: Tolerances = DEFAULT) -> PeakonMeasure:
-    """The measure at time t, reconstructed once per t; a failure is cached too."""
+    """The measure at time t, reconstructed once per t and tol; a failure is cached too."""
     return _reconstruction(fs, t, tol)[0]
 
 
 def _reconstruction(fs: FlowState, t: float, tol: Tolerances):
-    """(m, routes) at t, cached: inverse._reconstruct and the trace routes of solution_at."""
-    if t not in fs._cache:
+    """(m, routes) at t, cached per (t, tol): inverse._reconstruct and the
+    trace routes of solution_at."""
+    key = (t, tol)
+    if key not in fs._cache:
         try:
             sd = evolve_spectral(fs, t)
             m, back, atoms = inverse._reconstruct(sd, tol)
         except PeakonError as exc:
             # a copy of the cause holds no traceback or chain: no solver frame stays alive
-            fs._cache[t] = (type(exc), exc.args, copy.copy(exc.__cause__))
+            fs._cache[key] = (type(exc), exc.args, copy.copy(exc.__cause__))
             raise
         ws = [k * lam for lam, k in zip(back.eigenvalues, sd.norming)]  # sd's kappa, not back's
-        fs._cache[t] = (m, list(zip(atoms, ws)))
-    out = fs._cache[t]
+        fs._cache[key] = (m, list(zip(atoms, ws)))
+    out = fs._cache[key]
     if isinstance(out[0], type):
         cls, args, cause = out
         raise cls(*args) from cause

@@ -42,11 +42,18 @@ Eigenvalue Problem, sec. 3), and counts the negative ones; no Q_i and no
 coefficient of Q_n in z is ever formed, so the count cannot overflow.
 eigenvalues builds the rows once for every Sturm count of its bracket and
 bisection, counts each distinct z once per call, bisects every root down to
-two adjacent floats and certifies each final bracket by its count.  Given
-guesses (near=, as _resolve passes the eigenvalues a reconstruction
-was built from), a root starts from a node of that bisection a few ulps
-wide around its guess when the count certifies it, and ends on the same
-two floats.
+two adjacent floats and certifies each final bracket by its count.  Each
+root is guessed, certified and bisected, or falls back:
+
+- guess: the caller's (near=, as _resolve passes the eigenvalues a
+  reconstruction was built from), or else _newton's.  _newton starts once
+  the cold bisection has isolated the root and takes safeguarded Newton
+  steps on log Q_n, each by one _count_slope pass, which forms _count's
+  pivots and count bit for bit and sums d_i'/d_i as well;
+- certify: _warm_bracket takes the node of the cold bisection a few ulps
+  wide around the guess when the count certifies it, and the root ends on
+  the floats the cold bisection gives;
+- fall back: a guess that is not certified bisects from the cold bracket.
 
 weyl folds M_+ or M_- from its Stieltjes continued fraction in pole-residue
 form, the exact inverse of inverse.measure_from_weyl.
@@ -289,6 +296,28 @@ def _count(rows: list, z: float) -> int:
     return count
 
 
+def _count_slope(rows: list, z: float) -> tuple[int, float]:
+    """(_count(rows, z), Q_n'(z)/Q_n(z)) in one pass over the rows.
+
+    The pivots and the count are formed exactly as in _count.  The slope of
+    log|Q_n| is the sum of d_i'/d_i, with d_i' = -(w + 2 v z) +
+    a_{i-1}^2 d_{i-1}'/d_{i-1}^2 and d_0' = 0; it is carried as the ratios
+    r_i = d_i'/d_i, so the only divisor is a pivot, never zero, and the pass
+    cannot raise.  A slope out of float range comes back inf or nan.
+    """
+    count, d, r, slope = 0, 1.0, 0.0, 0.0
+    for a2, b, w, v in rows:
+        dd = a2 * r / d - (w + 2.0 * v * z)
+        d = (b - w * z - v * z * z) - a2 / d
+        if d < 0.0:
+            count += 1
+        elif d == 0.0:
+            d = _TINY
+        r = dd / d
+        slope += r
+    return count, slope
+
+
 def eigenvalues(
     m: PeakonMeasure, tol: Tolerances = DEFAULT, *, near=None
 ) -> list[float]:
@@ -303,11 +332,14 @@ def eigenvalues(
     float can both round to it, so equal midpoints raise NonConverged.  The
     count needs no tolerance; tol is accepted for a uniform signature.
 
-    The bracket is [0, +-bound], with the bound doubled from 1 until both
-    ladders are complete, unless near (ascending guesses, say a spectrum
-    known to within rounding) gives root k a guess g and _warm_bracket
-    certifies a narrow node of that same bisection around g.  A guess
-    therefore changes only the number of counts, not the result.
+    The cold bracket is [0, +-bound], with the bound doubled from 1 until
+    both ladders are complete.  Every root starts from a guess g instead:
+    near's (ascending guesses, say a spectrum known to within rounding), or
+    else _newton's, run once the cold bisection has isolated root k.
+    _warm_bracket then certifies a narrow node of that same bisection
+    around g, and a guess it does not certify falls back to the cold
+    bracket.  A guess therefore changes only the number of counts, not the
+    result.
     """
     n_v, n_plus, n_minus = counts(m)
     rows = _rows(m)
@@ -318,36 +350,43 @@ def eigenvalues(
             memo[z] = _count(rows, z)
         return memo[z]
 
+    def bisect(lo, hi, k, isolate):
+        """(lo, hi) bisected down to two adjacent floats, or with isolate only
+        until it holds the k-th root alone; count(hi) >= k > count(lo) throughout."""
+        while not (isolate and count(hi) - count(lo) == 1):
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break
+            if count(mid) >= k:
+                hi = mid
+            else:
+                lo = mid
+        return lo, hi
+
     bound = None
 
-    def cold_bound():
-        b = 1.0
-        while count(b) < n_v + n_plus or count(-b) < n_v + n_minus:
-            if b > 1e300:
-                raise NonConverged("could not bracket the spectrum")
-            b *= 2.0
-        return b
+    def cold(sign):
+        nonlocal bound
+        if bound is None:
+            bound = 1.0
+            while count(bound) < n_v + n_plus or count(-bound) < n_v + n_minus:
+                if bound > 1e300:
+                    raise NonConverged("could not bracket the spectrum")
+                bound *= 2.0
+        return 0.0, sign * bound
 
     guesses = [] if near is None else [float(g) for g in near]
     out = []
     for sign, total in ((1.0, n_v + n_plus), (-1.0, n_v + n_minus)):
         ladder = sorted((g for g in guesses if sign * g > 0.0), key=abs)
         for k in range(1, total + 1):
-            warm = _warm_bracket(count, ladder[k - 1], k) if k <= len(ladder) else None
-            if warm is None:
-                if bound is None:
-                    bound = cold_bound()
-                warm = (0.0, sign * bound)
-            lo, hi = warm
-            # invariant: count(hi) >= k > count(lo); the boundary is the k-th root
-            while True:
-                mid = 0.5 * (lo + hi)
-                if mid == lo or mid == hi:
-                    break
-                if count(mid) >= k:
-                    hi = mid
-                else:
-                    lo = mid
+            if k <= len(ladder):
+                g = ladder[k - 1]
+            else:
+                lo, hi = bisect(*cold(sign), k, True)
+                g = _newton(rows, memo, k, lo, hi) if count(hi) - count(lo) == 1 else None
+            warm = None if g is None else _warm_bracket(count, g, k)
+            lo, hi = bisect(*(warm or cold(sign)), k, False)
             if count(hi) - count(lo) != 1:
                 raise NonConverged(f"no single eigenvalue certified in [{lo}, {hi}]")
             out.append(0.5 * (lo + hi))
@@ -356,6 +395,38 @@ def eigenvalues(
         if x == y:
             raise NonConverged(f"two eigenvalues share the float {x}")
     return out
+
+
+_NEWTON_STEPS = 40  # cap on _newton's steps per root
+_NEWTON_ULPS = 2.0  # _newton stops on a step this many ulps long or shorter
+
+
+def _newton(rows: list, memo: dict, k: int, lo: float, hi: float) -> float:
+    """A guess at root k of Q_n inside (lo, hi), which holds it alone.
+
+    Safeguarded Newton steps on log Q_n from the midpoint, each by one
+    _count_slope pass: its count goes into memo and narrows the bracket,
+    and a step that leaves the bracket, or a zero or non-finite slope,
+    takes the bracket's midpoint instead.  Stops after a step of at most
+    _NEWTON_ULPS ulps, or after _NEWTON_STEPS steps.
+    """
+    z = 0.5 * (lo + hi)
+    for _ in range(_NEWTON_STEPS):
+        c, slope = _count_slope(rows, z)
+        memo[z] = c
+        if c >= k:
+            hi = z
+        else:
+            lo = z
+        step = 1.0 / slope if slope != 0.0 and math.isfinite(slope) else math.nan
+        if abs(step) <= _NEWTON_ULPS * math.ulp(z):
+            return z - step
+        z -= step
+        if not min(lo, hi) < z < max(lo, hi):
+            z = 0.5 * (lo + hi)
+            if z == lo or z == hi:  # two adjacent floats
+                return z
+    return z
 
 
 _WARM_ULPS = 64.0      # first width of a warm bracket, in ulps of the guess

@@ -13,7 +13,8 @@ import pytest
 from numpy.polynomial import polynomial as npp
 
 from peakons import NonConverged, validate
-from peakons.forward import _coefficients, _rows
+from peakons.forward import _coefficients, _count, _rows
+from peakons.measures import counts
 
 
 @dataclass(frozen=True)
@@ -51,6 +52,50 @@ def build_pencil(m):
     except np.linalg.LinAlgError as exc:
         raise NonConverged("pencil J block is not positive definite") from exc
     return Pencil(J, D)
+
+
+def bisect_eigenvalues(m):
+    """All eigenvalues by the plain Sturm-count bisection; oracle only.
+
+    Every root bisects from the cold bracket [0, +-bound] down to two
+    adjacent floats, with no guess.  forward.eigenvalues must return these
+    very floats, or raise the same exception type.
+    """
+    n_v, n_plus, n_minus = counts(m)
+    rows = _rows(m)
+    memo = {}
+
+    def count(z):
+        if z not in memo:
+            memo[z] = _count(rows, z)
+        return memo[z]
+
+    b = 1.0
+    while count(b) < n_v + n_plus or count(-b) < n_v + n_minus:
+        if b > 1e300:
+            raise NonConverged("could not bracket the spectrum")
+        b *= 2.0
+    out = []
+    for sign, total in ((1.0, n_v + n_plus), (-1.0, n_v + n_minus)):
+        for k in range(1, total + 1):
+            lo, hi = 0.0, sign * b
+            # invariant: count(hi) >= k > count(lo); the boundary is the k-th root
+            while True:
+                mid = 0.5 * (lo + hi)
+                if mid == lo or mid == hi:
+                    break
+                if count(mid) >= k:
+                    hi = mid
+                else:
+                    lo = mid
+            if count(hi) - count(lo) != 1:
+                raise NonConverged(f"no single eigenvalue certified in [{lo}, {hi}]")
+            out.append(0.5 * (lo + hi))
+    out.sort()
+    for x, y in zip(out, out[1:]):
+        if x == y:
+            raise NonConverged(f"two eigenvalues share the float {x}")
+    return out
 
 
 def ladder_rank(lams, i):

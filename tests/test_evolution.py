@@ -60,6 +60,17 @@ def test_measure_at_caches():
     assert measure_at(fs, 0.5) is measure_at(fs, 0.5)
 
 
+def test_measure_at_caches_per_tolerances():
+    # an eigenvalue comes back 1 ulp off, which inv = 0 rejects; the cache once
+    # returned that failure under the default tolerances too
+    fs = FlowState.from_measure(validate([(0.0, 1.5, 0.0), (1.0, 0.7, 0.0), (2.5, 1.1, 0.0)]))
+    with pytest.raises(Infeasible):
+        measure_at(fs, 3.0, DEFAULT.with_overrides(inv=0.0))
+    assert measure_at(fs, 3.0).n == 3
+    with pytest.raises(Infeasible):
+        measure_at(fs, 3.0, DEFAULT.with_overrides(inv=0.0))
+
+
 # ------------------------------------------------------------------ single peakon
 
 def test_single_peakon_travels_at_its_height():

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npp
 
+import peakons.forward as forward
 from conftest import (
+    bisect_eigenvalues,
     build_pencil,
     dense_eigenvalues,
     ladder_rank,
@@ -33,6 +35,7 @@ from peakons import (
 from peakons.forward import (
     _coefficients,
     _count,
+    _count_slope,
     _eigenfunction,
     _phi_at,
     _rows,
@@ -236,10 +239,119 @@ def test_eigenvalues_reach_large_n(n):
             assert x == pytest.approx(y, rel=1e-12)
 
 
+def _same_as_bisection(m):
+    """eigenvalues(m) and the plain bisection give the same floats or the same exception type."""
+    def run(solve):
+        try:
+            return solve(m)
+        except Exception as exc:  # compared by type below
+            return type(exc)
+
+    mine, ref = run(eigenvalues), run(bisect_eigenvalues)
+    assert mine == ref, (m.points, mine, ref)
+    return mine
+
+
+def _spread_measure(rng, n, width):
+    """Generator weights on n atoms spread evenly over a support width wide."""
+    m = _generator_measure(rng, n)
+    xs = np.linspace(-width / 2.0, width / 2.0, n) + rng.uniform(-0.1, 0.1, n)
+    return validate(list(zip(xs.tolist(), m.omega, m.vee)))
+
+
+def test_eigenvalues_are_the_bisection_s_floats_on_generator_measures():
+    # Newton guides each cold root to a node of the bisection: the floats cannot move
+    rng = np.random.default_rng(16)
+    for n in range(2, 65):
+        assert isinstance(_same_as_bisection(_generator_measure(rng, n)), list)
+
+
+@pytest.mark.parametrize("shift", [-1e4, -300.0, 1e3, 5e4])
+def test_eigenvalues_are_the_bisection_s_floats_far_from_the_origin(shift):
+    rng = np.random.default_rng(17)
+    for n in (2, 5, 9, 16):
+        m = _generator_measure(rng, n)
+        _same_as_bisection(validate([(x + shift, w, v) for x, w, v in zip(m.points, m.omega, m.vee)]))
+
+
+@pytest.mark.parametrize("width", [100.0, 180.0, 300.0])
+def test_eigenvalues_are_the_bisection_s_floats_on_wide_supports(width):
+    rng = np.random.default_rng(int(width))
+    for n in (2, 3, 4, 6, 9, 12):
+        _same_as_bisection(_spread_measure(rng, n, width))
+
+
 def test_eigenvalues_sharing_a_float_raise_non_converged():
     # the two roots straddle 1.0 and both brackets' midpoints round to it
+    m = validate([(0.0, 1.0, 0.0), (75.0, 1.0, 0.0)])
     with pytest.raises(NonConverged, match=r"share the float 1\.0$"):
-        eigenvalues(validate([(0.0, 1.0, 0.0), (75.0, 1.0, 0.0)]))
+        eigenvalues(m)
+    assert _same_as_bisection(m) is NonConverged
+
+
+# gap 117: the squared pivot at z = 1/79.2 underflows, and d_1'/d_1^2 would divide by zero
+UNDERFLOW_TRIPLES = [(-91.32, -0.0125, 0.0), (25.934, 79.2, 0.0)]
+
+
+def test_count_slope_never_raises_where_a_squared_pivot_underflows():
+    m = validate(UNDERFLOW_TRIPLES)
+    rows = _rows(m)
+    z = 0.012626262626262626  # 1 - 79.2 z == 0: the first pivot is exactly zero
+    assert rows[0][1] - rows[0][2] * z == 0.0
+    c, slope = _count_slope(rows, z)
+    assert c == _count(rows, z) and not math.isfinite(slope)
+    assert eigenvalues(m) == [-80.0, 0.012626262626262624] == bisect_eigenvalues(m)
+
+
+def test_count_slope_counts_as_count(rng):
+    for n in (1, 2, 5, 8, 16, 40):
+        m = _generator_measure(rng, n)
+        rows = _rows(m)
+        lams = eigenvalues(m)
+        zs = [0.0, *lams, *rng.uniform(-3.0, 3.0, 20).tolist()]
+        zs += [lam + d * math.ulp(lam) for lam in lams for d in (-1.0, 1.0)]
+        for z in zs:
+            assert _count_slope(rows, z)[0] == _count(rows, z)
+
+
+def test_count_slope_is_the_log_derivative_of_the_pencil_determinant(rng):
+    # d/dz log|det(J - z D)| = -trace((J - z D)^{-1} D), and det(J - z D) = Q_n(z)
+    for n in (1, 2, 4, 7, 12):
+        m = _generator_measure(rng, n)
+        p = build_pencil(m)
+        lams = dense_eigenvalues(m)
+        ends = [2.0 * lams[0], *lams, 2.0 * lams[-1]]
+        zs = [0.0] + [0.5 * (a + b) for a, b in zip(ends, ends[1:]) if a * b > 0.0]
+        rows = _rows(m)
+        for z in zs:
+            ref = -np.trace(np.linalg.solve(p.J - z * p.D, p.D))
+            assert _count_slope(rows, z)[1] == pytest.approx(ref, rel=1e-9, abs=1e-12)
+
+
+def test_cold_eigenvalues_stay_within_their_pivot_pass_budget(monkeypatch):
+    # plain bisection makes about 51 passes per root at n = 16
+    passes = []
+    for name in ("_count", "_count_slope"):
+        fn = getattr(forward, name)
+        monkeypatch.setattr(forward, name, lambda rows, z, fn=fn: passes.append(z) or fn(rows, z))
+    rng = np.random.default_rng(24)
+    roots = 0
+    for _ in range(10):
+        roots += len(eigenvalues(_generator_measure(rng, 16)))
+    assert len(passes) <= 24 * roots
+
+
+@pytest.mark.parametrize("guess", [
+    lambda rows, memo, k, lo, hi: None,
+    lambda rows, memo, k, lo, hi: 2.0 * hi,  # outside the root's bracket
+    lambda rows, memo, k, lo, hi: lo + 0.25 * (hi - lo),  # inside, on no root
+], ids=["none", "outside", "off_root"])
+def test_an_uncertified_newton_guess_falls_back_to_the_same_floats(guess, monkeypatch):
+    rng = np.random.default_rng(25)
+    ms = [_generator_measure(rng, n) for n in (1, 3, 8, 16)] + [validate(UNDERFLOW_TRIPLES)]
+    monkeypatch.setattr(forward, "_newton", guess)
+    for m in ms:
+        _same_as_bisection(m)
 
 
 # 8 atoms, half with v: the benchmark generator's measure_triples(sub_rng(11, 5, 2, 8), 8)

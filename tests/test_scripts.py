@@ -1,4 +1,4 @@
-"""Smoke test of the demo scripts: each runs on a small input and exits 0."""
+"""Smoke test of the scripts: each runs on a small input and exits 0."""
 
 import os
 import subprocess
@@ -16,11 +16,22 @@ ROOT = Path(__file__).resolve().parent.parent
     ["theta_family.py", "--thetas", "0.3", "0.7"],
 ], ids=lambda argv: argv[0])
 def test_script_runs(argv, tmp_path):
+    proc = _run(argv, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_bitident_finds_a_build_identical_to_itself(tmp_path):
+    src = str(ROOT / "src")
+    proc = _run(["bitident.py", src, src, "--workloads", "roundtrip", "--seeds", "11"], tmp_path)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "roundtrip seed 11: 0 of 144 ops differ" in proc.stdout
+
+
+def _run(argv, cwd):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     env.pop("PEAKON_CONFIG", None)
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=60,
     )
-    assert proc.returncode == 0, proc.stderr
