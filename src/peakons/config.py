@@ -4,9 +4,12 @@ The CLI can override every field of Tolerances (--tol.<name>).  Not every
 numerical threshold is one: forward._coefficients' 1e-8 gap floor, the two
 1e-8 tests of ratfun._pf_neg_reciprocal, cf_expand's 1e-6 remainder test
 and ratfun's 1e-280/1e-250 zero-search floors are fixed in the code, and so
-are forward._newton's cap of _NEWTON_STEPS = 40 steps per root and its stop
-rule, a step of at most _NEWTON_ULPS = 2 ulps; neither moves an eigenvalue,
-only the number of counts it takes.
+are forward._newton's cap of _NEWTON_STEPS = 40 steps per root, its stop
+rule, a step of at most _NEWTON_ULPS = 2 ulps, and forward._warm_bracket's
+node widths (_WARM_ULPS, _WARM_WIDEN, _WARM_TRIES); none of them moves an
+eigenvalue, only the number of counts it takes.  forward._eigenfunction's
+twisted null vector adds no threshold: its twist is the row of least
+residual, and a zero pivot becomes the least positive float, as in the count.
 """
 
 from __future__ import annotations

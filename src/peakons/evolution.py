@@ -56,8 +56,8 @@ def measure_at(fs: FlowState, t: float, tol: Tolerances = DEFAULT) -> PeakonMeas
 
 
 def _reconstruction(fs: FlowState, t: float, tol: Tolerances):
-    """(m, routes) at t, cached per (t, tol): inverse._reconstruct and the
-    trace routes of solution_at."""
+    """(m, atoms, ws) at t, cached per (t, tol): inverse._reconstruct, and for
+    solution_at's trace route m's values at the atoms and kappa_i lambda_i."""
     key = (t, tol)
     if key not in fs._cache:
         try:
@@ -68,7 +68,7 @@ def _reconstruction(fs: FlowState, t: float, tol: Tolerances):
             fs._cache[key] = (type(exc), exc.args, copy.copy(exc.__cause__))
             raise
         ws = [k * lam for lam, k in zip(back.eigenvalues, sd.norming)]  # sd's kappa, not back's
-        fs._cache[key] = (m, list(zip(atoms, ws)))
+        fs._cache[key] = (m, atoms, ws)
     out = fs._cache[key]
     if isinstance(out[0], type):
         cls, args, cause = out
@@ -87,14 +87,14 @@ def solution_at(
 
     Each u is checked against the trace route 1/2 sum phi_i(x)^2/(kappa_i
     lambda_i), with m's own eigenvalues and values at the atoms from
-    inverse._reconstruct (phi_i read anywhere by forward._phi_at) over the
-    flow's evolved kappa_i, so it also checks m's kappa against the flow's.
+    inverse._reconstruct (every phi_i read at x by one forward._phi_at) over
+    the flow's evolved kappa_i, so it also checks m's kappa against the flow's.
     """
-    m, routes = _reconstruction(fs, t, tol)
+    m, atoms, ws = _reconstruction(fs, t, tol)
     us = []
     for x in xs:
         u = _kernel_u(m, x)
-        trace = 0.5 * sum(forward._phi_at(m, vals, x) ** 2 / w for vals, w in routes)
+        trace = 0.5 * sum(p * p / w for p, w in zip(forward._phi_at(m, atoms, x), ws))
         if abs(u - trace) > tol.trace * max(1.0, abs(u)):
             raise TraceMismatch(f"u routes disagree at x={x}, t={t}: {u} vs {trace}")
         us.append(u)

@@ -7,35 +7,28 @@ are left-continuous.  phi_plus decays like e^{-x/2} at +inf, phi_minus
 like e^{x/2} at -inf; their Wronskian W(z) is a polynomial whose zeros
 are the eigenvalues.
 
-Every shooting solution comes from one gap-transfer walk, _shoot:
-
-- the side picks the direction: "plus" walks right to left from beyond
-  the support and includes the jump at x, "minus" walks left to right and
-  crosses only the atoms strictly below x; the side fixes the seed, the
-  sign of sinh on the gaps and the sign of the jump;
-- an optional record list receives phi at each crossed atom, before its
-  jump (the one-pass sweeps over the support, _sweep);
-- z is a float, or a complex number for weyl's check off the real axis.
-
-_eigenfunction reads an eigenfunction once, by one plus and one minus
-sweep and one peak pick: the sweeps merged at the peak atom give phi at
-the atoms with no value from a sweep that rode its growing mode, and
-c_lam = phi_minus/phi_plus is read at that atom.  The norming constant
-kappa = lam sum phi^2 (omega + 2 lam v) (_norming) comes from those same
-atom values.  _spectral returns the spectral data with them: the CLI
-forward command and interior_data take them directly, and the inverse,
-interior branches and the flow's trace route through _resolve, which also
-checks that a reconstruction reproduces its eigenvalues.  _phi_at gives
-phi anywhere from them.
+The determinant recursion Q_0..Q_n runs over rows (a_{i-1}^2, b_{i-1}, w, v)
+that depend on the measure alone, in reversed support order: the rows of
+T(z) = tridiag(-a, b - w z - v z^2, -a), whose determinant Q_n(z) is W(z)
+up to a positive factor.  At an eigenvalue the null vector of T is phi_plus
+at the atoms up to a constant, and _eigenfunction reads it once, as the
+twisted null vector of Parlett & Dhillon (Linear Algebra Appl. 267 (1997)):
+pivots top-down, as _count forms them, and bottom-up, joined at the row of
+least residual.  phi is scaled to e^{-x_n/2} at x_n, as phi_plus is right of
+the support, and c_lam = phi_minus/phi_plus = e^{x_1/2}/phi(x_1).
 
 W(0) = 1 and W vanishes on the spectrum, so W'(lam_i) = -(1/lam_i)
 prod_{j != i}(1 - lam_i/lam_j) (_wdot), with no shooting and no cancelling
-sum.  spectral_data checks it against -c_lam kappa/lam; the inverse divides
-by its square.  A seed, cosh or sinh out of float range raises
-NumericalError.
+sum; kappa = -lam W'(lam)/c_lam is consistent with the W' the inverse
+divides by, and _spectral checks it against the atom sum
+lam sum phi^2 (omega + 2 lam v).  _spectral returns the spectral data with
+the atom values: the CLI forward command and interior_data take them
+directly, and the inverse, interior branches and the flow's trace route
+through _resolve, which also checks that a reconstruction reproduces its
+eigenvalues.  _phi_at reads every eigenfunction at a point from them.  A
+seed, cosh or sinh out of float range raises NumericalError; _shoot, the
+gap-transfer walk, serves only weyl's check off the real axis.
 
-The determinant recursion Q_0..Q_n runs over rows (a_{i-1}^2, b_{i-1}, w, v)
-that depend on the measure alone; Q_n(z) is W(z) up to a positive factor.
 _count walks the rows at a number z in ratio form, the pivots
 d_i = Q_i(z)/Q_{i-1}(z) of an LDL^T factorisation (Parlett, The Symmetric
 Eigenvalue Problem, sec. 3), and counts the negative ones; no Q_i and no
@@ -51,8 +44,8 @@ root is guessed, certified and bisected, or falls back:
   steps on log Q_n, each by one _count_slope pass, which forms _count's
   pivots and count bit for bit and sums d_i'/d_i as well;
 - certify: _warm_bracket takes the node of the cold bisection a few ulps
-  wide around the guess when the count certifies it, and the root ends on
-  the floats the cold bisection gives;
+  wide around the guess, or its neighbour, when the count certifies it,
+  and the root ends on the floats the cold bisection gives;
 - fall back: a guess that is not certified bisects from the cold bracket.
 
 weyl folds M_+ or M_- from its Stieltjes continued fraction in pole-residue
@@ -148,13 +141,8 @@ class InteriorData:
 
 # ------------------------------------------------------------------- shooting
 
-def _shoot(m: PeakonMeasure, z: complex, x: float, side: str, record: list | None = None):
-    """(phi, phi') of phi_side at x, phi' left-continuous; see the module doc.
-
-    z is real for the eigenfunction sweeps; a complex z serves only weyl's
-    check off the real axis.  With a record list, record[j] = phi(x_j) for
-    every crossed atom j.
-    """
+def _shoot(m: PeakonMeasure, z: complex, x: float, side: str):
+    """(phi, phi') of phi_side at x, phi' left-continuous; see the module doc."""
     # sgn is the sign of sinh on the gaps; the jump enters with -sgn
     k = bisect_left(m.points, x)  # atoms k.. lie at or above x
     if side == "plus":
@@ -171,8 +159,6 @@ def _shoot(m: PeakonMeasure, z: complex, x: float, side: str, record: list | Non
             phi, dphi = phi * c + 2.0 * dphi * s, dphi * c + 0.5 * phi * s
             if j is None:
                 return phi, dphi
-            if record is not None:
-                record[j] = phi
             w, v = m.omega[j], m.vee[j]
             dphi -= sgn * ((z * w + z * z * v) * phi)
             cur = xi
@@ -180,55 +166,62 @@ def _shoot(m: PeakonMeasure, z: complex, x: float, side: str, record: list | Non
         raise NumericalError(f"phi_{side} overflows on its way to {x}") from exc
 
 
-def _sweep(m: PeakonMeasure, z: float, side: str) -> list[float]:
-    """phi_side(z, x_j) for every support point, one pass."""
-    vals = [0.0] * m.n
-    _shoot(m, z, m.points[0] if side == "plus" else m.points[-1] + 1.0, side, vals)
-    return vals
+def _eigenfunction(m: PeakonMeasure, lam: float, rows: list) -> tuple[list[float], float]:
+    """(phi_plus at the atoms, c_lam) for an eigenvalue lam of m, rows = _rows(m).
 
-
-def _eigenfunction(m: PeakonMeasure, lam: float) -> tuple[list[float], float]:
-    """(phi_plus at the atoms, c_lam) for an eigenvalue lam, one pass.
-
-    Left of its peak phi_plus decays toward the left while rounding rides
-    the growing mode of the plus sweep, so the two sweeps are merged at the
-    peak atom (the largest |phi_plus|): plus values from the peak on, and
-    left of it the minus values scaled to phi_plus at the peak.  c_lam is
-    phi_minus/phi_plus at that atom.
+    The twisted null vector u of T(lam) (see the module doc): pivots D+ and
+    D-, a zero one made _TINY, and u_r = 1 at r = argmin |D+_r + D-_r - T_rr|.
     """
-    plus = _sweep(m, lam, "plus")
-    minus = _sweep(m, lam, "minus")
-    top = max(range(m.n), key=lambda k: abs(plus[k]))
-    if plus[top] == 0.0:
-        raise NumericalError(f"phi_plus underflows at every atom for eigenvalue {lam}")
-    if minus[top] == 0.0:
-        raise ConsistencyFail(f"phi_minus vanishes at the peak atom for eigenvalue {lam}")
-    s = plus[top] / minus[top]
-    return [s * p for p in minus[:top]] + plus[top:], minus[top] / plus[top]
+    n = len(rows)
+    diag = [b - w * lam - v * lam * lam for _, b, w, v in rows]
+    plus, d = [], 1.0
+    for (a2, _, _, _), t in zip(rows, diag):  # top-down, as _count forms it
+        d = (t - a2 / d) or _TINY
+        plus.append(d)
+    minus, d, a2 = [0.0] * n, 1.0, 0.0
+    for i in range(n - 1, -1, -1):  # bottom-up; a2 couples row i to row i + 1
+        d = (diag[i] - a2 / d) or _TINY
+        minus[i], a2 = d, rows[i][0]
+    r = min(range(n), key=lambda i: abs(plus[i] + minus[i] - diag[i]))
+    u = [0.0] * n
+    u[r] = 1.0
+    for i in range(r - 1, -1, -1):  # above the twist: u_i = a_{i+1} u_{i+1}/D+_i
+        u[i] = math.sqrt(rows[i + 1][0]) * u[i + 1] / plus[i]
+    for i in range(r + 1, n):  # below it: u_i = a_i u_{i-1}/D-_i
+        u[i] = math.sqrt(rows[i][0]) * u[i - 1] / minus[i]
+    try:  # row 0 is atom n, where phi_plus = e^{-x_n/2}
+        s = math.exp(-m.points[-1] / 2.0) / u[0]
+        vals = [s * p for p in reversed(u)]
+        c_lam = math.exp(m.points[0] / 2.0) / vals[0]
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise NumericalError(f"the eigenfunction of {lam} leaves float range") from exc
+    if not 0.0 < abs(c_lam) < math.inf:
+        raise NumericalError(f"c_lam = {c_lam} out of float range for eigenvalue {lam}")
+    return vals, c_lam
 
 
-def _phi_at(m: PeakonMeasure, vals: list[float], x: float) -> float:
-    """phi(x) of an eigenfunction from its values vals at the atoms (_eigenfunction).
+def _phi_at(m: PeakonMeasure, atoms: list, x: float) -> list[float]:
+    """phi(x) of every eigenfunction from its values at the atoms (_eigenfunction).
 
-    On a gap phi = A e^{x/2} + B e^{-x/2} through the two neighbouring atom
-    values p and q; with l and r the distances to them and g = l + r,
-    phi = (p sinh(r/2) + q sinh(l/2))/sinh(g/2), written with e^{-l/2},
-    e^{-r/2} and expm1 so that no gap overflows.  Outside the support an
-    eigenfunction is e^{x/2} or e^{-x/2} times a constant, so phi decays
-    from the end atom.
+    One gap lookup serves them all.  On a gap phi = A e^{x/2} + B e^{-x/2}
+    through the two neighbouring atom values p and q; with l and r the
+    distances to them and g = l + r, phi = (p sinh(r/2) + q sinh(l/2))/sinh(g/2),
+    written with e^{-l/2}, e^{-r/2} and expm1 so that no gap overflows.
+    Outside the support an eigenfunction is e^{x/2} or e^{-x/2} times a
+    constant, so phi decays from the end atom.
     """
     pts = m.points
     k = bisect_left(pts, x)  # atoms k.. lie at or above x
     if k < m.n and pts[k] == x:
-        return vals[k]
-    if k == 0:
-        return vals[0] * math.exp((x - pts[0]) / 2.0)
-    if k == m.n:
-        return vals[-1] * math.exp((pts[-1] - x) / 2.0)
+        return [vals[k] for vals in atoms]
+    if k == 0 or k == m.n:  # outside the support
+        end = 0 if k == 0 else -1
+        e = math.exp(-abs(x - pts[end]) / 2.0)
+        return [vals[end] * e for vals in atoms]
     l, r = x - pts[k - 1], pts[k] - x
     den = math.expm1(pts[k - 1] - pts[k])
-    return (vals[k - 1] * math.exp(-l / 2.0) * math.expm1(-r)
-            + vals[k] * math.exp(-r / 2.0) * math.expm1(-l)) / den
+    cl, cr = math.exp(-l / 2.0) * math.expm1(-r), math.exp(-r / 2.0) * math.expm1(-l)
+    return [(vals[k - 1] * cl + vals[k] * cr) / den for vals in atoms]
 
 
 def _wdot(lams: list[float], i: int) -> float:
@@ -438,13 +431,13 @@ def _warm_bracket(count, g: float, k: int) -> tuple[float, float] | None:
     """(lo, hi) holding the guess g with count(lo) < k <= count(hi), or None.
 
     lo is the end nearer 0.  The bracket is the dyadic interval
-    [j w, (j + 1) w], j >= 1, that holds |g|, with w = _WARM_ULPS ulps of g
-    widened _WARM_TRIES - 1 times.  Such an interval is a node of the
-    bisection from [0, +-bound], bound a power of 2, and the only node of
-    its width that the count certifies unless the count is non-monotone
-    over a width w; the cold bisection passes through it, so both end on
-    the same two floats even where the count wobbles within a few ulps of
-    the root.
+    [j w, (j + 1) w], j >= 1, that holds |g|, or its neighbour where its
+    counts put the root, with w = _WARM_ULPS ulps of g widened
+    _WARM_TRIES - 1 times.  Such an interval is a node of the bisection from
+    [0, +-bound], bound a power of 2, and the only node of its width that the
+    count certifies unless the count is non-monotone over a width w; the
+    cold bisection passes through it, so both end on the same two floats
+    even where the count wobbles within a few ulps of the root.
     """
     if not math.isfinite(g):
         return None
@@ -452,6 +445,10 @@ def _warm_bracket(count, g: float, k: int) -> tuple[float, float] | None:
     w = _WARM_ULPS * math.ulp(g)
     for _ in range(_WARM_TRIES):
         j = math.floor(abs(g) / w)
+        if count(sign * j * w) >= k:  # the root lies nearer 0 than g's node
+            j -= 1
+        elif count(sign * (j + 1) * w) < k:  # or beyond it
+            j += 1
         if j < 1:
             return None
         lo, hi = sign * j * w, sign * (j + 1) * w
@@ -465,28 +462,26 @@ def _warm_bracket(count, g: float, k: int) -> tuple[float, float] | None:
 
 # ------------------------------------------------------------- spectral data
 
-def _norming(m: PeakonMeasure, lam: float, vals: list[float]) -> float:
-    g2 = sum(p * p * w for p, w in zip(vals, m.omega))
-    g2 += 2.0 * lam * sum(p * p * v for p, v in zip(vals, m.vee))
-    return lam * g2
-
-
 def spectral_data(m: PeakonMeasure, tol: Tolerances = DEFAULT) -> SpectralData:
     """Eigenvalues and norming constants."""
     return _spectral(m, tol)[0]
 
 
 def _spectral(m: PeakonMeasure, tol: Tolerances, near=None) -> tuple[SpectralData, list]:
-    """(spectral_data, [phi at the atoms for each eigenvalue]), one _eigenfunction pass each."""
+    """(spectral_data, [phi at the atoms for each eigenvalue]), one _eigenfunction each;
+    the atom sum is taken as c_lam phi times phi, in range where phi^2 overflows."""
     lams = eigenvalues(m, tol, near=near)
+    rows = _rows(m)
     kappas, atoms = [], []
     for i, lam in enumerate(lams):
-        vals, c_lam = _eigenfunction(m, lam)
-        kappa = _norming(m, lam, vals)
-        if not 0.0 < kappa < math.inf:
-            raise ConsistencyFail(f"norming constant {kappa} for eigenvalue {lam}")
+        vals, c_lam = _eigenfunction(m, lam, rows)
         lhs = _wdot(lams, i)
-        rhs = -c_lam * (kappa / lam)
+        kappa = -lam * lhs / c_lam
+        rhs = -sum(c_lam * p * p * (w + 2.0 * lam * v) for p, w, v in zip(vals, m.omega, m.vee))
+        if not (0.0 < kappa < math.inf and math.isfinite(rhs)):
+            raise ConsistencyFail(
+                f"norming constant {kappa} (atom-sum W' {rhs}) for eigenvalue {lam}"
+            )
         if abs(lhs - rhs) > tol.cons * max(1.0, abs(lhs), abs(rhs)):
             raise ConsistencyFail(
                 f"Wronskian-derivative route disagrees at {lam}: {lhs} vs {rhs}"
@@ -520,7 +515,7 @@ def _interior(
     m: PeakonMeasure, sd: SpectralData, atoms: list, a: float, tol: Tolerances
 ) -> InteriorData:
     """interior_data for the spectral data sd of m and its atom values atoms (_spectral)."""
-    phis = [_phi_at(m, vals, a) / math.sqrt(k) for vals, k in zip(atoms, sd.norming)]
+    phis = [p / math.sqrt(k) for p, k in zip(_phi_at(m, atoms, a), sd.norming)]
     top = max(abs(p) for p in phis)
     phis = [0.0 if abs(p) <= tol.phi * top else p for p in phis]
     return InteriorData(a, sd.eigenvalues, tuple(phis))
@@ -576,13 +571,12 @@ def weyl(m: PeakonMeasure, a: float, side: str, tol: Tolerances = DEFAULT) -> He
 def eigenfunction_zero_count(m: PeakonMeasure, i: int, tol: Tolerances = DEFAULT) -> int:
     """Zeros of the i-th (ascending-order index) eigenfunction on the line.
 
-    The sign changes of phi along the atoms, read by _eigenfunction so that
-    no value comes from past the peak of a one-sided sweep.  A zero landing on
-    a support point is attributed to the gap on its left.  A genuine zero
-    at an atom crosses, so noise of either sign at a near-zero sample
-    leaves the count unchanged.
+    The sign changes of phi along the atoms, from _eigenfunction's twisted
+    null vector.  A zero landing on a support point is attributed to the gap
+    on its left.  A genuine zero at an atom crosses, so noise of either sign
+    at a near-zero sample leaves the count unchanged.
     """
-    return _zero_count(_eigenfunction(m, eigenvalues(m, tol)[i])[0])
+    return _zero_count(_eigenfunction(m, eigenvalues(m, tol)[i], _rows(m))[0])
 
 
 def _zero_count(vals: list[float]) -> int:

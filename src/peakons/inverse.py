@@ -16,9 +16,10 @@ alpha(a) = 1 - sum phi_i(a)^2 vanishes exactly at a = x_1:
 
 The one reference point is the anchor x_1 - 1.  The reconstruction is
 verified by forward._resolve, which solves its forward problem from
-brackets around the given eigenvalues, and by its norming constants; a
-failure at the anchor is reported as Infeasible, chained to the error of
-the stage that failed.
+brackets around the given eigenvalues, and by its norming constants, each
+within tol.inv of the data relative to itself, however small; a failure
+at the anchor is reported as Infeasible, chained to the error of the stage
+that failed.
 """
 
 from __future__ import annotations
@@ -178,7 +179,7 @@ def _reconstruct(sd: forward.SpectralData, tol: Tolerances):
         back, atoms = forward._resolve(m, sd.eigenvalues, tol)
     except (NumericalError, ValidationError) as exc:
         raise Infeasible(f"no reconstruction at the anchor a = {a}: {exc}") from exc
-    err = max(abs(k - k2) / max(1.0, abs(k)) for k, k2 in zip(sd.norming, back.norming))
+    err = max(abs(k - k2) / k for k, k2 in zip(sd.norming, back.norming))
     if err > tol.inv:
         raise Infeasible(f"the reconstruction at the anchor a = {a} misses the data by {err}")
     return m, back, atoms

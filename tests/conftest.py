@@ -139,6 +139,76 @@ def q_coefficients(m):
     return q
 
 
+class MpForward:
+    """The forward problem of m in mpmath at dps digits; oracle only.
+
+    Independent of the library: phi_plus = e^{-x/2} right of the support is
+    carried right to left across the atoms as A e^{x/2} + B e^{-x/2}, with
+    phi' jumping by (z w + z^2 v) phi at each atom, and W(z) is its B left
+    of the support.  Each eigenvalue is the root of W that findroot reaches
+    from a float eigenvalue, and kappa = lam sum phi_plus^2 (omega + 2 lam v)
+    over the atoms.  Skips the test when mpmath is missing.
+    """
+
+    def __init__(self, m, dps=120):
+        self.mp = pytest.importorskip("mpmath")
+        self.m, self.dps = m, dps
+        with self.mp.workdps(dps):
+            self.atoms = [(x, self.mp.exp(self.mp.mpf(x) / 2), w, v)
+                          for x, w, v in zip(m.points, m.omega, m.vee)][::-1]
+
+    def _digits(self):
+        """At least dps digits, more if the caller works at more (mpmath.diff does)."""
+        return self.mp.workdps(max(self.dps, self.mp.mp.dps))
+
+    def _carry(self, z, x):
+        """(A, B, phi_plus at each atom right of x, right to left) on the gap holding x."""
+        A, B, vals = self.mp.mpf(0), self.mp.mpf(1), []
+        for xj, e, w, v in self.atoms:
+            if x >= xj:
+                break
+            phi, dphi = A * e + B / e, (A * e - B / e) / 2
+            vals.append(phi)
+            dphi += (z * w + z * z * v) * phi
+            A, B = (phi + 2 * dphi) / (2 * e), e * (phi - 2 * dphi) / 2
+        return A, B, vals
+
+    def w(self, z):
+        with self._digits():
+            return self._carry(z, -self.mp.inf)[1]
+
+    def phi(self, z, x):
+        """phi_plus(z, x)."""
+        with self._digits():
+            A, B, _ = self._carry(z, x)
+            e = self.mp.exp(self.mp.mpf(x) / 2)
+            return A * e + B / e
+
+    def root(self, lam):
+        """The eigenvalue that findroot reaches from the float lam."""
+        with self._digits():
+            # W is far from unit size at large n, so its residual cannot be the stop test
+            x0 = self.mp.mpf(lam)
+            return self.mp.findroot(self.w, (x0, x0 * (1 + self.mp.mpf(2) ** -40)), verify=False)
+
+    def spectral(self, lams):
+        """[(eigenvalue, kappa)] for the roots reached from the floats lams."""
+        out = []
+        for lam in lams:
+            root = self.root(lam)
+            with self._digits():
+                vals = self._carry(root, -self.mp.inf)[2][::-1]
+                kappa = root * sum(p * p * (w + 2 * root * v)
+                                   for p, w, v in zip(vals, self.m.omega, self.m.vee))
+            out.append((root, kappa))
+        return out
+
+
+def rel_err(x, ref):
+    """|x - ref|/|ref| as a float, for a float x against an oracle value."""
+    return float(abs(x - ref) / abs(ref))
+
+
 def random_measure(rng, n=None, signs="mixed", with_v=True, span=4.0):
     """Random valid measure: min gap 0.05, weights bounded away from 0."""
     if n is None:

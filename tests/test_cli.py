@@ -395,21 +395,20 @@ def test_forward_at_matches_the_library_calls(tmp_path, capsys, rng):
         assert out["interior"] == interior_data(m, a).to_json_obj()
 
 
-def test_forward_at_sweeps_each_eigenfunction_once(tmp_path, monkeypatch, capsys):
-    # kappa, the zero counts and --at share one plus and one minus sweep per
-    # eigenvalue, and W' needs no complex shot
+def test_forward_at_reads_each_eigenfunction_once_without_shooting(tmp_path, monkeypatch, capsys):
+    # kappa, the zero counts and --at share one twisted null vector per
+    # eigenvalue, and nothing is shot, real or complex
     from peakons import forward
 
-    sweeps, complex_shots = [], []
-    sweep, shoot = forward._sweep, forward._shoot
-    monkeypatch.setattr(forward, "_sweep", lambda *a: sweeps.append(a) or sweep(*a))
-    monkeypatch.setattr(forward, "_shoot", lambda m, z, *a: (
-        complex_shots.append(z) if isinstance(z, complex) else None) or shoot(m, z, *a))
+    reads, shots = [], []
+    read, shoot = forward._eigenfunction, forward._shoot
+    monkeypatch.setattr(forward, "_eigenfunction", lambda *a: reads.append(a) or read(*a))
+    monkeypatch.setattr(forward, "_shoot", lambda *a: shots.append(a) or shoot(*a))
     f = _measure_file(tmp_path, [(-1.0, 1.0, 0.5), (0.0, -0.7, 0.0), (1.2, 2.0, 0.3)])
     assert main(["forward", f, "--at", "0.5"]) == 0
     n_eig = len(json.loads(capsys.readouterr().out)["eigenvalues"])
-    assert n_eig == 5 and len(sweeps) == 2 * n_eig
-    assert complex_shots == []
+    assert n_eig == 5 and len(reads) == n_eig
+    assert shots == []
 
 
 @pytest.mark.parametrize("command", ["forward", "evolve"])

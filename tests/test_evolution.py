@@ -22,7 +22,7 @@ from peakons import (
     validate,
 )
 
-from conftest import random_measure
+from conftest import MpForward, random_measure, rel_err
 from peakons.evolution import _kernel_u
 
 
@@ -146,26 +146,25 @@ def test_trace_route_holds_far_left_of_the_support():
     assert all(math.isfinite(u) for u in us)
 
 
-def test_trace_route_with_phi_minus_zero_at_the_peak(monkeypatch):
-    # the evaluator's scale phi_plus/phi_minus at the peak atom raises a
-    # PeakonError, not ZeroDivisionError, for every reader of phi; the flow
-    # reads phi once, in the reconstruction's verification
-    from peakons import forward
+def test_every_reader_of_phi_contains_c_lam_out_of_float_range(monkeypatch):
+    # one atom at x = -1000: c_lam = e^{x_1/2}/phi(x_1) = e^{-1000} underflows
+    # to 0 and kappa = -lam W'/c_lam divides by it.  Every reader of phi raises
+    # a PeakonError, not ZeroDivisionError; the flow reads phi once, in the
+    # verification of a reconstruction that lands there
+    from peakons import forward, inverse
 
-    m0 = validate(TRACE_LEFT_TAIL_TRIPLES)
-    fs = FlowState.from_measure(m0)
-    sweep = forward._sweep
-    monkeypatch.setattr(forward, "_sweep", lambda m, z, side: (
-        [0.0] * m.n if side == "minus" else sweep(m, z, side)))
+    m0 = validate([(-1000.0, 2.0, 0.0)])
+    monkeypatch.setattr(inverse, "_attempt", lambda sd, a, tol: m0)
+    fs = FlowState(SpectralData((0.5,), (1.0,)))
     for step in (lambda: measure_at(fs, 0.0), lambda: solution_at(fs, 0.0, [0.0])):
         with pytest.raises(Infeasible) as info:
             step()
-        assert isinstance(info.value.__cause__, ConsistencyFail)
-        assert "phi_minus vanishes at the peak atom" in str(info.value.__cause__)
-    with pytest.raises(ConsistencyFail):
-        forward.eigenfunction_zero_count(m0, 0)
-    with pytest.raises(ConsistencyFail):
-        forward.interior_data(m0, 0.0)
+        assert type(info.value.__cause__) is NumericalError
+        assert "c_lam = 0.0 out of float range" in str(info.value.__cause__)
+    for read in (spectral_data, lambda m: forward.eigenfunction_zero_count(m, 0),
+                 lambda m: forward.interior_data(m, 0.0)):
+        with pytest.raises(NumericalError, match="c_lam"):
+            read(m0)
 
 
 # a flow step whose support is 80 wide at t = 80: the eigenfunctions read at
@@ -186,7 +185,7 @@ def test_trace_route_reads_the_reconstruction_s_own_eigenpairs():
 
 
 def test_trace_route_checks_the_reconstruction_s_kappa_against_the_flow(monkeypatch):
-    # a reconstruction of kappa (1 + 9e-8) passes the inverse's absolute kappa
+    # a reconstruction of kappa (1 + 9e-8) passes the inverse's relative kappa
     # test (tol.inv = 1e-7), but not the trace over the flow's evolved kappa;
     # over m's own kappa the trace would only check the forward solver
     from peakons import inverse
@@ -201,22 +200,25 @@ def test_trace_route_checks_the_reconstruction_s_kappa_against_the_flow(monkeypa
 
 
 def test_solution_at_reads_no_eigenfunction_after_measure_at(rng, monkeypatch):
-    # the trace route reuses the eigenpairs that verified the reconstruction
+    # the trace route reuses the eigenpairs that verified the reconstruction,
+    # and reads all of them at a point by one _phi_at
     from peakons import forward
 
-    sweeps = []
-    sweep = forward._sweep
-    monkeypatch.setattr(forward, "_sweep", lambda *a: sweeps.append(a) or sweep(*a))
+    reads, points = [], []
+    read, phi_at = forward._eigenfunction, forward._phi_at
+    monkeypatch.setattr(forward, "_eigenfunction", lambda *a: reads.append(a) or read(*a))
+    monkeypatch.setattr(forward, "_phi_at", lambda m, atoms, x: points.append(x) or phi_at(m, atoms, x))
     for _ in range(5):
         fs = FlowState.from_measure(random_measure(rng, n=int(rng.integers(1, 6))))
         measure_at(fs, 1.5)
-        del sweeps[:]
+        del reads[:]
         solution_at(fs, 1.5, [-3.0, 0.0, 3.0])
-        assert sweeps == []
+        assert reads == [] and points == [-3.0, 0.0, 3.0]
+        del points[:]
 
 
 @pytest.mark.parametrize("sd, cause", [
-    # the failing anchor of test_inverse, chained to a ConsistencyFail
+    # the failing anchor of test_inverse, chained to a ConsistencyFail at tol.cons = 0
     (SpectralData((0.44942166003438744, 1.774610845127742, 5.6337372468186295),
                   (1.726086399315825e-49, 3.464143367094688e-12, 0.020992661617613928)),
      ConsistencyFail),
@@ -229,7 +231,7 @@ def test_a_cached_flow_failure_keeps_its_cause(sd, cause):
     causes = []
     for _ in range(2):
         with pytest.raises(Infeasible) as info:
-            measure_at(fs, 0.0)
+            measure_at(fs, 0.0, DEFAULT.with_overrides(cons=0.0))
         causes.append(info.value.__cause__)
     first, second = causes
     assert type(first) is type(second) is cause and first.args == second.args
@@ -239,6 +241,40 @@ def test_a_cached_flow_failure_keeps_its_cause(sd, cause):
     # the cached cause keeps no frame of the solver alive
     assert second.__traceback__ is None
     assert second.__cause__ is None and second.__context__ is None
+
+
+# two seed-11 benchmark trajectories whose reconstructions at t = 150, about
+# 370 wide, miss one tiny kappa (5e-153, 1e-52) by 8e-2 and 2e-2 relative:
+# inside the absolute test max(1, kappa) tol.inv, outside the relative one
+MISSED_KAPPA_TRIPLES = {
+    "n3": [(-0.9252454119476535, 1.7213348549951428, 0.6066290449462793),
+           (-0.09026312090957188, 2.475133892666191, 0.0),
+           (0.9327058919969786, 2.2335902043624984, 0.0)],
+    "n8": [(-3.5210720290556643, -0.42711897240661545, 1.2089921087533908),
+           (-2.5103616279349965, 0.8607222264201781, 0.0),
+           (-1.5757052084934466, -2.3957535114707045, 0.0),
+           (-0.48318305255148913, -1.8616784722162214, 0.0),
+           (0.590416900395317, 0.7035955093120345, 0.0),
+           (1.4847281368500278, -0.9110174429893909, 1.4290245092363558),
+           (2.4725662546931515, -0.6080800109728466, 0.9226125195644064),
+           (3.55092938693416, 0.8760337428113028, 1.0324919770042102)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(MISSED_KAPPA_TRIPLES))
+def test_a_reconstruction_that_misses_a_tiny_kappa_is_infeasible(name):
+    from peakons import inverse
+
+    fs = FlowState.from_measure(validate(MISSED_KAPPA_TRIPLES[name]))
+    with pytest.raises(Infeasible, match="misses the data"):
+        measure_at(fs, 150.0)
+    # the rejection is right: by the oracle, the candidate's own kappa misses
+    # the data, though not by max(1, kappa) tol.inv
+    sd = evolve_spectral(fs, 150.0)
+    m = inverse._attempt(sd, inverse._left_end(sd) - 1.0, DEFAULT)
+    refs = [ref for _, ref in MpForward(m).spectral(sd.eigenvalues)]
+    assert max(rel_err(k, ref) for k, ref in zip(sd.norming, refs)) > 1e-2
+    assert max(abs(k - float(ref)) / max(1.0, k) for k, ref in zip(sd.norming, refs)) <= DEFAULT.inv
 
 
 def test_norming_underflow_is_a_numerical_error():

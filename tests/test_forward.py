@@ -7,6 +7,7 @@ from numpy.polynomial import polynomial as npp
 
 import peakons.forward as forward
 from conftest import (
+    MpForward,
     bisect_eigenvalues,
     build_pencil,
     dense_eigenvalues,
@@ -14,6 +15,7 @@ from conftest import (
     q_coefficients,
     random_measure,
     real_roots,
+    rel_err,
 )
 from peakons import (
     DEFAULT,
@@ -41,7 +43,6 @@ from peakons.forward import (
     _rows,
     _shoot,
     _spectral,
-    _sweep,
     _wdot,
 )
 
@@ -132,16 +133,11 @@ def test_q_phi_identity(rng):
         a, _b = __import__("peakons.forward", fromlist=["x"])._coefficients(m)
         z = float(rng.uniform(-2.0, 2.0))
         q = q_values(m, z)
-        vals = _sweep(m, z, "plus")
+        vals = [_shoot(m, z, xj, "plus")[0] for xj in m.points]
         pref = math.exp(m.points[-1] / 2.0)
         for i in range(1, m.n):
             pref_i = pref * math.prod(a[:i])
             assert q[i] == pytest.approx(pref_i * vals[m.n - 1 - i], rel=1e-9, abs=1e-12)
-        # both one-pass sweeps record exactly the shooting values at the atoms
-        minus = _sweep(m, z, "minus")
-        for j, xj in enumerate(m.points):
-            assert vals[j] == _shoot(m, z, xj, "plus")[0]
-            assert minus[j] == _shoot(m, z, xj, "minus")[0]
 
 
 # ----------------------------------------------------------- eigenvalues
@@ -341,6 +337,26 @@ def test_cold_eigenvalues_stay_within_their_pivot_pass_budget(monkeypatch):
     assert len(passes) <= 24 * roots
 
 
+def test_a_guess_one_node_off_the_root_takes_the_neighbouring_node(monkeypatch):
+    # the 64-ulp node that holds the guess misses the root and its neighbour
+    # holds it: 3 counts and 6 halvings per root, not the 26 passes of a node
+    # widened 2^16 times
+    passes = []
+    fn = forward._count
+    monkeypatch.setattr(forward, "_count", lambda rows, z: passes.append(z) or fn(rows, z))
+    rng = np.random.default_rng(26)
+    for n in (4, 8, 16):
+        m = _generator_measure(rng, n)
+        cold = eigenvalues(m)
+        for side in (-1.0, 1.0):
+            near = [lam + side * 64.0 * math.ulp(lam) for lam in cold]
+            w = [64.0 * math.ulp(g) for g in near]
+            assert all(abs(g) // wg != abs(lam) // wg for g, lam, wg in zip(near, cold, w))
+            del passes[:]
+            assert eigenvalues(m, near=near) == cold
+            assert len(passes) <= 10 * len(cold)
+
+
 @pytest.mark.parametrize("guess", [
     lambda rows, memo, k, lo, hi: None,
     lambda rows, memo, k, lo, hi: 2.0 * hi,  # outside the root's bracket
@@ -466,45 +482,18 @@ def test_single_peakon_c_lambda():
     assert phi_minus / phi_plus == pytest.approx(math.exp(1.0), rel=1e-12)
 
 
-def _w_mpmath(mpmath, m, z):
-    """W(z): phi_plus = e^{-x/2} right of the support, carried across each
-    atom right to left as A e^{x/2} + B e^{-x/2} in mpmath; W is the final B."""
-    A, B = mpmath.mpf(0), mpmath.mpf(1)
-    for x, w, v in reversed(list(zip(m.points, m.omega, m.vee))):
-        e = mpmath.exp(mpmath.mpf(x) / 2)
-        phi, dphi = A * e + B / e, (A * e - B / e) / 2
-        dphi += (z * w + z * z * v) * phi
-        A, B = (phi + 2 * dphi) / (2 * e), e * (phi - 2 * dphi) / 2
-    return B
-
-
 def test_wronskian_derivative_matches_mpmath():
     # the product form from the spectrum against an 80-digit derivative of the shooting W
-    mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(44)
     worst = 0.0
-    with mpmath.workdps(80):
-        for n in range(4, 17):
-            m = random_measure(rng, n=n)
-            lams = eigenvalues(m)
-            for i, lam in enumerate(lams):
-                ref = mpmath.diff(lambda z: _w_mpmath(mpmath, m, z), mpmath.mpf(lam))
-                worst = max(worst, float(abs(_wdot(lams, i) - ref) / abs(ref)))
+    for n in range(4, 17):
+        oracle = MpForward(random_measure(rng, n=n), dps=80)
+        lams = eigenvalues(oracle.m)
+        for i, lam in enumerate(lams):
+            with oracle.mp.workdps(80):
+                ref = oracle.mp.diff(oracle.w, oracle.mp.mpf(lam))
+            worst = max(worst, rel_err(_wdot(lams, i), ref))
     assert worst <= 1e-12
-
-
-def _phi_plus_mpmath(mpmath, m, z, x):
-    """phi_plus(z, x) carried right to left in A e^{x/2} + B e^{-x/2} form, in mpmath."""
-    A, B = mpmath.mpf(0), mpmath.mpf(1)
-    for xj, w, v in reversed(list(zip(m.points, m.omega, m.vee))):
-        if x >= xj:
-            break
-        e = mpmath.exp(mpmath.mpf(xj) / 2)
-        phi, dphi = A * e + B / e, (A * e - B / e) / 2
-        dphi += (z * w + z * z * v) * phi
-        A, B = (phi + 2 * dphi) / (2 * e), e * (phi - 2 * dphi) / 2
-    e = mpmath.exp(mpmath.mpf(x) / 2)
-    return A * e + B / e
 
 
 def _phi_test_points(m):
@@ -521,23 +510,33 @@ def test_phi_at_matches_shooting(rng):
     # plus shot loses few digits past the peak
     for _ in range(20):
         m = random_measure(rng, n=int(rng.integers(1, 6)))
-        for lam in eigenvalues(m):
-            vals = _eigenfunction(m, lam)[0]
-            top = max(abs(p) for p in vals)
-            for j, xj in enumerate(m.points):
-                assert _phi_at(m, vals, xj) == vals[j]
-            for x in _phi_test_points(m):
-                ref = _shoot(m, lam, x, "plus")[0]
-                assert abs(_phi_at(m, vals, x) - ref) <= 1e-9 * top
+        lams = eigenvalues(m)
+        atoms = [_eigenfunction(m, lam, _rows(m))[0] for lam in lams]
+        tops = [max(abs(p) for p in vals) for vals in atoms]
+        for j, xj in enumerate(m.points):
+            assert _phi_at(m, atoms, xj) == [vals[j] for vals in atoms]
+        for x in _phi_test_points(m):
+            for lam, p, top in zip(lams, _phi_at(m, atoms, x), tops):
+                assert abs(p - _shoot(m, lam, x, "plus")[0]) <= 1e-9 * top
 
 
-def test_phi_atoms_are_the_plus_sweep_from_the_peak_on(rng):
+def test_phi_atoms_are_the_scaled_twisted_null_vector(rng):
+    # T(lam) phi = 0 at the atoms, in reversed order, with phi(x_n) = e^{-x_n/2}
+    # and c_lam = e^{x_1/2}/phi(x_1)
     for _ in range(10):
         m = random_measure(rng, n=5)
+        rows = _rows(m)
         for lam in eigenvalues(m):
-            plus, vals = _sweep(m, lam, "plus"), _eigenfunction(m, lam)[0]
-            top = max(range(m.n), key=lambda k: abs(plus[k]))
-            assert vals[top:] == plus[top:]
+            vals, c_lam = _eigenfunction(m, lam, rows)
+            assert vals[-1] == pytest.approx(math.exp(-m.points[-1] / 2.0), rel=1e-15)
+            assert c_lam == math.exp(m.points[0] / 2.0) / vals[0]
+            u = vals[::-1] + [0.0]
+            a = [math.sqrt(a2) for a2, *_ in rows] + [0.0]
+            diag = [b - w * lam - v * lam * lam for _, b, w, v in rows]
+            scale = max(abs(p) for p in u) * (max(map(abs, diag)) + 2.0 * max(a))
+            for i, t in enumerate(diag):
+                res = -a[i] * u[i - 1] + t * u[i] - a[i + 1] * u[i + 1]
+                assert abs(res) <= 1e-13 * scale
 
 
 def test_spectral_atoms_are_phi_atoms(rng):
@@ -545,67 +544,67 @@ def test_spectral_atoms_are_phi_atoms(rng):
         m = random_measure(rng, n=int(rng.integers(1, 8)))
         sd, atoms = _spectral(m, DEFAULT)
         assert sd == spectral_data(m)
-        assert atoms == [_eigenfunction(m, lam)[0] for lam in sd.eigenvalues]
+        assert atoms == [_eigenfunction(m, lam, _rows(m))[0] for lam in sd.eigenvalues]
 
 
-def test_spectral_data_sweeps_each_eigenfunction_once(rng, monkeypatch):
-    # one plus and one minus sweep per eigenvalue, and no complex shot for W'
-    from peakons import forward
-
-    sweeps, complex_shots = [], []
-    sweep, shoot = forward._sweep, forward._shoot
-    monkeypatch.setattr(forward, "_sweep", lambda *a: sweeps.append(a) or sweep(*a))
-    monkeypatch.setattr(forward, "_shoot", lambda m, z, *a: (
-        complex_shots.append(z) if isinstance(z, complex) else None) or shoot(m, z, *a))
+def test_spectral_data_reads_each_eigenfunction_once_without_shooting(rng, monkeypatch):
+    # one twisted null vector per eigenvalue, and no shot at all, real or complex
+    reads, shots = [], []
+    read, shoot = forward._eigenfunction, forward._shoot
+    monkeypatch.setattr(forward, "_eigenfunction", lambda *a: reads.append(a) or read(*a))
+    monkeypatch.setattr(forward, "_shoot", lambda *a: shots.append(a) or shoot(*a))
     for _ in range(5):
         m = random_measure(rng, n=int(rng.integers(1, 8)))
-        del sweeps[:]
+        del reads[:]
         sd = spectral_data(m)
-        assert len(sweeps) == 2 * len(sd.eigenvalues)
-    assert complex_shots == []
+        assert len(reads) == len(sd.eigenvalues)
+    assert shots == []
 
 
 def test_phi_at_matches_mpmath_left_of_the_peak():
     # n = 16, where phi_plus shot past its peak is off by O(1) of max|phi|
-    mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(7)
     worst = 0.0
-    with mpmath.workdps(50):
-        for n in (8, 16):
-            for _ in range(2):
-                m = _generator_measure(rng, n)
-                for lam in eigenvalues(m):
-                    lam_mp = mpmath.findroot(lambda z: _w_mpmath(mpmath, m, z), mpmath.mpf(lam))
-                    vals = _eigenfunction(m, lam)[0]
-                    xs = _phi_test_points(m)
-                    ref = [_phi_plus_mpmath(mpmath, m, lam_mp, mpmath.mpf(x)) for x in xs]
-                    top = max(abs(r) for r in ref)
-                    worst = max(worst, *(float(abs(_phi_at(m, vals, x) - r) / top)
-                                         for x, r in zip(xs, ref)))
+    for n in (8, 16):
+        for _ in range(2):
+            oracle = MpForward(_generator_measure(rng, n), dps=50)
+            m, xs = oracle.m, _phi_test_points(oracle.m)
+            lams = eigenvalues(m)
+            atoms = [_eigenfunction(m, lam, _rows(m))[0] for lam in lams]
+            got = [_phi_at(m, atoms, x) for x in xs]
+            for i, lam in enumerate(lams):
+                lam_mp = oracle.root(lam)
+                ref = [oracle.phi(lam_mp, x) for x in xs]
+                top = max(abs(r) for r in ref)
+                worst = max(worst, *(float(abs(p[i] - r) / top) for p, r in zip(got, ref)))
     assert worst <= 1e-13
 
 
 # ---------------------------------------------------------- spectral data
 
 def test_norming_matches_mpmath_on_generator_measures():
-    # kappa = lam sum phi^2 (omega + 2 lam v) from the merged atom values; the
-    # raw plus sweep, read past its peak, was off by up to 8.7e-9 here
-    mpmath = pytest.importorskip("mpmath")
+    # kappa = -lam W'(lam)/c_lam; the raw plus sweep, read past its peak, was
+    # off by up to 8.7e-9 here
     rng = np.random.default_rng(2)
     worst, checked = 0.0, 0
-    with mpmath.workdps(80):
-        for n in range(4, 17):
-            m = _generator_measure(rng, n)
-            sd = spectral_data(m)
-            for lam, kappa in zip(sd.eigenvalues, sd.norming):
-                lam_mp = mpmath.findroot(lambda z: _w_mpmath(mpmath, m, z), mpmath.mpf(lam))
-                ref = lam_mp * sum(
-                    _phi_plus_mpmath(mpmath, m, lam_mp, mpmath.mpf(x)) ** 2 * (w + 2 * lam_mp * v)
-                    for x, w, v in zip(m.points, m.omega, m.vee))
-                worst = max(worst, float(abs(kappa - ref) / abs(ref)))
-                checked += 1
+    for n in range(4, 17):
+        m = _generator_measure(rng, n)
+        sd = spectral_data(m)
+        for kappa, (_, ref) in zip(sd.norming, MpForward(m, dps=80).spectral(sd.eigenvalues)):
+            worst = max(worst, rel_err(kappa, ref))
+            checked += 1
     assert checked >= 150
     assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("n, bound", [(24, 1e-12), (32, 1e-12), (64, 2e-12)])
+def test_norming_matches_the_oracle_at_large_n(n, bound):
+    # the merged plus and minus sweeps ended in ConsistencyFail from n = 24 on
+    m = _generator_measure(np.random.default_rng(900 + n), n)
+    sd = spectral_data(m)
+    oracle = MpForward(m).spectral(sd.eigenvalues)
+    assert max(rel_err(lam, ref) for lam, (ref, _) in zip(sd.eigenvalues, oracle)) <= 4e-16 * n
+    assert max(rel_err(kappa, ref) for kappa, (_, ref) in zip(sd.norming, oracle)) <= bound
 
 
 def test_single_peakon_spectral_closed_form():
@@ -769,7 +768,7 @@ def test_extreme_eigenfunctions_positive(rng):
         lams = eigenvalues(m)
         extremes = [i for i, v in enumerate(lams) if ladder_rank(lams, i) == 1]
         for i in extremes:
-            vals = _sweep(m, lams[i], "plus")
+            vals = [_shoot(m, lams[i], x, "plus")[0] for x in m.points]
             assert all(v > 0 for v in vals)
 
 

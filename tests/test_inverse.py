@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_measure
+from conftest import MpForward, random_measure, rel_err
 from peakons import (
     DEFAULT,
     FlowState,
@@ -180,17 +180,56 @@ def test_one_continued_fraction_per_inverse_on_generator_measures(monkeypatch):
         assert len(calls) == 1
 
 
+# a flow step whose support is 102 wide; the sweep merge failed its verification
+FAILED_ANCHOR_SD = SpectralData(
+    (0.44942166003438744, 1.774610845127742, 5.6337372468186295),
+    (1.726086399315825e-49, 3.464143367094688e-12, 0.020992661617613928))
+
+
 def test_a_failed_anchor_is_infeasible_after_one_attempt(monkeypatch):
-    # a flow step whose reconstruction fails its verification: no fallback
-    # point is tried, and the verification's error is the cause
+    # a reconstruction that fails its verification (at tol.cons = 0 the two W'
+    # routes must agree to the bit): no fallback point is tried, and the
+    # verification's error is the cause
     calls = _count_cf_expand(monkeypatch)
-    sd = SpectralData((0.44942166003438744, 1.774610845127742, 5.6337372468186295),
-                      (1.726086399315825e-49, 3.464143367094688e-12, 0.020992661617613928))
     with pytest.raises(Infeasible, match=r"anchor a = 9\.30816") as info:
-        measure_from_spectral_data(sd)
+        measure_from_spectral_data(FAILED_ANCHOR_SD, DEFAULT.with_overrides(cons=0.0))
     assert len(calls) == 1
     assert isinstance(info.value.__cause__, ConsistencyFail)
     assert str(info.value.__cause__) in str(info.value)
+
+
+def test_the_once_failed_anchor_reconstructs_the_oracle_s_data():
+    m = measure_from_spectral_data(FAILED_ANCHOR_SD)
+    assert m.points[-1] - m.points[0] > 100.0
+    oracle = MpForward(m).spectral(FAILED_ANCHOR_SD.eigenvalues)
+    assert max(rel_err(k, ref) for k, (_, ref) in zip(FAILED_ANCHOR_SD.norming, oracle)) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [24, 48])
+def test_roundtrip_positions_at_large_n(n):
+    # the sweep merge ended in ConsistencyFail from n = 24 on; the inverse of
+    # the library's spectral data and of the oracle's gives back the positions
+    from test_forward import _generator_measure
+
+    m = _generator_measure(np.random.default_rng(900 + n), n)
+    sd = spectral_data(m)
+    oracle = MpForward(m).spectral(sd.eigenvalues)
+    exact = SpectralData(tuple(float(lam) for lam, _ in oracle), tuple(float(k) for _, k in oracle))
+    for data in (sd, exact):
+        back = measure_from_spectral_data(data)
+        assert back.n == m.n
+        assert max(abs(x - y) for x, y in zip(back.points, m.points)) <= 1e-10
+
+
+def test_norming_at_the_top_of_float_range_reconstructs():
+    # kappa = 1.7e308 puts the one atom at x_1 = -log kappa, where phi(x_1)^2
+    # overflows and c_lam = e^{x_1} is subnormal
+    sd = SpectralData((0.5,), (1.7e308,))
+    m = measure_from_spectral_data(sd)
+    assert m.points[0] == pytest.approx(-math.log(1.7e308), abs=1e-12)
+    assert m.omega == pytest.approx((2.0,), rel=1e-12)
+    (_, ref), = MpForward(m).spectral(sd.eigenvalues)
+    assert rel_err(sd.norming[0], ref) <= 1e-13
 
 
 @pytest.mark.parametrize("k", [23, 34, 38, 39, 41, 44])
@@ -208,7 +247,7 @@ def test_roundtrip_at_n16_once_rejected_by_the_norming_check(k):
 
 
 @pytest.mark.parametrize("eigs, norming", [
-    ((0.5,), (1.7e308,)),
+    ((0.5, 0.5 + 1e-12), (1e306, 1e306)),  # the anchor lies near x = -760, where e^a underflows
     ((-2.0, 0.5), (1e-300, 1e300)),
     ((1e-100, 1e100), (1.0, 1.0)),
     ((0.5,), (1e-310,)),  # the anchor lies near x = 713, where e^a overflows
