@@ -10,6 +10,9 @@ node widths (_WARM_ULPS, _WARM_WIDEN, _WARM_TRIES); none of them moves an
 eigenvalue, only the number of counts it takes.  forward._eigenfunction's
 twisted null vector adds no threshold: its twist is the row of least
 residual, and a zero pivot becomes the least positive float, as in the count.
+inverse._newton_step's forward-difference step _FD_STEP = 1e-8 and its
+damping _DAMPING = 1e-10 are fixed as well; the step it takes is kept only
+under the same tol.inv check as the reconstruction it mends.
 """
 
 from __future__ import annotations

@@ -55,6 +55,7 @@ form, the exact inverse of inverse.measure_from_weyl.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -166,7 +167,7 @@ def _shoot(m: PeakonMeasure, z: complex, x: float, side: str):
         raise NumericalError(f"phi_{side} overflows on its way to {x}") from exc
 
 
-def _eigenfunction(m: PeakonMeasure, lam: float, rows: list) -> tuple[list[float], float]:
+def _eigenfunction(m: PeakonMeasure, lam: float, rows: list) -> tuple[array, float]:
     """(phi_plus at the atoms, c_lam) for an eigenvalue lam of m, rows = _rows(m).
 
     The twisted null vector u of T(lam) (see the module doc): pivots D+ and
@@ -191,7 +192,7 @@ def _eigenfunction(m: PeakonMeasure, lam: float, rows: list) -> tuple[list[float
         u[i] = math.sqrt(rows[i][0]) * u[i - 1] / minus[i]
     try:  # row 0 is atom n, where phi_plus = e^{-x_n/2}
         s = math.exp(-m.points[-1] / 2.0) / u[0]
-        vals = [s * p for p in reversed(u)]
+        vals = array("d", (s * p for p in reversed(u)))  # 8 bytes a value, not 32
         c_lam = math.exp(m.points[0] / 2.0) / vals[0]
     except (OverflowError, ZeroDivisionError) as exc:
         raise NumericalError(f"the eigenfunction of {lam} leaves float range") from exc
@@ -579,7 +580,7 @@ def eigenfunction_zero_count(m: PeakonMeasure, i: int, tol: Tolerances = DEFAULT
     return _zero_count(_eigenfunction(m, eigenvalues(m, tol)[i], _rows(m))[0])
 
 
-def _zero_count(vals: list[float]) -> int:
+def _zero_count(vals) -> int:
     """eigenfunction_zero_count from the eigenfunction's values at the atoms (_eigenfunction)."""
     count = 0
     for p, q in zip(vals, vals[1:]):

@@ -30,6 +30,7 @@ workloads and in the tests, not proven.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .config import Tolerances, DEFAULT
@@ -111,18 +112,23 @@ def _anchored_value_slope(gamma, zeta, mu, terms, x):
     return t, s
 
 
-def _anchored_slope(gamma, beta, terms, x):
-    """h' at mu + x, anchored at the pole mu of residue beta; positive wherever h is finite.
+def _anchored_residue(gamma, beta, terms, x):
+    """1/h' at mu + x, anchored at the pole mu of residue beta: the residue of -1/h there.
 
     terms are the anchor's _anchored_terms, so the sum runs in their order.
+    Where x*x is below the normal floats (|x| below 1.5e-154) it is
+    q/(1 + q*rest) with q = (x/beta)*x, which stays in range: beta is then
+    tiny too, and so is the residue, about x*x/beta.
     """
     x2 = x * x
-    if x2 == 0.0:  # |x| below 1.5e-154
-        raise NonConverged(f"pole-zero offset {x} underflows its square")
-    t = gamma + beta / x2
+    tiny = x2 < _NORMAL_MIN
+    t = gamma if tiny else gamma + beta / x2
     for d, b in terms:
         t += b / (d - x) ** 2
-    return t
+    if not tiny:
+        return 1.0 / t
+    q = x / beta * x
+    return q / (1.0 + q * t)
 
 
 def _bracket(gamma, zeta, mu, beta, terms, sgn):
@@ -137,6 +143,7 @@ def _bracket(gamma, zeta, mu, beta, terms, sgn):
     return G
 
 
+_NORMAL_MIN = sys.float_info.min  # _anchored_residue's scaled form starts below it
 _TINY = 1e-280  # _halving returns the first rung below this as it is
 _NEWTON_STEPS = 40
 _WALK_STEPS = 8
@@ -294,25 +301,31 @@ def _pf_neg_reciprocal(gamma, zeta, mus, betas):
     # behaviour at infinity: slope, then constant, else the pole sum
     slope = gamma * span * span > 1e-8 * s1
     const = abs(zeta) * span > 1e-8 * s1
-    terms = [_anchored_terms(mus, betas, i) for i in range(m)]
-    found: list[tuple[int, float]] = []  # (anchor pole, signed offset)
+    # each anchor's terms are built once and dropped after its gap: the m^2
+    # terms of all anchors at once held megabytes at m = 175
+    found: list[tuple[int, float, float]] = []  # (anchor pole, signed offset, residue)
+    lo = _anchored_terms(mus, betas, 0)
     if slope or (const and zeta < 0.0):
-        found.append((0, -_zero_offset(gamma, zeta, mus, betas, 0, -1.0, None, terms[0])))
+        d = -_zero_offset(gamma, zeta, mus, betas, 0, -1.0, None, lo)
+        found.append((0, d, _anchored_residue(gamma, betas[0], lo, d)))
     for i in range(m - 1):
+        hi = _anchored_terms(mus, betas, i + 1)
         # the zero's side of the gap midpoint, by the bracket test of _zero_offset
         half = 0.5 * (mus[i + 1] - mus[i])
-        for j, sgn in ((i, +1.0), (i + 1, -1.0)):
-            G = _bracket(gamma, zeta, mus[j], betas[j], terms[j], sgn)
+        for j, sgn, terms in ((i, +1.0, lo), (i + 1, -1.0, hi)):
+            G = _bracket(gamma, zeta, mus[j], betas[j], terms, sgn)
             if G(half) >= 0.0:
-                d = _gap_offset(gamma, zeta, mus[j], betas[j], terms[j], sgn, half, G)
-                found.append((j, sgn * d))
+                d = sgn * _gap_offset(gamma, zeta, mus[j], betas[j], terms, sgn, half, G)
+                found.append((j, d, _anchored_residue(gamma, betas[j], terms, d)))
                 break
         else:  # both anchors round past the midpoint: the zero is the midpoint
-            found.append((i, half))
+            found.append((i, half, _anchored_residue(gamma, betas[i], lo, half)))
+        lo = hi
     if slope or (const and zeta > 0.0):
-        found.append((m - 1, +_zero_offset(gamma, zeta, mus, betas, m - 1, +1.0, None, terms[-1])))
-    zeros = tuple(mus[i] + d for i, d in found)
-    res = tuple(1.0 / _anchored_slope(gamma, betas[i], terms[i], d) for i, d in found)
+        d = _zero_offset(gamma, zeta, mus, betas, m - 1, +1.0, None, lo)
+        found.append((m - 1, d, _anchored_residue(gamma, betas[m - 1], lo, d)))
+    zeros = tuple(mus[i] + d for i, d, _ in found)
+    res = tuple(b for _, _, b in found)
     if slope:
         g2, z2 = 0.0, 0.0
     elif const:

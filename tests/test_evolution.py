@@ -244,8 +244,9 @@ def test_a_cached_flow_failure_keeps_its_cause(sd, cause):
 
 
 # two seed-11 benchmark trajectories whose reconstructions at t = 150, about
-# 370 wide, miss one tiny kappa (5e-153, 1e-52) by 8e-2 and 2e-2 relative:
-# inside the absolute test max(1, kappa) tol.inv, outside the relative one
+# 370 wide, missed one tiny kappa (5e-153, 1e-52) by 8e-2 and 2e-2 relative
+# while zeros 1e-161 from their poles, whose squares are subnormal, got
+# residues off by up to 10%; inside the absolute test max(1, kappa) tol.inv
 MISSED_KAPPA_TRIPLES = {
     "n3": [(-0.9252454119476535, 1.7213348549951428, 0.6066290449462793),
            (-0.09026312090957188, 2.475133892666191, 0.0),
@@ -262,19 +263,16 @@ MISSED_KAPPA_TRIPLES = {
 
 
 @pytest.mark.parametrize("name", sorted(MISSED_KAPPA_TRIPLES))
-def test_a_reconstruction_that_misses_a_tiny_kappa_is_infeasible(name):
+def test_a_once_missed_tiny_kappa_reconstructs_to_the_oracle(name):
     from peakons import inverse
 
     fs = FlowState.from_measure(validate(MISSED_KAPPA_TRIPLES[name]))
-    with pytest.raises(Infeasible, match="misses the data"):
-        measure_at(fs, 150.0)
-    # the rejection is right: by the oracle, the candidate's own kappa misses
-    # the data, though not by max(1, kappa) tol.inv
+    m = measure_at(fs, 150.0)
+    # by the oracle, the reconstruction's own kappa meets the relative test
     sd = evolve_spectral(fs, 150.0)
-    m = inverse._attempt(sd, inverse._left_end(sd) - 1.0, DEFAULT)
+    assert m == inverse._reconstruct(sd, DEFAULT)[0]
     refs = [ref for _, ref in MpForward(m).spectral(sd.eigenvalues)]
-    assert max(rel_err(k, ref) for k, ref in zip(sd.norming, refs)) > 1e-2
-    assert max(abs(k - float(ref)) / max(1.0, k) for k, ref in zip(sd.norming, refs)) <= DEFAULT.inv
+    assert max(rel_err(k, ref) for k, ref in zip(sd.norming, refs)) <= DEFAULT.inv
 
 
 def test_norming_underflow_is_a_numerical_error():

@@ -530,7 +530,7 @@ def test_phi_atoms_are_the_scaled_twisted_null_vector(rng):
             vals, c_lam = _eigenfunction(m, lam, rows)
             assert vals[-1] == pytest.approx(math.exp(-m.points[-1] / 2.0), rel=1e-15)
             assert c_lam == math.exp(m.points[0] / 2.0) / vals[0]
-            u = vals[::-1] + [0.0]
+            u = list(vals[::-1]) + [0.0]
             a = [math.sqrt(a2) for a2, *_ in rows] + [0.0]
             diag = [b - w * lam - v * lam * lam for _, b, w, v in rows]
             scale = max(abs(p) for p in u) * (max(map(abs, diag)) + 2.0 * max(a))

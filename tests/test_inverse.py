@@ -205,6 +205,62 @@ def test_the_once_failed_anchor_reconstructs_the_oracle_s_data():
     assert max(rel_err(k, ref) for k, (_, ref) in zip(FAILED_ANCHOR_SD.norming, oracle)) <= 1e-13
 
 
+# two copies of one block, 20.5 apart, whose weights differ by 3.2e-5: four
+# eigenvalue pairs lie about 1e-5 apart, and a kappa of such a pair moves by
+# about 2/gap times an eigenvalue error of the reconstruction
+TWIN_BLOCKS = [
+    (0.06045301223363672, -0.78665875920067, 0.0),
+    (0.9898982129577476, 2.01406370761168, 0.23685171947860822),
+    (2.067153020783974, 1.5971073914560985, 0.0),
+    (3.039166573353689, 1.8595420743837998, 1.428851904220099),
+    (20.582938258322308, -0.7866840477356715, 0.0),
+    (21.51238345904642, 2.0141284532462636, 0.23685171947860822),
+    (22.589638266872644, 1.5971587332935822, 0.0),
+    (23.56165181944236, 1.8596018526476084, 1.428851904220099),
+]
+
+
+def test_a_kappa_miss_is_mended_by_one_newton_step(monkeypatch):
+    from peakons import inverse
+
+    m = validate(TWIN_BLOCKS)
+    sd = spectral_data(m)
+    steps = []
+    newton = inverse._newton_step
+    monkeypatch.setattr(inverse, "_newton_step", lambda *a: steps.append(a) or newton(*a))
+    back = measure_from_spectral_data(sd)
+    assert len(steps) == 1
+    assert max(abs(x - y) for x, y in zip(back.points, m.points)) <= 1e-9
+    oracle = MpForward(back).spectral(sd.eigenvalues)
+    assert max(rel_err(k, ref) for k, (_, ref) in zip(sd.norming, oracle)) <= DEFAULT.inv
+    # without the step the continued fraction's measure misses the data
+
+    def refuse(*a):
+        raise NumericalError("no step")
+
+    monkeypatch.setattr(inverse, "_newton_step", refuse)
+    with pytest.raises(Infeasible, match="misses the data by 3.4"):
+        measure_from_spectral_data(sd)
+
+
+def test_a_reconstruction_within_tol_inv_takes_no_newton_step(monkeypatch):
+    from peakons import inverse
+
+    monkeypatch.setattr(inverse, "_newton_step", lambda *a: 1 / 0)
+    for _, sd in _generator_spectra(53, range(1, 17), 3):
+        measure_from_spectral_data(sd)
+
+
+def test_damped_lstsq_solves_a_consistent_system():
+    from peakons.inverse import _damped_lstsq
+
+    cols = [[1.0, 0.0, 1.0], [0.0, 2.0, 2.0]]  # columns of a 3 x 2 system
+    x = _damped_lstsq(cols, [1.0, 4.0, 5.0])
+    assert x == pytest.approx([1.0, 2.0], rel=1e-9)
+    with pytest.raises(NumericalError, match="zero or not finite"):
+        _damped_lstsq([[0.0, 0.0, 0.0]], [1.0, 0.0, 0.0])
+
+
 @pytest.mark.parametrize("n", [24, 48])
 def test_roundtrip_positions_at_large_n(n):
     # the sweep merge ended in ConsistencyFail from n = 24 on; the inverse of

@@ -322,9 +322,22 @@ def test_neg_reciprocal_zero_exactly_at_gap_midpoint():
 
 
 def test_neg_reciprocal_underflowing_offset_is_contained():
-    # the zero sits 1e-300 from the pole at 0, where the offset's square is 0
-    with pytest.raises(NonConverged):
-        neg_reciprocal(herglotz(0.0, 0.0, (0.0, 1.0), (1e-300, 1.0)))
+    # the zero sits 1e-300 from the pole at 0, below the 1e-280 floor of the
+    # zero search, and the offset's square is 0: the residue stays in range
+    out = neg_reciprocal(herglotz(0.0, 0.0, (0.0, 1.0), (1e-300, 1.0)))
+    assert 0.0 < out.poles[0] < 1e-280
+    assert 0.0 < out.residues[0] < 1e-250
+
+
+def test_neg_reciprocal_subnormal_offset_square_keeps_the_residue():
+    # the zero sits d = beta/(1 + beta) from the pole at 0, and d*d is a
+    # subnormal of two significant bits; 1/h'(d) = beta/(1 + beta)^3 exactly
+    beta = 3e-162
+    out = neg_reciprocal(herglotz(0.0, 0.0, (0.0, 1.0), (beta, 1.0)))
+    assert out.gamma == pytest.approx(1.0 / (1.0 + beta), rel=1e-15)
+    assert out.zeta == pytest.approx(-1.0, rel=1e-15)
+    assert out.poles == pytest.approx((beta / (1.0 + beta),), rel=1e-15, abs=0.0)
+    assert out.residues == pytest.approx((beta / (1.0 + beta) ** 3,), rel=1e-14, abs=0.0)
 
 
 def test_zeros_poles_interlace(rng):
