@@ -166,9 +166,9 @@ def _cmd_evolve(args, cfg: RunConfig) -> int:
     fs = evolution.FlowState.from_measure(m, 0.0, cfg.tol)
     ts = cfg.t_grid.points()
     xs = cfg.x_grid.points()
-    scan = evolution.collision_scan(fs, ts, cfg.tol)
-    rows, measures, series_errors = [], [], []
-    for t in ts:
+    rows, measures, scan, series_errors = [], [], [], []
+    for t in ts:  # one t at a time: the scan and the series share its reconstruction
+        scan += evolution.collision_scan(fs, [t], cfg.tol)
         try:
             us, mt = evolution.solution_at(fs, t, xs, cfg.tol)
         except PeakonError as exc:

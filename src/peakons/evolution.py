@@ -9,7 +9,6 @@ spectral route u(x) = 1/2 sum phi_i(x)^2 / lambda_i.
 
 from __future__ import annotations
 
-import copy
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -28,7 +27,7 @@ ScanRecord = namedtuple("ScanRecord", ["t", "v_mass", "error"])
 class FlowState:
     base: SpectralData
     t0: float = 0.0
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _last: tuple = field(default=(None, None), repr=False, compare=False)  # (key, outcome)
 
     @classmethod
     def from_measure(cls, m: PeakonMeasure, t0: float = 0.0, tol: Tolerances = DEFAULT):
@@ -51,28 +50,26 @@ def evolve_spectral(fs: FlowState, t: float) -> SpectralData:
 
 
 def measure_at(fs: FlowState, t: float, tol: Tolerances = DEFAULT) -> PeakonMeasure:
-    """The measure at time t, reconstructed once per t and tol; a failure is cached too."""
+    """The measure at time t; asking again for the last (t, tol) reuses its outcome."""
     return _reconstruction(fs, t, tol)[0]
 
 
 def _reconstruction(fs: FlowState, t: float, tol: Tolerances):
-    """(m, atoms, ws) at t, cached per (t, tol): inverse._reconstruct, and for
-    solution_at's trace route m's values at the atoms and kappa_i lambda_i."""
-    key = (t, tol)
-    if key not in fs._cache:
+    """(m, atoms, ws) at t, kept for the last (t, tol) only: inverse._reconstruct,
+    and for solution_at's trace route m's values at the atoms and kappa_i lambda_i."""
+    key, out = fs._last
+    if key != (t, tol):
         try:
             sd = evolve_spectral(fs, t)
             m, back, atoms = inverse._reconstruct(sd, tol)
         except PeakonError as exc:
-            # a copy of the cause holds no traceback or chain: no solver frame stays alive
-            fs._cache[key] = (type(exc), exc.args, copy.copy(exc.__cause__))
+            fs._last = ((t, tol), exc)  # its frames live only until the next (t, tol)
             raise
         ws = [k * lam for lam, k in zip(back.eigenvalues, sd.norming)]  # sd's kappa, not back's
-        fs._cache[key] = (m, atoms, ws)
-    out = fs._cache[key]
-    if isinstance(out[0], type):
-        cls, args, cause = out
-        raise cls(*args) from cause
+        out = (m, atoms, ws)
+        fs._last = ((t, tol), out)
+    elif isinstance(out, PeakonError):
+        raise type(out)(*out.args) from out.__cause__
     return out
 
 

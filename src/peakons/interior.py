@@ -2,17 +2,18 @@
 
 -1/(M_plus + M_minus) = alpha z + beta + sum lam_i^2 phi_i(a)^2/(lam_i - z)
 with alpha = 1 - sum phi_i(a)^2 and beta = -sum lam_i phi_i(a)^2.  The poles
-of M_plus + M_minus are split between the two sides: the pole at 0 is always
-shared half/half, poles at eigenvalues where phi vanishes are shared with a
-free ratio, poles between consecutive eigenvalues are forced to one side by
-the sign pattern of phi, and poles outside the spectral hull admit a binary
-choice.  Each choice plus each split ratio yields one measure.
+of M_plus + M_minus interlace the poles of that function F, the eigenvalues
+where phi does not vanish, so each pole's gap is its rank.  The pole in the
+gap holding 0 is shared half/half, a pole in a gap holding an eigenvalue
+where phi vanishes is shared with a free ratio, a pole between two
+eigenvalues is forced to one side by the signs of phi there, and the at
+most two poles beyond the ends of the spectrum admit a binary choice each.
+Each choice plus each split ratio yields one measure.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 
 from . import forward, inverse
@@ -26,8 +27,6 @@ from .errors import (
 from .forward import InteriorData
 from .measures import PeakonMeasure, validate
 from .ratfun import HerglotzRational, herglotz, neg_reciprocal
-
-ENUM_CAP = 24  # 2^N branch explosion guard
 
 
 @dataclass(frozen=True)
@@ -206,38 +205,40 @@ def pole_split(d: InteriorData, tol: Tolerances = DEFAULT) -> PoleAssignment:
 
 
 def _pole_split(d: InteriorData, s: HerglotzRational, tol: Tolerances) -> PoleAssignment:
-    """pole_split for the Weyl sum s of d, already solved."""
+    """pole_split for the Weyl sum s of d, already solved: each pole placed by its rank.
+
+    With P the eigenvalues where phi does not vanish (the poles of F),
+    s = -1/F has one pole in each gap of P, one below P[0] exactly when s
+    has no slope and zeta >= 0, and one above P[-1] exactly when s has no
+    slope and zeta <= 0, so the k-th pole lies in the k-th such region of
+    [-inf, P, +inf]: shared if it holds 0, in A if it holds a zeroed
+    eigenvalue, free if an end is infinite, else in B or C by phi's signs.
+    """
     phi = _snap_phi(d, tol)
-    lams = list(d.eigenvalues)
-    match = 0.25 * min(b - a for a, b in zip(lams, lams[1:])) if len(lams) > 1 else 0.25 * abs(lams[0])
-    zeroed = [lam for lam, p in zip(lams, phi) if p == 0.0]
+    ends = [(-math.inf, 0.0)] + [(lam, p) for lam, p in zip(d.eigenvalues, phi) if p != 0.0]
+    ends.append((math.inf, 0.0))
+    zeroed = [lam for lam, p in zip(d.eigenvalues, phi) if p == 0.0]
+    below = s.gamma == 0.0 and s.zeta >= 0.0
+    above = s.gamma == 0.0 and s.zeta <= 0.0
+    regions = list(zip(ends, ends[1:]))[(0 if below else 1):len(ends) - (1 if above else 2)]
+    if len(regions) != len(s.poles):
+        raise UnresolvedPole(f"{len(s.poles)} Weyl-sum poles do not interlace {len(ends) - 2} of F")
 
-    i0 = min(range(len(s.poles)), key=lambda i: abs(s.poles[i]))
-    if abs(s.poles[i0]) > match:
-        raise UnresolvedPole(f"no pole of the Weyl sum near 0 (closest {s.poles[i0]})")
-    shared = s.residues[i0]
-
+    shared = None
     set_a, set_b, set_c, free = [], [], [], []
-    for i, (mu, res) in enumerate(zip(s.poles, s.residues)):
-        if i == i0:
-            continue
-        hit = min(zeroed, key=lambda z: abs(z - mu), default=None)
-        if hit is not None and abs(hit - mu) <= match:
-            set_a.append((mu, res))
-            continue
-        if mu < lams[0] or mu > lams[-1]:
-            free.append((mu, res))
-            continue
-        j = bisect_left(lams, mu)
-        if j == 0 or j == len(lams) or not (lams[j - 1] < mu < lams[j]):
-            raise UnresolvedPole(f"pole {mu} coincides with an eigenvalue")
-        left, right = phi[j - 1], phi[j]
-        if left == 0.0 or right == 0.0:
-            raise UnresolvedPole(f"pole {mu} in a gap flanked by a zeroed eigenvalue")
-        if left * right < 0.0:
-            set_b.append((mu, res))
+    for ((left, p_left), (right, p_right)), pole in zip(regions, zip(s.poles, s.residues)):
+        if left < 0.0 < right:
+            shared = pole[1]
+        elif any(left < z < right for z in zeroed):
+            set_a.append(pole)
+        elif math.isinf(left) or math.isinf(right):
+            free.append(pole)
+        elif (p_left < 0.0) != (p_right < 0.0):
+            set_b.append(pole)
         else:
-            set_c.append((mu, res))
+            set_c.append(pole)
+    if shared is None:
+        raise UnresolvedPole("no pole of the Weyl sum in the gap holding 0")
     return PoleAssignment(shared, tuple(set_a), tuple(set_b), tuple(set_c), tuple(free))
 
 
@@ -267,8 +268,6 @@ def enumerate_solutions(
     Branch bits follow the ascending free poles; bit 0 sends a free pole to
     M_plus, bit 1 to M_minus, so branch 0 is the all-plus choice.
     """
-    if len(d.eigenvalues) > ENUM_CAP:
-        raise ValidationError(f"refusing to enumerate beyond N={ENUM_CAP}")
     s = sum_weyl(d, tol)
     asg = _pole_split(d, s, tol)
     thetas = _normalize_splits(splits, len(asg.set_A))

@@ -289,6 +289,27 @@ def test_grid_cap_is_the_largest_grid_accepted():
         GridSpec(0.0, float(GRID_CAP), 1.0).points()
 
 
+@pytest.mark.parametrize("flag, grid, msg", [
+    ("--t", "5:1:1", "empty grid"),
+    ("--x", "1:2", "must be start:stop:step"),
+])
+def test_malformed_grid_exits_2(tmp_path, capsys, flag, grid, msg):
+    f = _measure_file(tmp_path, [(0.0, 2.0, 0.0)])
+    assert main(["evolve", f, f"{flag}={grid}"]) == 2
+    assert msg in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("content", [None, "{not json"])
+def test_unreadable_config_exits_2(tmp_path, monkeypatch, capsys, content):
+    cfg = tmp_path / "cfg.json"
+    if content is not None:
+        cfg.write_text(content)
+    monkeypatch.setenv("PEAKON_CONFIG", str(cfg))
+    f = _measure_file(tmp_path, [(0.0, 2.0, 0.0)])
+    assert main(["evolve", f]) == 2
+    assert "cannot read config" in _one_error_line(capsys)
+
+
 @pytest.mark.parametrize("obj", [[1, 2], {"x": 5}, {"splits": 5}])
 def test_config_of_the_wrong_shape_exits_2(tmp_path, monkeypatch, capsys, obj):
     cfg = tmp_path / "cfg.json"

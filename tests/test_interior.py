@@ -21,7 +21,9 @@ from peakons import (
     sum_weyl,
     validate,
 )
-from peakons.errors import NotHerglotz, ValidationError
+from peakons.errors import NotHerglotz, UnresolvedPole, ValidationError
+from peakons.interior import _pole_split
+from peakons.ratfun import HerglotzRational
 from peakons.forward import _shoot
 
 from conftest import random_measure
@@ -152,12 +154,44 @@ def test_split_validation():
             enumerate_solutions(d, splits=bad)
 
 
-def test_enumeration_cap():
-    lams = tuple(float(i) for i in range(1, 26))
-    phi = tuple(0.1 for _ in lams)
-    d = InteriorData(0.0, lams, phi)
-    with pytest.raises(ValidationError):
-        enumerate_solutions(d)
+# 20 atoms, 8 with v, N = 27: the benchmark generator's measure_triples(sub_rng(32, 9, 20), 20).
+# Free poles lie only beyond the ends of the spectrum, so any N has at most 4 branches
+N27_TRIPLES = [
+    (-9.540250722409821, -0.5228633753006071, 0.8758868555104056),
+    (-8.456195567273674, 2.2917922219463627, 0.0),
+    (-7.440859033318761, 1.7193124744073809, 0.661279005016213),
+    (-6.47230257806831, 1.3051399672202852, 0.0),
+    (-5.422180231717075, 0.3692602867975269, 0.0),
+    (-4.447303203634943, 0.7151002695623021, 0.0),
+    (-3.479396580038234, -1.4517771441582616, 0.0),
+    (-2.423185978546077, 1.3997148978012777, 0.6072805167637416),
+    (-1.4486208170601576, 2.4118826083590097, 0.7233990658369251),
+    (-0.5574772350228827, -2.0536791329300286, 0.0),
+    (0.4137597196384736, -0.7291282756133883, 0.0),
+    (1.5011750795494783, -1.315389507313214, 0.0),
+    (2.4412556044335454, -1.0421230402499757, 0.0),
+    (3.458225087531619, 1.8892659598316115, 0.7252355657653158),
+    (4.5042005761582535, 1.5658628903043157, 0.0),
+    (5.529003376343189, 0.4035006899491066, 0.7944057557964068),
+    (6.554906330935555, -1.693259588835247, 0.0),
+    (7.525060588836128, 0.6150654847099564, 1.2592618286445891),
+    (8.455598191552857, -1.0957104755397207, 0.0),
+    (9.596557509367717, 2.248277462625071, 0.0),
+]
+
+
+def test_enumeration_beyond_two_dozen_eigenvalues_recovers_its_source():
+    m = validate(N27_TRIPLES)
+    d = interior_data(m, m.points[0] - 0.5)
+    assert len(d.eigenvalues) == 27
+    fam = enumerate_solutions(d)
+    assert len(fam) + len(fam.errors) == solution_count(d).branches == 4
+    errs = [
+        max(abs(p - q) for p, q in zip(got.points + got.omega + got.vee,
+                                       m.points + m.omega + m.vee))
+        for got in fam if got.n == m.n
+    ]
+    assert errs and min(errs) < 1e-12, [str(e) for _, e in fam.errors]
 
 
 # ------------------------------------------------------------------ gate
@@ -251,6 +285,23 @@ def test_pole_split_partitions_everything(rng):
         assert total == len(s.poles)
 
 
+def test_pole_split_rejects_a_weyl_sum_that_does_not_interlace():
+    # F has poles 0.5 and 1.0 and no slope in -1/F: one pole per region of
+    # [-inf, 0.5, 1.0, +inf], so three, not two
+    d = InteriorData(0.0, (0.5, 1.0), (0.5, 0.3))
+    s = HerglotzRational(0.0, 0.0, (0.0, 0.7), (0.2, 0.1))
+    with pytest.raises(UnresolvedPole, match="do not interlace"):
+        _pole_split(d, s, DEFAULT)
+
+
+def test_pole_split_rejects_a_weyl_sum_with_no_pole_in_the_gap_of_0():
+    # a slope leaves only the gap (0.5, 1.0); 0 lies below it, so no residue is shared
+    d = InteriorData(0.0, (0.5, 1.0), (0.5, 0.3))
+    s = HerglotzRational(1.0, 0.0, (0.7,), (0.1,))
+    with pytest.raises(UnresolvedPole, match="gap holding 0"):
+        _pole_split(d, s, DEFAULT)
+
+
 # ------------------------------------------------------------------ roundtrip
 
 def test_family_contains_the_source_measure(rng):
@@ -307,6 +358,75 @@ def test_benchmark_chain_recovers_the_original_measure():
         for got in fam if got.n == m.n
     ]
     assert errs and min(errs) < 1e-6, [str(e) for _, e in fam.errors]
+
+
+# cli_mix chains of benchmark seeds 11-13 whose sums -1/F have a pole within
+# rounding of an eigenvalue: only its rank tells which gap it lies in
+RANK_CHAINS = {
+    "s11r1n10": (4.1387945274015845, [
+        (-4.568712127838837, 1.9286145704788027, 0.6316538858304581),
+        (-3.4731925226250784, 2.1985807414588323, 1.4791835600698273),
+        (-2.4743023218966163, -0.7793642682618793, 1.1853493258045396),
+        (-1.485203925019972, -2.0573838482311944, 1.2531149942792705),
+        (-0.45537102196927975, 2.0724003943269986, 1.0007484518082426),
+        (0.4562780830972252, 1.320063771291302, 1.0047585579362195),
+        (1.4089348224049345, 1.5210165485604457, 1.2029962726998347),
+        (2.448156307327716, 1.5116196541639908, 0.0),
+        (3.453742114462329, 2.1889088064435054, 1.1128933793191835),
+        (4.410659704641185, -1.4236296175170327, 0.0)]),
+    "s11r4n9": (-4.791992783086777, [
+        (-3.9145371026092333, -1.969367419600877, 0.0),
+        (-2.974550696915665, 2.087634185645717, 0.0),
+        (-2.0914045925746554, 0.8459508696361806, 0.94870428124635),
+        (-1.0747809530814925, 0.9289903816092782, 0.0),
+        (-0.010607081674161578, -0.2592684482503579, 0.4261641593731219),
+        (1.0354166268815772, 0.4187180957728531, 0.0),
+        (2.09301240333299, 1.1050379584253838, 0.25957458248170173),
+        (3.0180874092410583, 1.5566615368643937, 0.0),
+        (3.9126243999523416, -0.21983465133302382, 0.0)]),
+    "s12r3n10": (-5.171135226913487, [
+        (-4.402957068219063, -2.044169735007409, 0.0),
+        (-3.5034745012207424, 1.5548004053596245, 0.0),
+        (-2.54411831840682, -1.0353977821651046, 1.398618963442934),
+        (-1.5647208326691764, 0.4545707935148788, 1.4636914618391421),
+        (-0.5867963305820445, 1.5644323145424603, 0.0),
+        (0.5274808266225055, -1.7923682311949327, 0.0),
+        (1.505637897067997, 1.2010855227369281, 0.2869921040195883),
+        (2.46058040654426, -0.5355511301624103, 0.0),
+        (3.5411121359047963, 2.3679016307270087, 0.0),
+        (4.474692325625823, 0.7298127982174607, 0.0)]),
+    "s12r3n7": (2.350422076172272, [
+        (-3.0125974159937954, -2.456428124853978, 0.2446044382355319),
+        (-2.063791425501312, 1.0368914115555115, 1.2904732653229878),
+        (-1.0045716294530953, -1.7767679535257939, 0.0),
+        (0.08074027655611773, 2.0384204876291223, 0.0),
+        (0.9485737172125278, 0.44038551871362763, 0.8764876973512368),
+        (1.9641405497015627, 1.4532767337900128, 0.5910850900739697),
+        (2.930077566161502, 1.0681568167435527, 0.8514793310721149)]),
+    "s13r4n9": (-4.688709460560708, [
+        (-3.9711169392517376, 2.1372625569026416, 0.4567192550668428),
+        (-2.98006828952792, -2.3043790136402995, 0.0),
+        (-2.089890568690416, -2.118363429366653, 0.0),
+        (-1.0113919271614882, 0.9009283221347806, 0.0),
+        (0.046782536252656326, 1.7001520851424885, 0.7804240780014915),
+        (1.0891452867509352, -1.8900657690592981, 0.20857243056019803),
+        (2.084542794247019, -0.2656367862974248, 0.9343175017134537),
+        (3.0904142497109905, 2.1556918502231235, 0.0),
+        (4.057053820327529, -0.45492931152653343, 0.0)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RANK_CHAINS))
+def test_poles_placed_by_rank_recover_the_benchmark_chains(name):
+    # unsnapped phi keeps every eigenvalue a pole of F, so the zero of F beside
+    # a tiny residue lambda^2 phi^2 lies within rounding of that eigenvalue
+    tol = DEFAULT.with_overrides(phi=0.0)
+    a, triples = RANK_CHAINS[name]
+    m = validate(triples)
+    fam = enumerate_solutions(interior_data(m, a, tol), tol=tol)
+    dx = min((max(abs(p - q) for p, q in zip(got.points, m.points))
+              for got in fam if got.n == m.n), default=math.inf)
+    assert dx < 1e-12, [str(e) for _, e in fam.errors]
 
 
 def test_every_member_reproduces_its_data(rng):
