@@ -5,8 +5,10 @@ For each workload and seed, builds the seeded batch of ``perfbench``
 once against the ``peakons`` package in OLD_SRC and once against the one
 in NEW_SRC, each in its own process, and compares one line per op: its
 index, kind, n, outcome (``ok``, ``skipped``, ``peakon`` or ``leak``), the
-exception type, and a hash of ``Op.digest`` with every float written in
-hex, so that ``numpy.float64`` and ``float`` of one value hash alike.
+exception type, the type of its ``__cause__`` (so that failures moving
+between causes under one type, such as ``Infeasible``, show), and a hash of
+``Op.digest`` with every float written in hex, so that ``numpy.float64``
+and ``float`` of one value hash alike.
 Prints ``k of n ops differ`` per workload and seed, with how many of them
 went from ``ok`` to a failure (``peakon`` or ``leak``) and back, then the
 differing lines, and exits 1 on any difference:
@@ -38,6 +40,18 @@ def normalized(value):
     return value
 
 
+def recording(method, raised):
+    """method, with each exception it raises appended to raised."""
+    def wrapped():
+        try:
+            return method()
+        except Exception as exc:
+            raised.append(exc)
+            raise
+
+    return wrapped
+
+
 def dump(src_dir, workload, seed):
     """Print one line per op of the batch, run against the package in src_dir."""
     sys.path[:0] = [str(Path(src_dir).resolve()), str(BENCH_DIR)]
@@ -53,13 +67,17 @@ def dump(src_dir, workload, seed):
         timing.reset(ops)
         for i, op in enumerate(ops):
             rec = {"status": None, "exc": None, "raw": None}
+            raised = []
+            op.prepare, op.call = recording(op.prepare, raised), recording(op.call, raised)
             timing.attempt(pk, op, rec)
+            cause = raised and raised[-1].__cause__
             digest = None
             if rec["status"] is None:
                 rec["status"] = "ok"
                 text = repr(normalized(op.digest(rec["raw"]))).encode()
                 digest = hashlib.sha256(text).hexdigest()[:16]
-            print(i, op.kind, f"n={op.n}", rec["status"], rec["exc"], digest)
+            print(i, op.kind, f"n={op.n}", rec["status"], rec["exc"],
+                  type(cause).__name__ if cause else None, digest)
 
 
 def flips(pairs):

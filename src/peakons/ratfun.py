@@ -15,16 +15,13 @@ with head = 0 permitted on the plus side only (reference point on an atom).
 The poles of -1/h are the zeros of h, one per gap between poles and at
 most one on each outer side.  Each is solved as an offset from the pole
 nearer to it, so offsets far below the pole spacing keep their relative
-precision.  A gap zero is bracketed by the gap midpoint and an outer
-zero by doubling (_zero_offset); either then takes a few safeguarded
-Newton steps on a model that keeps the anchor pole exact, and a walk to
-the adjacent floats across which the offset equation changes sign
-(_gap_offset).  Where that fails, a descent and bisection down to
-adjacent floats (_halving) is the fallback.  When the offset equation
-changes sign once in floating point near the zero, both paths end on the
-same pair of floats and so return the same offset.  The walk does not
-test that condition: the equality is measured, on the benchmark
-workloads and in the tests, not proven.
+precision, down to the subnormals.  A gap zero is bracketed by the gap
+midpoint and an outer zero by doubling (_zero_offset); one solver,
+_gap_offset, then takes a few safeguarded Newton steps on a model that
+keeps the anchor pole exact, and a walk, or failing that a bisection, to
+the adjacent floats across which the offset equation changes sign.  It
+always ends there and returns their midpoint; where the equation changes
+sign more than once near the zero, it is one such pair.
 """
 
 from __future__ import annotations
@@ -143,76 +140,55 @@ def _bracket(gamma, zeta, mu, beta, terms, sgn):
     return G
 
 
-_NORMAL_MIN = sys.float_info.min  # _anchored_residue's scaled form starts below it
-_TINY = 1e-280  # _halving returns the first rung below this as it is
+_NORMAL_MIN = sys.float_info.min  # the scaled forms of residues and z2 start below it
 _NEWTON_STEPS = 40
 _WALK_STEPS = 8
 
 
-def _halving(G, hi):
-    """Offset of the zero of G on (0, hi], G(hi) >= 0, by descent and bisection.
+def _bisect(G, lo, hi):
+    """Midpoint of the adjacent floats lo < hi, G(lo) <= 0 <= G(hi), that bisection finds.
 
-    A descent over the rungs hi*2^-k finds the scale and bisection the
-    mantissa, so offsets hundreds of orders below the gap width keep full
-    relative precision.  The descent gallops (k = 1, 2, 4, ...) and then
-    bisects on k for the first rung with G <= 0: adjacent rungs differ by a
-    factor 2 in d, far above G's rounding, so G's sign is monotone along
-    them and this is the rung that halving one step at a time finds.  A
-    rung below 1e-280 counts as past the zero and is returned as it is.
-    The bisection ends on adjacent floats lo < hi with G(lo) <= 0 < G(hi)
-    and returns their midpoint.
+    Takes such a bracket with lo >= 0.  The probe is the geometric mean
+    while hi > 4*lo, lo = 0 read as the least subnormal, so about ten
+    probes find the scale of an offset hundreds of orders below hi; then
+    the arithmetic mean finds the mantissa.  Every probe lies strictly
+    inside (lo, hi), so the loop ends, on adjacent floats at any scale,
+    subnormals included.
     """
-    def past(k):  # ldexp is exact on every rung from 1e-280 up
-        d = math.ldexp(hi, -k)
-        return d < _TINY or G(d) <= 0.0
-
-    k_lo, k_hi = 0, 1  # rung k_lo is above the zero, rung k_hi past it
-    while not past(k_hi):
-        k_lo, k_hi = k_hi, 2 * k_hi
-    while k_hi - k_lo > 1:
-        k = (k_lo + k_hi) // 2
-        k_lo, k_hi = (k_lo, k) if past(k) else (k, k_hi)
-    lo, hi = math.ldexp(hi, -k_hi), math.ldexp(hi, -k_lo)
-    if lo < _TINY:
-        return lo
-    for _ in range(80):  # no step moves a bracket of two adjacent floats
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if G(mid) <= 0.0:
-            lo = mid
+    while True:
+        low = lo or math.ulp(0.0)
+        p = math.sqrt(low) * math.sqrt(hi) if hi > 4.0 * low else 0.5 * (lo + hi)
+        if not lo < p < hi:
+            return 0.5 * (lo + hi)
+        if G(p) <= 0.0:
+            lo = p
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            hi = p
 
 
 def _gap_offset(gamma, zeta, mu, beta, terms, sgn, hi, G):
-    """Offset of the zero of G on (0, hi], G(hi) >= 0 known, as _halving finds it.
+    """Offset of the zero of G on (0, hi], G(hi) >= 0 known: the midpoint of adjacent floats.
 
     With S(d) = sgn*h(mu + sgn*d) anchored at mu, G = d*S(d) - beta, and
     one pass of _anchored_value_slope gives G and S' > 0.  Each step keeps
     the anchor pole exact and S linear, S(y) ~ S(d) + S'(d)*(y - d): a
     one-pole rational model in the spirit of Gu-Eisenstat and Li, whose
     root y = d + e solves G(d) + G'(d)*e + S'(d)*e^2 = 0.  From d = 0 the
-    step is the start, first-order exact for tiny offsets.  Each value of
-    G narrows the bracket [lo, hi] with G(lo) <= 0 < G(hi), and a step
-    outside it is replaced by sqrt(lo*hi), or hi/8 while lo = 0.
+    step is the start, first-order exact for tiny offsets, down to the
+    subnormals.  Each value of G narrows the bracket [lo, hi] with
+    G(lo) <= 0 < G(hi), and a step outside it is replaced by sqrt(lo*hi),
+    or hi/8 while lo = 0.
 
     The iteration stops at a step of at most 2 ulp, or when the bracket
     has no float left for such a replacement.  A walk then probes G from
     the step outward in ulp strides that double, a probe outside [lo, hi]
-    replaced by the midpoint, until lo and hi are adjacent floats.  When G
-    changes sign once in floating point near the zero, these are the two
-    floats on which the bisection of _halving ends, and their midpoint is
-    what _halving returns.
-
-    _halving runs on the original bracket instead after a step below
-    1e-250 while lo = 0, where the zero may lie below 1e-280 and _halving
-    returns a rung rather than the zero; and after _NEWTON_STEPS steps or
-    _WALK_STEPS probes without an answer, where a G with several sign
-    changes near the zero is likely.
+    replaced by the midpoint, until lo and hi are adjacent floats, and
+    returns their midpoint.  After _NEWTON_STEPS steps or _WALK_STEPS
+    probes without an answer, where a G with several sign changes near the
+    zero is likely, _bisect takes the bracket as it stands to adjacent
+    floats instead.
     """
-    top, lo, d, g = hi, 0.0, 0.0, -beta
+    lo, d, g = 0.0, 0.0, -beta
     t, s = _anchored_value_slope(gamma, zeta, mu, terms, 0.0)
     for _ in range(_NEWTON_STEPS):
         # the model's root y = d + e solves g + a*e + s*e^2 = 0, a = G'(d)
@@ -227,8 +203,6 @@ def _gap_offset(gamma, zeta, mu, beta, terms, sgn, hi, G):
         y = d + e
         if d > 0.0 and abs(e) <= 2.0 * math.ulp(d):
             break
-        if y < 1e-250 and lo == 0.0:  # the zero may be below _TINY
-            return _halving(G, top)
         if not lo < y < hi:
             y = math.sqrt(lo) * math.sqrt(hi) if lo > 0.0 else 0.125 * hi
             if not lo < y < hi:  # lo and hi are a few ulps apart
@@ -241,7 +215,7 @@ def _gap_offset(gamma, zeta, mu, beta, terms, sgn, hi, G):
         else:
             hi = d
     else:
-        return _halving(G, top)
+        return _bisect(G, lo, hi)
     # walk from the last step: ulp strides that double, a probe outside
     # [lo, hi] replaced by the midpoint, until lo and hi are adjacent
     p = y if lo < y < hi else math.nextafter(lo, hi) if y <= lo else math.nextafter(hi, lo)
@@ -256,7 +230,7 @@ def _gap_offset(gamma, zeta, mu, beta, terms, sgn, hi, G):
         else:
             hi, p = p, p - stride
         stride *= 2.0
-    return _halving(G, top)
+    return _bisect(G, lo, hi)
 
 
 def _zero_offset(gamma, zeta, mus, betas, i, sgn, hi, terms=None):
@@ -264,11 +238,9 @@ def _zero_offset(gamma, zeta, mus, betas, i, sgn, hi, terms=None):
 
     G(d) = sgn*d*h(mus[i] + sgn*d) increases through zero on the bracket.
     hi=None searches the unbounded outer side by doubling hi from
-    max(1, |mus[i]|) until G(hi) >= 0.  Either bracket goes to _gap_offset:
-    safeguarded Newton steps on a one-pole model, a walk to the adjacent
-    floats across which G changes sign, and _halving as the fallback, all
-    returning the float that _halving returns.  terms are the anchor's
-    _anchored_terms, built here if omitted.
+    max(1, |mus[i]|) until G(hi) >= 0.  Either bracket goes to _gap_offset,
+    which returns the midpoint of adjacent floats across which G changes
+    sign.  terms are the anchor's _anchored_terms, built here if omitted.
     """
     if terms is None:
         terms = _anchored_terms(mus, betas, i)
@@ -290,12 +262,14 @@ def _pf_neg_reciprocal(gamma, zeta, mus, betas):
     Returns (gamma', zeta', poles', residues').  Zeros of h are solved
     per gap anchored to the nearest pole, so residues spanning hundreds
     of orders of magnitude survive where coefficient arithmetic cannot.
+    A slope, constant, pole or residue of -1/h beyond the floats raises
+    NonConverged.
     """
     m = len(mus)
     if m == 0:
         if gamma <= 0.0:
             raise NotHerglotz("constant function has no Herglotz reciprocal")
-        return 0.0, 0.0, (-zeta / gamma,), (1.0 / gamma,)
+        return _in_range(0.0, 0.0, (-zeta / gamma,), (1.0 / gamma,))
     s1 = sum(betas)
     span = max(1.0, max(abs(u) for u in mus))
     # behaviour at infinity: slope, then constant, else the pole sum
@@ -331,10 +305,17 @@ def _pf_neg_reciprocal(gamma, zeta, mus, betas):
     elif const:
         g2, z2 = 0.0, -1.0 / zeta
     else:
-        if s1 * s1 == 0.0:
-            raise NonConverged(f"residue sum {s1} underflows its square")
         s2 = sum(b * u for b, u in zip(betas, mus))
-        g2, z2 = 1.0 / s1, -s2 / (s1 * s1)
+        g2 = 1.0 / s1
+        # where s1*s1 is below the normal floats the division form stays in range
+        z2 = -(s2 / s1) / s1 if s1 * s1 < _NORMAL_MIN else -s2 / (s1 * s1)
+    return _in_range(g2, z2, zeros, res)
+
+
+def _in_range(g2, z2, zeros, res):
+    """The pole data of -1/h as they are; NonConverged where a value overflowed."""
+    if not all(map(math.isfinite, (g2, z2, *zeros, *res))):
+        raise NonConverged("negative reciprocal leaves float range")
     return g2, z2, zeros, res
 
 

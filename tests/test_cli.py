@@ -444,10 +444,11 @@ def test_atoms_too_far_apart_exit_3(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("payload", [
     {"eigenvalues": [1.0 + k * 4e-15 for k in range(24)], "norming": [1.0] * 24},
-    {"eigenvalues": [-1e-150, 1e-150], "norming": [1.0, 1.0]},
+    {"eigenvalues": [-1e-155, 1e-155], "norming": [1.0, 1.0]},
 ], ids=["wdot_square_underflows", "residue_sum_square_underflows"])
 def test_inverse_underflow_exits_3_with_one_error_line(tmp_path, capsys, payload):
-    # both leaked a ZeroDivisionError traceback
+    # both leaked a ZeroDivisionError traceback (the second at +-1e-150, whose
+    # residue sum now reconstructs; at +-1e-155 a residue weight underflows)
     f = tmp_path / "sd.json"
     f.write_text(json.dumps(payload))
     assert main(["inverse", str(f)]) == 3

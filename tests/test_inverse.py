@@ -18,8 +18,8 @@ from peakons import (
     validate,
     weyl,
 )
-from peakons.errors import (ConsistencyFail, Infeasible, NumericalError, PeakonError,
-                            ValidationError)
+from peakons.errors import (ConsistencyFail, Infeasible, NotHerglotz, NumericalError,
+                            PeakonError, ValidationError)
 from peakons.inverse import _left_end
 
 
@@ -336,9 +336,25 @@ def test_wdot_square_underflow_is_a_numerical_error():
 
 
 def test_residue_sum_square_underflow_is_a_numerical_error():
-    # the residues of F sum to about 1e-300, whose square underflowed to a ZeroDivisionError
-    with pytest.raises(NumericalError):
-        measure_from_spectral_data(SpectralData((-1e-150, 1e-150), (1.0, 1.0)))
+    # at +-1e-150 the residues of F summed to about 1e-300, whose square
+    # underflowed to a ZeroDivisionError; at +-1e-155 a residue weight of the
+    # reconstruction underflows to 0
+    with pytest.raises(NumericalError) as info:
+        measure_from_spectral_data(SpectralData((-1e-155, 1e-155), (1.0, 1.0)))
+    assert isinstance(info.value.__cause__, NotHerglotz)
+
+
+def test_residue_sum_with_underflowing_square_reconstructs():
+    # the residues of F sum to about 8e-301: z2 = -(s2/s1)/s1 stays in range
+    # where s1*s1 underflows, and the data come from one v-atom at ln 2
+    sd = SpectralData((-1e-150, 1e-150), (1.0, 1.0))
+    m = measure_from_spectral_data(sd)
+    assert m.points == pytest.approx((math.log(2.0),), rel=1e-14)
+    assert m.omega == (0.0,)
+    assert m.vee == pytest.approx((1e300,), rel=1e-14)
+    back = spectral_data(m)
+    assert back.eigenvalues == pytest.approx(sd.eigenvalues, rel=1e-14)
+    assert back.norming == pytest.approx(sd.norming, rel=1e-14)
 
 
 def test_verify_rejects_a_spectrum_of_another_size():
