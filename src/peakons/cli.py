@@ -5,13 +5,15 @@ emitted with 17 significant digits so repeated runs are byte-identical.
 Exit codes: 0 ok, 2 input validation, 3 numerical failure, 4 infeasible data.
 A JSON config file named by the PEAKON_CONFIG environment variable supplies
 defaults (tolerances, grids, output format, split ratios); command-line
-flags override it.
+flags override it.  The argument parser is built on the first main() call
+and reused by later calls in the process; parsing leaves it unchanged.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -31,7 +33,9 @@ from .measures import PeakonMeasure
 TOL_NAMES = tuple(f.name for f in dataclasses.fields(Tolerances))
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process, on the first main() call."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("file", help="input JSON file")
     common.add_argument("--out", default=None, help="output file (default stdout)")

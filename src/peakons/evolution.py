@@ -18,6 +18,7 @@ from .config import Tolerances, DEFAULT
 from .errors import NumericalError, PeakonError, TraceMismatch
 from .forward import SpectralData
 from .measures import PeakonMeasure
+from .ratfun import lsum
 
 SupResult = namedtuple("SupResult", ["value", "attained"])
 ScanRecord = namedtuple("ScanRecord", ["t", "v_mass", "error"])
@@ -74,7 +75,7 @@ def _reconstruction(fs: FlowState, t: float, tol: Tolerances):
 
 
 def _kernel_u(m: PeakonMeasure, x: float) -> float:
-    return 0.5 * sum(w * math.exp(-abs(x - xj)) for xj, w in zip(m.points, m.omega))
+    return 0.5 * lsum(w * math.exp(-abs(x - xj)) for xj, w in zip(m.points, m.omega))
 
 
 def solution_at(
@@ -91,7 +92,7 @@ def solution_at(
     us = []
     for x in xs:
         u = _kernel_u(m, x)
-        trace = 0.5 * sum(p * p / w for p, w in zip(forward._phi_at(m, atoms, x), ws))
+        trace = 0.5 * lsum(p * p / w for p, w in zip(forward._phi_at(m, atoms, x), ws))
         if abs(u - trace) > tol.trace * max(1.0, abs(u)):
             raise TraceMismatch(f"u routes disagree at x={x}, t={t}: {u} vs {trace}")
         us.append(u)
@@ -113,5 +114,5 @@ def collision_scan(fs: FlowState, times, tol: Tolerances = DEFAULT) -> list[Scan
         except PeakonError as exc:
             out.append(ScanRecord(t, None, str(exc)))
             continue
-        out.append(ScanRecord(t, sum(m.vee), None))
+        out.append(ScanRecord(t, lsum(m.vee), None))
     return out

@@ -478,7 +478,7 @@ def _spectral(m: PeakonMeasure, tol: Tolerances, near=None) -> tuple[SpectralDat
         vals, c_lam = _eigenfunction(m, lam, rows)
         lhs = _wdot(lams, i)
         kappa = -lam * lhs / c_lam
-        rhs = -sum(c_lam * p * p * (w + 2.0 * lam * v) for p, w, v in zip(vals, m.omega, m.vee))
+        rhs = -ratfun.lsum(c_lam * p * p * (w + 2.0 * lam * v) for p, w, v in zip(vals, m.omega, m.vee))
         if not (0.0 < kappa < math.inf and math.isfinite(rhs)):
             raise ConsistencyFail(
                 f"norming constant {kappa} (atom-sum W' {rhs}) for eigenvalue {lam}"
@@ -539,7 +539,7 @@ def weyl(m: PeakonMeasure, a: float, side: str, tol: Tolerances = DEFAULT) -> He
     k = bisect_left(m.points, a)
     far_first = range(m.n - 1, k - 1, -1) if side == "plus" else range(k)
     atoms = [(abs(m.points[j] - a), m.omega[j], m.vee[j]) for j in far_first]
-    neg = ratfun._pf_neg_reciprocal
+    neg = ratfun._peel
     u = atoms[0][0] if atoms else 0.0
     try:
         gamma, zeta, poles, residues = neg(2.0 * math.exp(-u / 2.0) / math.cosh(u / 2.0), 0.0, (), ())

@@ -26,7 +26,7 @@ from .errors import (
 )
 from .forward import InteriorData
 from .measures import PeakonMeasure, validate
-from .ratfun import HerglotzRational, herglotz, neg_reciprocal
+from .ratfun import HerglotzRational, herglotz, lsum, neg_reciprocal
 
 
 @dataclass(frozen=True)
@@ -104,8 +104,8 @@ def _snap_phi(d: InteriorData, tol: Tolerances) -> list[float]:
 
 
 def _alpha_beta(lams, phi, tol: Tolerances) -> tuple[float, float]:
-    alpha = 1.0 - sum(p * p for p in phi)
-    beta = -sum(lam * p * p for lam, p in zip(lams, phi))
+    alpha = 1.0 - lsum(p * p for p in phi)
+    beta = -lsum(lam * p * p for lam, p in zip(lams, phi))
     if abs(alpha) <= tol.ab:
         alpha = 0.0
     if abs(beta) <= tol.ab:
@@ -140,7 +140,7 @@ def feasibility(d: InteriorData, tol: Tolerances = DEFAULT) -> FeasibilityReport
 
     # (iii): total weight at most 1, and strictly positive phi on the
     # eigenvalue(s) adjacent to 0
-    if sum(p * p for p in phi) > 1.0 + tol.ab:
+    if lsum(p * p for p in phi) > 1.0 + tol.ab:
         bad.append(("iii", "sum of phi^2 exceeds 1"))
     adjacent = []
     if lams[0] > 0:
@@ -166,7 +166,7 @@ def feasibility(d: InteriorData, tol: Tolerances = DEFAULT) -> FeasibilityReport
     # (i): every zeroed eigenvalue must be a zero of the pole-free part of -1/(M+M)
     zero_idx = [j for j in range(n) if phi[j] == 0.0]
     if zero_idx:
-        gamma = 1.0 - sum(p * p for p in phi)
+        gamma = 1.0 - lsum(p * p for p in phi)
         for j in zero_idx:
             z = lams[j]
             val = gamma * z + beta

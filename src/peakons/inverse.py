@@ -44,7 +44,7 @@ from .errors import (
     ValidationError,
 )
 from .measures import PeakonMeasure, validate
-from .ratfun import HerglotzRational, cf_expand, herglotz, neg_reciprocal
+from .ratfun import HerglotzRational, cf_expand, herglotz, lsum, neg_reciprocal
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,7 @@ def measure_from_weyl(
 ) -> HalfLineMeasure:
     """Invert a one-sided Weyl function into atoms on that side of a."""
     cf = cf_expand(h, side, tol)
-    total = cf.head_length + sum(s.length for s in cf.stages)
+    total = cf.head_length + lsum(s.length for s in cf.stages)
     if abs(total - 2.0) > tol.cf:
         raise BadResidueAtZero(f"side lengths total {total}, expected 2")
     # remaining budget before each atom as a tail sum of positive lengths:
@@ -155,13 +155,13 @@ def _left_end(sd: forward.SpectralData) -> float:
     lams = sd.eigenvalues
     terms = []
     for i, (lam, kap) in enumerate(zip(lams, sd.norming)):
-        ell = sum(
+        ell = lsum(
             math.log(abs(mu - lam)) - math.log(abs(mu))
             for j, mu in enumerate(lams) if j != i
         )
         terms.append(math.log(kap) - 2.0 * ell)
     top = max(terms)
-    return -(top + math.log(sum(math.exp(t - top) for t in terms)))
+    return -(top + math.log(lsum(math.exp(t - top) for t in terms)))
 
 
 def _miss(sd: forward.SpectralData, back: forward.SpectralData) -> float:

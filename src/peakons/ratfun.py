@@ -21,7 +21,9 @@ _gap_offset, then takes a few safeguarded Newton steps on a model that
 keeps the anchor pole exact, and a walk, or failing that a bisection, to
 the adjacent floats across which the offset equation changes sign.  It
 always ends there and returns their midpoint; where the equation changes
-sign more than once near the zero, it is one such pair.
+sign more than once near the zero, it is one such pair.  Each gap costs
+one midpoint test, from its left pole; a zero past the midpoint is solved
+from the right pole.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 from .config import Tolerances, DEFAULT
 from .errors import (
@@ -39,6 +43,11 @@ from .errors import (
     NotHerglotz,
     PoleHit,
 )
+
+
+def lsum(values):
+    """sum(values) added left to right: from Python 3.12 on, sum() compensates floats."""
+    return reduce(add, values, 0)
 
 
 # ----------------------------------------------------- rational Herglotz form
@@ -83,7 +92,10 @@ def herglotz(gamma, zeta, poles, residues, tol: Tolerances = DEFAULT) -> Herglot
 
 def _anchored_terms(mus, betas, i) -> list[tuple[float, float]]:
     """(mus[j] - mus[i], betas[j]) for j != i, j ascending: the poles seen from mus[i]."""
-    return [(mus[j] - mus[i], betas[j]) for j in range(len(mus)) if j != i]
+    mu = mus[i]
+    terms = [(u - mu, b) for u, b in zip(mus, betas)]
+    del terms[i]
+    return terms
 
 
 def _anchored_value(gamma, zeta, mu, terms, x):
@@ -96,17 +108,6 @@ def _anchored_value(gamma, zeta, mu, terms, x):
     for d, b in terms:
         t += b / (d - x)
     return t
-
-
-def _anchored_value_slope(gamma, zeta, mu, terms, x):
-    """(value, slope) of _anchored_value at x in one pass; the value bit for bit."""
-    t, s = gamma * (mu + x) + zeta, gamma
-    for d, b in terms:
-        r = d - x
-        q = b / r
-        t += q
-        s += q / r
-    return t, s
 
 
 def _anchored_residue(gamma, beta, terms, x):
@@ -166,11 +167,11 @@ def _bisect(G, lo, hi):
             hi = p
 
 
-def _gap_offset(gamma, zeta, mu, beta, terms, sgn, hi, G):
+def _gap_offset(gamma, zeta, mu, beta, terms, sgn, hi):
     """Offset of the zero of G on (0, hi], G(hi) >= 0 known: the midpoint of adjacent floats.
 
     With S(d) = sgn*h(mu + sgn*d) anchored at mu, G = d*S(d) - beta, and
-    one pass of _anchored_value_slope gives G and S' > 0.  Each step keeps
+    one pass over terms gives G and S' > 0.  Each step keeps
     the anchor pole exact and S linear, S(y) ~ S(d) + S'(d)*(y - d): a
     one-pole rational model in the spirit of Gu-Eisenstat and Li, whose
     root y = d + e solves G(d) + G'(d)*e + S'(d)*e^2 = 0.  From d = 0 the
@@ -186,11 +187,26 @@ def _gap_offset(gamma, zeta, mu, beta, terms, sgn, hi, G):
     returns their midpoint.  After _NEWTON_STEPS steps or _WALK_STEPS
     probes without an answer, where a G with several sign changes near the
     zero is likely, _bisect takes the bracket as it stands to adjacent
-    floats instead.
+    floats instead.  The sums are written out here, each with the float
+    operations of _anchored_value in its order: this is the hottest loop.
     """
-    lo, d, g = 0.0, 0.0, -beta
-    t, s = _anchored_value_slope(gamma, zeta, mu, terms, 0.0)
-    for _ in range(_NEWTON_STEPS):
+    lo, d, g, x = 0.0, 0.0, -beta, 0.0
+    for k in range(_NEWTON_STEPS + 1):
+        # value t and slope s of h at mu + x, anchored at mu
+        t, s = gamma * (mu + x) + zeta, gamma
+        for c, b in terms:
+            r = c - x
+            q = b / r
+            t += q
+            s += q / r
+        if k:
+            g = sgn * d * t - beta  # G(d), summed as G sums it
+            if g <= 0.0:
+                lo = d
+            else:
+                hi = d
+            if k == _NEWTON_STEPS:
+                return _bisect(_bracket(gamma, zeta, mu, beta, terms, sgn), lo, hi)
         # the model's root y = d + e solves g + a*e + s*e^2 = 0, a = G'(d)
         a, w = sgn * t + s * d, 2.0 * math.sqrt(s) * math.sqrt(abs(g))
         if g <= 0.0:
@@ -208,14 +224,7 @@ def _gap_offset(gamma, zeta, mu, beta, terms, sgn, hi, G):
             if not lo < y < hi:  # lo and hi are a few ulps apart
                 break
         d = y
-        t, s = _anchored_value_slope(gamma, zeta, mu, terms, sgn * d)
-        g = sgn * d * t - beta  # G(d), summed as G sums it
-        if g <= 0.0:
-            lo = d
-        else:
-            hi = d
-    else:
-        return _bisect(G, lo, hi)
+        x = sgn * d
     # walk from the last step: ulp strides that double, a probe outside
     # [lo, hi] replaced by the midpoint, until lo and hi are adjacent
     p = y if lo < y < hi else math.nextafter(lo, hi) if y <= lo else math.nextafter(hi, lo)
@@ -225,12 +234,16 @@ def _gap_offset(gamma, zeta, mu, beta, terms, sgn, hi, G):
             return 0.5 * (lo + hi)
         if not lo < p < hi:
             p = 0.5 * (lo + hi)
-        if G(p) <= 0.0:
+        x = sgn * p
+        t = gamma * (mu + x) + zeta
+        for c, b in terms:
+            t += b / (c - x)
+        if sgn * p * t - beta <= 0.0:  # G(p)
             lo, p = p, p + stride
         else:
             hi, p = p, p - stride
         stride *= 2.0
-    return _bisect(G, lo, hi)
+    return _bisect(_bracket(gamma, zeta, mu, beta, terms, sgn), lo, hi)
 
 
 def _zero_offset(gamma, zeta, mus, betas, i, sgn, hi, terms=None):
@@ -253,7 +266,7 @@ def _zero_offset(gamma, zeta, mus, betas, i, sgn, hi, terms=None):
                 raise NonConverged("no zero in the outer range")
     elif not G(hi) >= 0.0:
         raise NonConverged("zero bracket lost during Herglotz inversion")
-    return _gap_offset(gamma, zeta, mus[i], betas[i], terms, sgn, hi, G)
+    return _gap_offset(gamma, zeta, mus[i], betas[i], terms, sgn, hi)
 
 
 def _pf_neg_reciprocal(gamma, zeta, mus, betas):
@@ -262,6 +275,10 @@ def _pf_neg_reciprocal(gamma, zeta, mus, betas):
     Returns (gamma', zeta', poles', residues').  Zeros of h are solved
     per gap anchored to the nearest pole, so residues spanning hundreds
     of orders of magnitude survive where coefficient arithmetic cannot.
+    G_i(half) = half*h(mu_i + half) - beta_i >= 0 puts the zero within
+    half of mu_i, else it is solved from mu_{i+1}; only a solve that ends
+    on half or the float below reads G_{i+1}(half), and if that is negative
+    too, the zero is the midpoint.  One midpoint test per gap, not about 1.5.
     A slope, constant, pole or residue of -1/h beyond the floats raises
     NonConverged.
     """
@@ -270,7 +287,7 @@ def _pf_neg_reciprocal(gamma, zeta, mus, betas):
         if gamma <= 0.0:
             raise NotHerglotz("constant function has no Herglotz reciprocal")
         return _in_range(0.0, 0.0, (-zeta / gamma,), (1.0 / gamma,))
-    s1 = sum(betas)
+    s1 = lsum(betas)
     span = max(1.0, max(abs(u) for u in mus))
     # behaviour at infinity: slope, then constant, else the pole sum
     slope = gamma * span * span > 1e-8 * s1
@@ -284,16 +301,16 @@ def _pf_neg_reciprocal(gamma, zeta, mus, betas):
         found.append((0, d, _anchored_residue(gamma, betas[0], lo, d)))
     for i in range(m - 1):
         hi = _anchored_terms(mus, betas, i + 1)
-        # the zero's side of the gap midpoint, by the bracket test of _zero_offset
         half = 0.5 * (mus[i + 1] - mus[i])
-        for j, sgn, terms in ((i, +1.0, lo), (i + 1, -1.0, hi)):
-            G = _bracket(gamma, zeta, mus[j], betas[j], terms, sgn)
-            if G(half) >= 0.0:
-                d = sgn * _gap_offset(gamma, zeta, mus[j], betas[j], terms, sgn, half, G)
-                found.append((j, d, _anchored_residue(gamma, betas[j], terms, d)))
-                break
-        else:  # both anchors round past the midpoint: the zero is the midpoint
-            found.append((i, half, _anchored_residue(gamma, betas[i], lo, half)))
+        if half * _anchored_value(gamma, zeta, mus[i], lo, half) - betas[i] >= 0.0:
+            j, terms, d = i, lo, _gap_offset(gamma, zeta, mus[i], betas[i], lo, 1.0, half)
+        else:
+            j, terms, d = i + 1, hi, -_gap_offset(gamma, zeta, mus[i + 1], betas[i + 1], hi, -1.0, half)
+            # both anchors rounding past the midpoint makes the midpoint the zero
+            if -d >= math.nextafter(half, 0.0) and not (
+                    -half * _anchored_value(gamma, zeta, mus[i + 1], hi, -half) - betas[i + 1] >= 0.0):
+                j, terms, d = i, lo, half
+        found.append((j, d, _anchored_residue(gamma, betas[j], terms, d)))
         lo = hi
     if slope or (const and zeta > 0.0):
         d = _zero_offset(gamma, zeta, mus, betas, m - 1, +1.0, None, lo)
@@ -305,7 +322,7 @@ def _pf_neg_reciprocal(gamma, zeta, mus, betas):
     elif const:
         g2, z2 = 0.0, -1.0 / zeta
     else:
-        s2 = sum(b * u for b, u in zip(betas, mus))
+        s2 = lsum(b * u for b, u in zip(betas, mus))
         g2 = 1.0 / s1
         # where s1*s1 is below the normal floats the division form stays in range
         z2 = -(s2 / s1) / s1 if s1 * s1 < _NORMAL_MIN else -s2 / (s1 * s1)
@@ -329,6 +346,14 @@ def neg_reciprocal(h: HerglotzRational, tol: Tolerances = DEFAULT) -> HerglotzRa
         if abs(out(z) - ref) > tol.pf * max(1.0, abs(ref)):
             raise NonConverged("reciprocal does not reproduce -1/h")
     return out
+
+
+def _peel(gamma, zeta, mus, betas):
+    """_pf_neg_reciprocal in a chain of inversions (cf_expand, forward.weyl)."""
+    try:
+        return _pf_neg_reciprocal(gamma, zeta, mus, betas)
+    except ZeroDivisionError as exc:  # by a residue of an earlier inversion
+        raise NonConverged("a residue underflowed to 0 in a chain of inversions") from exc
 
 
 # ------------------------------------------------- Stieltjes continued fractions
@@ -384,7 +409,7 @@ def cf_expand(h: HerglotzRational, side: str, tol: Tolerances = DEFAULT) -> Stie
             f"residue at 0 is {-h.residues[i0]}, expected -1/2"
         )
     if side == "minus":
-        sup = sum(h.residues)
+        sup = lsum(h.residues)
         if h.gamma > tol.coef or abs(h.zeta) > tol.coef * max(1.0, sup):
             raise DegreeMismatch("minus-side function must vanish at infinity")
 
@@ -402,7 +427,7 @@ def cf_expand(h: HerglotzRational, side: str, tol: Tolerances = DEFAULT) -> Stie
     lengths: list[float] = []
     for _ in range(len(h.poles) + 2):
         wspan = max(1.0, max(abs(u) for u in mus))
-        l, rest, mus2, betas2 = _pf_neg_reciprocal(gamma, zeta, mus, betas)
+        l, rest, mus2, betas2 = _peel(gamma, zeta, mus, betas)
         if head is None:
             if l == 0.0 and side == "minus":
                 raise NonPositiveLength("minus side needs a strictly positive head length")
@@ -416,7 +441,7 @@ def cf_expand(h: HerglotzRational, side: str, tol: Tolerances = DEFAULT) -> Stie
             if abs(rest) > 1e-6 * wspan * max(l, tol.cf):
                 raise NonConverged("continued fraction left a nonzero remainder")
             break
-        c1, c0, mus3, betas3 = _pf_neg_reciprocal(0.0, rest, mus2, betas2)
+        c1, c0, mus3, betas3 = _peel(0.0, rest, mus2, betas2)
         stages.append((c0, c1))
         if not mus3:
             raise DegreeMismatch("continued fraction ended without its terminal length")

@@ -462,3 +462,44 @@ def test_eigenvalues_sharing_a_float_exit_3_with_one_error_line(tmp_path, capsys
     assert main(["forward", f]) == 3
     err = capsys.readouterr().err
     assert err == "error: two eigenvalues share the float 1.0\n"
+
+
+def _outcome(argv, capsys):
+    """(exit code, stdout, stderr) of main(argv); argparse's errors exit through SystemExit."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_consecutive_calls_in_one_process_match_calls_alone(tmp_path, capsys):
+    # the parser is built once per process: no flag, default or error of one
+    # call may reach the next, so each call of the sequence gives the bytes
+    # and exit code it gives with a parser built for it alone
+    from peakons.cli import _build_parser
+
+    m = _measure_file(tmp_path, [(-0.3, 1.7, 0.0), (0.9, -0.6, 0.25), (2.2, 0.8, 0.0)])
+    close = _measure_file(tmp_path, [(0.0, 1.0, 0.0), (5e-3, 1.0, 0.0)], "close.json")
+    sd = str(tmp_path / "sd.json")
+    assert main(["forward", m, "--out", sd]) == 0
+    sequence = [
+        ["inverse", sd, "--tol.inv", "1e-3"],
+        ["inverse", sd],
+        ["forward", close, "--tol.pos", "0.01"],
+        ["forward", close],
+        ["evolve", m, "--t", "0:1:0.5"],
+        ["evolve", m],
+        ["forward", m, "--no-such-flag"],
+        ["forward", m, "--at", "0.35"],
+    ]
+    alone = []
+    for argv in sequence:
+        _build_parser.cache_clear()
+        alone.append(_outcome(argv, capsys))
+    _build_parser.cache_clear()
+    assert [_outcome(argv, capsys) for argv in sequence] == alone
+    codes = [code for code, _, _ in alone]
+    assert codes == [0, 0, 2, 0, 0, 0, 2, 0]
+    assert alone[4][1] != alone[5][1] and "--no-such-flag" in alone[6][2]

@@ -806,3 +806,15 @@ def test_float_range_failures_are_numerical_errors(call):
     # phi_plus that had underflowed to 0
     with pytest.raises(NumericalError):
         call()
+
+
+def test_weyl_of_a_residue_underflowing_in_its_chain_is_nonconverged():
+    # three atoms 214 and 474 apart, seen from the first: a residue of the
+    # chained inversions underflows to 0 and the next one divided by it
+    # (ZeroDivisionError leaked)
+    m = validate([(17.69933371469429, -836.1126237302997, 0.0),
+                  (231.70729385735285, -0.026498728559133287, 0.0),
+                  (705.7897761118595, 169785.00101505968, 0.0)])
+    with pytest.raises(NonConverged, match="underflowed to 0") as info:
+        weyl(m, 17.69933371469429, "plus")
+    assert isinstance(info.value.__cause__, ZeroDivisionError)

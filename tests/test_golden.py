@@ -7,22 +7,32 @@ stored bytes were produced by an earlier build; a change that is meant to
 leave every float bit-identical must reproduce them exactly.
 
 The bytes depend on the platform's libm (exp, expm1, sinh, cosh, tanh),
-so a different platform may legitimately differ in the last digit.  Regenerate the files there with
+so a different platform may legitimately differ in the last digit.  Any
+Python from 3.10 up must reproduce them: the package adds its float sums
+left to right on every version.  Compare the outputs without pytest and
+without touching the stored files with
+
+    PYTHONPATH=src python tests/test_golden.py --check
+
+which prints one line per file and exits 1 on any difference.  Regenerate
+the files on a new platform with
 
     PYTHONPATH=src python tests/test_golden.py
 
 and review the diff before committing it.  Before it overwrites a file the
 script prints how many of its numbers changed, the worst change relative
 to max(1, |x|), and whether any text other than the numbers changed.
+Neither mode imports pytest, which only collects the tests below, and
+neither reads PEAKON_CONFIG.
 """
 
 import json
+import os
 import re
 import shutil
+import subprocess
 import sys
 from pathlib import Path
-
-import pytest
 
 from peakons.cli import main
 
@@ -54,17 +64,32 @@ def _run_case(name: str, workdir: Path) -> list[int]:
     return codes
 
 
-@pytest.fixture(autouse=True)
-def _no_ambient_config(monkeypatch):
+def pytest_generate_tests(metafunc):
+    # the parametrization of @pytest.mark.parametrize, without importing pytest
+    if "name" in metafunc.fixturenames:
+        metafunc.parametrize("name", sorted(CASES))
+
+
+def test_cli_output_matches_golden_bytes(name, tmp_path, monkeypatch):
     monkeypatch.delenv("PEAKON_CONFIG", raising=False)
-
-
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_cli_output_matches_golden_bytes(name, tmp_path):
     assert _run_case(name, tmp_path) == [0, 0, 0, 0]
     for fname in OUTPUTS:
         golden = GOLDEN / f"{name}.{fname}"
         assert (tmp_path / fname).read_bytes() == golden.read_bytes(), golden.name
+
+
+def test_check_mode_needs_no_pytest_and_writes_nothing(tmp_path):
+    stored = {p.name: p.read_bytes() for p in GOLDEN.iterdir()}
+    script = Path(__file__).resolve()
+    code = ("import runpy, sys; sys.modules['pytest'] = None; "  # import pytest now fails
+            f"sys.argv = [{str(script)!r}, '--check']; runpy.run_path(sys.argv[0], run_name='__main__')")
+    env = {k: v for k, v in os.environ.items() if k != "PEAKON_CONFIG"}
+    env["PYTHONPATH"] = str(script.parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.count(": identical\n") == len(CASES) * len(OUTPUTS)
+    assert {p.name: p.read_bytes() for p in GOLDEN.iterdir()} == stored
 
 
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
@@ -84,7 +109,13 @@ def golden_diff(old: str, new: str) -> str:
 if __name__ == "__main__":
     import tempfile
 
-    GOLDEN.mkdir(parents=True, exist_ok=True)
+    check = sys.argv[1:] == ["--check"]
+    if sys.argv[1:] and not check:
+        sys.exit(f"usage: {sys.argv[0]} [--check]")
+    os.environ.pop("PEAKON_CONFIG", None)
+    if not check:
+        GOLDEN.mkdir(parents=True, exist_ok=True)
+    differ = 0
     for case in sorted(CASES):
         with tempfile.TemporaryDirectory() as tmp:
             codes = _run_case(case, Path(tmp))
@@ -92,6 +123,16 @@ if __name__ == "__main__":
                 sys.exit(f"{case}: exit codes {codes}")
             for fname in OUTPUTS:
                 new, old = Path(tmp) / fname, GOLDEN / f"{case}.{fname}"
-                diff = golden_diff(old.read_text(), new.read_text()) if old.exists() else "new file"
+                if not old.exists():
+                    diff = "new file"
+                elif new.read_bytes() == old.read_bytes():
+                    diff = "identical"
+                else:
+                    diff = golden_diff(old.read_text(), new.read_text())
                 print(f"{old.name}: {diff}")
-                shutil.copyfile(new, old)
+                if check:
+                    differ += diff != "identical"
+                else:
+                    shutil.copyfile(new, old)
+    if differ:
+        sys.exit(f"{differ} of {len(CASES) * len(OUTPUTS)} files differ from {GOLDEN}")

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import MpForward, random_measure, rel_err
 from peakons import (
@@ -11,6 +12,7 @@ from peakons import (
     SpectralData,
     eigenvalues,
     evolve_spectral,
+    herglotz,
     measure_at,
     measure_from_spectral_data,
     measure_from_weyl,
@@ -18,8 +20,8 @@ from peakons import (
     validate,
     weyl,
 )
-from peakons.errors import (ConsistencyFail, Infeasible, NotHerglotz, NumericalError,
-                            PeakonError, ValidationError)
+from peakons.errors import (ConsistencyFail, Infeasible, NonConverged, NotHerglotz,
+                            NumericalError, PeakonError, ValidationError)
 from peakons.inverse import _left_end
 
 
@@ -377,3 +379,50 @@ def test_resolve_rejects_an_eigenvalue_outside_tol_inv():
         _resolve(m, off, DEFAULT)
     tight = DEFAULT.with_overrides(inv=0.0)
     _resolve(m, lams, tight)  # exactly reproduced
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    poles=st.lists(st.tuples(st.floats(-6.0, 2.0), st.booleans(), st.floats(-300.0, 5.0)), max_size=9),
+    gamma=st.one_of(st.just(0.0), st.floats(-5.0, 2.0).map(lambda e: 10.0 ** e)),
+    zeta=st.one_of(st.just(0.0), st.floats(-1e3, 1e3)),
+    side=st.sampled_from(("plus", "minus")),
+    a=st.floats(-50.0, 50.0),
+)
+def test_measure_from_weyl_returns_or_raises_a_peakon_error(poles, gamma, zeta, side, a):
+    # random Herglotz data with the origin pole pinned at residue 1/2, the
+    # other poles 1e-6 to 100 from it on either side with residues 10^U(-300, 5):
+    # the half-line inverse returns finite atoms or raises a PeakonError
+    mus = [0.0] + [10.0 ** e if right else -10.0 ** e for e, right, _ in poles]
+    betas = [0.5] + [10.0 ** e for _, _, e in poles]
+    try:
+        h = herglotz(gamma, zeta, mus, betas)
+    except NotHerglotz:  # two poles on one float
+        return
+    try:
+        half = measure_from_weyl(h, a, side)
+    except PeakonError:
+        return
+    assert all(map(math.isfinite, (*half.points, *half.omega, *half.vee)))
+
+
+@pytest.mark.parametrize("gamma, zeta, poles, residues, side, a", [
+    # a residue of the continued fraction underflows to 0, and the next
+    # peel divided by it (an outer zero's offset) or by the sum of residues
+    (4.423491214913143e-05, 0.0,
+     (0.0, -1.2372863571048118e-06, 0.007413809083425229, 0.4239898520497565,
+      0.000924328805225356, 0.00024131392476869126, 0.034107385050181564, 6.03845673473307e-06),
+     (0.5, 3.4414274623485816e-299, 5.1434747393357844e-152, 7.193107287737874e-79,
+      3.618024067433458e-223, 3.1193002607780316e-161, 3.1202831623747327e-102, 7.510223814392767e-266),
+     "plus", 33.06234146177013),
+    (0.0, 0.0,
+     (0.0, 2.3838527354679683e-06, 0.0023662653285689353, -0.00014177974532939553, 0.2800811108713131),
+     (0.5, 1.3436167147803163e-298, 6.939720986439724e-78, 5.577104623940519e-44, 2.2603537051626197e-173),
+     "minus", 37.75582324520633),
+], ids=["offset", "residue_sum"])
+def test_a_residue_underflowing_in_the_continued_fraction_is_nonconverged(
+        gamma, zeta, poles, residues, side, a):
+    # both leaked ZeroDivisionError
+    with pytest.raises(NonConverged, match="underflowed to 0") as info:
+        measure_from_weyl(herglotz(gamma, zeta, poles, residues), a, side)
+    assert isinstance(info.value.__cause__, ZeroDivisionError)

@@ -352,14 +352,46 @@ def test_neg_reciprocal_subnormal_offset_square_keeps_the_residue():
     assert out.residues == pytest.approx((beta / (1.0 + beta) ** 3,), rel=1e-14, abs=0.0)
 
 
-@settings(max_examples=300, deadline=None)
-@given(
+def _hex_outcome(f, *args):
+    """f(*args) with every float in hex, or the type of the exception it raised."""
+    try:
+        g2, z2, zeros, res = f(*args)
+    except Exception as exc:
+        return type(exc)
+    return g2.hex(), z2.hex(), [d.hex() for d in zeros], [b.hex() for b in res]
+
+
+def _pole_data(gaps, shift, logb):
+    """Strictly increasing poles with spacings 10**gaps and residues 10**logb, or None."""
+    steps = [10.0 ** g for g in gaps]
+    mus = [sum(steps[:k]) - shift * sum(steps) for k in range(len(steps) + 1)]
+    if any(b <= a for a, b in zip(mus, mus[1:])):
+        return None
+    return mus, [10.0 ** e or math.ulp(0.0) for e in logb[:len(mus)]]
+
+
+# residues 10^U(-320, 5), subnormals included, pole spacings over seven
+# decades, and slopes and constants that add outer zeros
+_POLE_SETS = dict(
     gaps=st.lists(st.floats(-6.0, 1.0), max_size=11),
     shift=st.floats(0.0, 1.0),
     logb=st.lists(st.floats(-320.0, 5.0), min_size=12, max_size=12),
     gamma=st.one_of(st.just(0.0), st.floats(-5.0, 2.0).map(lambda e: 10.0 ** e)),
     zeta=st.one_of(st.just(0.0), st.floats(-1e3, 1e3)),
 )
+
+# four poles placed symmetrically about 0 with mirrored residues and no
+# constant, found by a scan: h(0) = 0, and at the middle gap both anchors'
+# bracket tests round past the midpoint, so the midpoint is the zero
+_BOTH_PAST_MIDPOINT = dict(
+    gaps=[-0.8074910751748945] * 3, shift=0.5,
+    logb=[-13.703657772458655, -61.56209119114857, -61.56209119114857, -13.703657772458655] + [0.0] * 8,
+    gamma=1.5110889270898316, zeta=0.0,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(**_POLE_SETS)
 # one pole of residue 1e-309: the slope 1/1e-309 and, with a subnormal
 # constant, -1/zeta and the outer zero's residue overflowed to inf
 @example(gaps=[], shift=0.0, logb=[-309.0] * 12, gamma=0.0, zeta=0.0)
@@ -371,11 +403,10 @@ def test_neg_reciprocal_interlaces_or_raises(gaps, shift, logb, gamma, zeta):
     # raises a PeakonError.  A zero closer to its pole than the pole's float
     # spacing rounds onto it, so the gaps are closed and the poles strictly
     # increasing; c counts the poles left of h's.
-    steps = [10.0 ** g for g in gaps]
-    mus = [sum(steps[:k]) - shift * sum(steps) for k in range(len(steps) + 1)]
-    if any(b <= a for a, b in zip(mus, mus[1:])):
+    data = _pole_data(gaps, shift, logb)
+    if data is None:
         return
-    betas = [10.0 ** e or math.ulp(0.0) for e in logb[:len(mus)]]
+    mus, betas = data
     try:
         out = neg_reciprocal(herglotz(gamma, zeta, mus, betas))
     except PeakonError:
@@ -387,6 +418,37 @@ def test_neg_reciprocal_interlaces_or_raises(gaps, shift, logb, gamma, zeta):
     assert any(len(out.poles) - c in (len(mus) - 1, len(mus))
                and all(ext[k + 1 - c] <= p <= ext[k + 2 - c] for k, p in enumerate(out.poles))
                for c in (0, 1)), (mus, out.poles)
+
+
+@settings(max_examples=500, deadline=None)
+@given(**_POLE_SETS)
+@example(**_BOTH_PAST_MIDPOINT)
+def test_pf_neg_reciprocal_matches_the_frozen_two_test_solver(gaps, shift, logb, gamma, zeta):
+    # one midpoint test per gap and the inlined probe sums leave every float
+    # of the two-test solver in tests/ratfun_reference.py as it was, or
+    # raise the same exception type
+    import ratfun_reference
+
+    from peakons.ratfun import _pf_neg_reciprocal
+
+    data = _pole_data(gaps, shift, logb)
+    if data is None:
+        return
+    args = (gamma, zeta, *data)
+    assert _hex_outcome(_pf_neg_reciprocal, *args) == _hex_outcome(
+        ratfun_reference._pf_neg_reciprocal, *args), args
+
+
+def test_the_pinned_input_takes_the_both_past_midpoint_branch():
+    from peakons.ratfun import _anchored_terms, _anchored_value, _pf_neg_reciprocal
+
+    mus, betas = _pole_data(**{k: _BOTH_PAST_MIDPOINT[k] for k in ("gaps", "shift", "logb")})
+    gamma, zeta = _BOTH_PAST_MIDPOINT["gamma"], _BOTH_PAST_MIDPOINT["zeta"]
+    half = 0.5 * (mus[2] - mus[1])
+    for j, sgn in ((1, 1.0), (2, -1.0)):
+        value = _anchored_value(gamma, zeta, mus[j], _anchored_terms(mus, betas, j), sgn * half)
+        assert sgn * half * value - betas[j] < 0.0
+    assert _pf_neg_reciprocal(gamma, zeta, mus, betas)[2][2] == mus[1] + half == 0.0
 
 
 @pytest.mark.parametrize("gamma, zeta", [(1e-320, 0.0), (1e-320, 1.0), (1e-300, 1e10)])
