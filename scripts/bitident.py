@@ -11,7 +11,8 @@ between causes under one type, such as ``Infeasible``, show), and a hash of
 and ``float`` of one value hash alike.
 Prints ``k of n ops differ`` per workload and seed, with how many of them
 went from ``ok`` to a failure (``peakon`` or ``leak``) and back, then the
-differing lines, and exits 1 on any difference:
+differing lines, and last ``src lines: OLD -> NEW``, the ``wc -l`` totals of
+the ``*.py`` files under each source directory; exits 1 on any difference:
 
     python3 scripts/bitident.py old/src src --seeds 11 12 13 14
 
@@ -109,6 +110,11 @@ def compare(old_src, new_src, workload, seed):
     return len(pairs), max(len(old), len(new)), pairs
 
 
+def src_lines(src_dir):
+    """Lines of the *.py files under src_dir, counted as wc -l counts them."""
+    return sum(p.read_bytes().count(b"\n") for p in Path(src_dir).rglob("*.py"))
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     if argv[:1] == ["--dump"]:
@@ -135,6 +141,7 @@ def main(argv=None):
             found += [(workload, seed, a, b) for a, b in pairs]
     for workload, seed, a, b in found:
         print(f"{workload} seed {seed}\n  - {a}\n  + {b}")
+    print(f"src lines: {src_lines(args.old_src)} -> {src_lines(args.new_src)}")
     return 1 if found else 0
 
 

@@ -517,9 +517,18 @@ def _interior(
 ) -> InteriorData:
     """interior_data for the spectral data sd of m and its atom values atoms (_spectral)."""
     phis = [p / math.sqrt(k) for p, k in zip(_phi_at(m, atoms, a), sd.norming)]
+    return InteriorData(a, sd.eigenvalues, tuple(_snap(phis, tol)))
+
+
+def _snap(phis, tol: Tolerances) -> list[float]:
+    """phis with every value at most tol.phi * max|phis| in size set to 0.0.
+
+    The one rule that decides which phi_i(a) is a node of phi_i: interior_data
+    applies it to what it reads, and every interior routine to the data it
+    is given.
+    """
     top = max(abs(p) for p in phis)
-    phis = [0.0 if abs(p) <= tol.phi * top else p for p in phis]
-    return InteriorData(a, sd.eigenvalues, tuple(phis))
+    return [0.0 if abs(p) <= tol.phi * top else p for p in phis]
 
 
 def weyl(m: PeakonMeasure, a: float, side: str, tol: Tolerances = DEFAULT) -> HerglotzRational:

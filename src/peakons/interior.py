@@ -8,7 +8,8 @@ gap holding 0 is shared half/half, a pole in a gap holding an eigenvalue
 where phi vanishes is shared with a free ratio, a pole between two
 eigenvalues is forced to one side by the signs of phi there, and the at
 most two poles beyond the ends of the spectrum admit a binary choice each.
-Each choice plus each split ratio yields one measure.
+Each choice plus each split ratio yields one measure, built by
+inverse._branch; the full-line inverse is its all-plus branch.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .errors import (
     ValidationError,
 )
 from .forward import InteriorData
-from .measures import PeakonMeasure, validate
+from .measures import PeakonMeasure
 from .ratfun import HerglotzRational, herglotz, lsum, neg_reciprocal
 
 
@@ -96,13 +97,6 @@ class SolutionFamily:
         return self.measures[i]
 
 
-def _snap_phi(d: InteriorData, tol: Tolerances) -> list[float]:
-    top = max(abs(p) for p in d.phi)
-    if top == 0.0:
-        return list(d.phi)
-    return [0.0 if abs(p) <= tol.phi * top else p for p in d.phi]
-
-
 def _alpha_beta(lams, phi, tol: Tolerances) -> tuple[float, float]:
     alpha = 1.0 - lsum(p * p for p in phi)
     beta = -lsum(lam * p * p for lam, p in zip(lams, phi))
@@ -117,22 +111,8 @@ def alpha_beta(d: InteriorData, tol: Tolerances = DEFAULT) -> tuple[float, float
     return _alpha_beta(d.eigenvalues, d.phi, tol)
 
 
-def _f_function(d: InteriorData, tol: Tolerances) -> HerglotzRational:
-    phi = _snap_phi(d, tol)
-    alpha, beta = alpha_beta(d, tol)
-    poles, res = [], []
-    for lam, p in zip(d.eigenvalues, phi):
-        if p != 0.0:
-            r = lam * lam * p * p
-            if not math.isfinite(r):
-                raise ValidationError(f"residue lambda^2 phi^2 overflows at lambda = {lam}")
-            poles.append(lam)
-            res.append(r)
-    return herglotz(alpha, beta, poles, res, tol)
-
-
 def feasibility(d: InteriorData, tol: Tolerances = DEFAULT) -> FeasibilityReport:
-    phi = _snap_phi(d, tol)
+    phi = forward._snap(d.phi, tol)
     lams = list(d.eigenvalues)
     n = len(lams)
     alpha, beta = alpha_beta(d, tol)
@@ -171,17 +151,13 @@ def feasibility(d: InteriorData, tol: Tolerances = DEFAULT) -> FeasibilityReport
             z = lams[j]
             val = gamma * z + beta
             scale = max(1.0, abs(gamma * z) + abs(beta))
-            ok = True
             for lam, p in zip(lams, phi):
                 if p == 0.0:
                     continue
                 r = lam * lam * p * p
-                if lam == z:
-                    ok = False
-                    break
                 val += r / (lam - z)
                 scale += abs(r / (lam - z))
-            if not ok or abs(val) > tol.g * scale:
+            if abs(val) > tol.g * scale:
                 bad.append(("i", f"F does not vanish at zeroed eigenvalue {z}"))
 
     # endpoint constraints by regime
@@ -196,8 +172,17 @@ def feasibility(d: InteriorData, tol: Tolerances = DEFAULT) -> FeasibilityReport
 
 
 def sum_weyl(d: InteriorData, tol: Tolerances = DEFAULT) -> HerglotzRational:
-    """M_plus + M_minus in partial-fraction form."""
-    return neg_reciprocal(_f_function(d, tol), tol)
+    """M_plus + M_minus in partial-fraction form, as -1/F."""
+    alpha, beta = alpha_beta(d, tol)
+    poles, res = [], []
+    for lam, p in zip(d.eigenvalues, forward._snap(d.phi, tol)):
+        if p != 0.0:
+            r = lam * lam * p * p
+            if not math.isfinite(r):
+                raise ValidationError(f"residue lambda^2 phi^2 overflows at lambda = {lam}")
+            poles.append(lam)
+            res.append(r)
+    return neg_reciprocal(herglotz(alpha, beta, poles, res, tol), tol)
 
 
 def pole_split(d: InteriorData, tol: Tolerances = DEFAULT) -> PoleAssignment:
@@ -214,7 +199,7 @@ def _pole_split(d: InteriorData, s: HerglotzRational, tol: Tolerances) -> PoleAs
     [-inf, P, +inf]: shared if it holds 0, in A if it holds a zeroed
     eigenvalue, free if an end is infinite, else in B or C by phi's signs.
     """
-    phi = _snap_phi(d, tol)
+    phi = forward._snap(d.phi, tol)
     ends = [(-math.inf, 0.0)] + [(lam, p) for lam, p in zip(d.eigenvalues, phi) if p != 0.0]
     ends.append((math.inf, 0.0))
     zeroed = [lam for lam, p in zip(d.eigenvalues, phi) if p == 0.0]
@@ -272,34 +257,19 @@ def enumerate_solutions(
     asg = _pole_split(d, s, tol)
     thetas = _normalize_splits(splits, len(asg.set_A))
 
-    plus_base = [(0.0, asg.shared_zero / 2.0)]
-    minus_base = [(0.0, asg.shared_zero / 2.0)]
-    plus_base += list(asg.set_B)
-    minus_base += list(asg.set_C)
+    origin = (0.0, asg.shared_zero / 2.0)
+    plus_base, minus_base = [origin, *asg.set_B], [origin, *asg.set_C]
     for (mu, res), th in zip(asg.set_A, thetas):
         plus_base.append((mu, th * res))
         minus_base.append((mu, (1.0 - th) * res))
 
     measures, errors = [], []
     for branch in range(2 ** len(asg.free_poles)):
-        plus = list(plus_base)
-        minus = list(minus_base)
+        plus, minus = list(plus_base), list(minus_base)
         for j, pr in enumerate(asg.free_poles):
             (minus if (branch >> j) & 1 else plus).append(pr)
-        plus.sort()
-        minus.sort()
         try:
-            m_plus = HerglotzRational(
-                s.gamma, s.zeta,
-                tuple(p for p, _ in plus), tuple(r for _, r in plus),
-            )
-            m_minus = HerglotzRational(
-                0.0, 0.0,
-                tuple(p for p, _ in minus), tuple(r for _, r in minus),
-            )
-            hp = inverse.measure_from_weyl(m_plus, d.a, "plus", tol)
-            hm = inverse.measure_from_weyl(m_minus, d.a, "minus", tol)
-            m = validate(hp.triples() + hm.triples(), tol)
+            m = inverse._branch(s, d.a, plus, minus, tol)
             _verify_interior(d, m, tol)
         except (NumericalError, ValidationError) as exc:
             errors.append((branch, exc))
@@ -311,7 +281,7 @@ def enumerate_solutions(
 def _verify_interior(d: InteriorData, m: PeakonMeasure, tol: Tolerances):
     sd, atoms = forward._resolve(m, d.eigenvalues, tol)
     back = forward._interior(m, sd, atoms, d.a, tol)
-    for lam, p, p2 in zip(d.eigenvalues, _snap_phi(d, tol), back.phi):
+    for lam, p, p2 in zip(d.eigenvalues, forward._snap(d.phi, tol), back.phi):
         if abs(p - p2) > tol.inv * max(1.0, abs(p)):
             raise NumericalError(f"phi {p} at eigenvalue {lam} reproduced as {p2}")
 
@@ -335,7 +305,7 @@ def _describe(asg: PoleAssignment) -> CountDescriptor:
 
 def modulus_family_count(d: InteriorData, tol: Tolerances = DEFAULT) -> int:
     """Number of sign-choice classes when only |phi_i(a)| is known."""
-    phi = _snap_phi(d, tol)
+    phi = forward._snap(d.phi, tol)
     n = len(phi)
     k = sum(1 for p in phi if p == 0.0)
     alpha, beta = _alpha_beta(d.eigenvalues, phi, tol)  # from the snapped phi

@@ -5,7 +5,9 @@ lengths are increments of 2 tanh((x - a)/2); inverting the cumulative sums
 recovers positions, and the affine stage coefficients divided by cosh^2
 recover the weights.  Full-line reconstruction from (eigenvalues, norming)
 places a reference point strictly left of the support, where the minus-side
-Weyl function is exactly -1/(2z), and rebuilds the plus side.
+Weyl function is exactly -1/(2z), and rebuilds the plus side: it is the
+all-plus branch of the interior inverse.  _branch turns one split of the
+poles of M_plus + M_minus into a measure, for both inverses.
 
 The data fix the left end of the support in closed form.  Left of the
 support phi_i(a)^2 = e^a kappa_i / (lam_i W'(lam_i))^2, with W' in the
@@ -132,16 +134,28 @@ def _attempt(sd: forward.SpectralData, a: float, tol: Tolerances) -> PeakonMeasu
         s_lphi2 += r / lam
     f = herglotz(1.0 - s_phi2, -s_lphi2, lams, res, tol)
     s = neg_reciprocal(f, tol)
-    # the pole of -1/F nearest the origin is the exact zero F(0)=0; the minus
-    # side contributes -1/(2z), so the plus share of its residue is exactly 1/2
+    # the pole of -1/F nearest the origin is the exact zero F(0)=0; left of
+    # the support M_minus = -1/(2z) exactly, so every other pole is M_plus's
+    # and the plus share of the origin's residue is exactly 1/2
     i0 = min(range(len(s.poles)), key=lambda i: abs(s.poles[i]))
-    poles = list(s.poles)
-    residues = list(s.residues)
-    poles[i0] = 0.0
-    residues[i0] = 0.5
-    m_plus = HerglotzRational(s.gamma, s.zeta, tuple(poles), tuple(residues))
-    half = measure_from_weyl(m_plus, a, "plus", tol)
-    return validate(half.triples(), tol)
+    plus = [(0.0, 0.5) if i == i0 else pr for i, pr in enumerate(zip(s.poles, s.residues))]
+    return _branch(s, a, plus, [(0.0, 0.5)], tol)
+
+
+def _branch(s: HerglotzRational, a: float, plus, minus, tol: Tolerances) -> PeakonMeasure:
+    """The measure whose Weyl functions at a share out the Weyl sum s.
+
+    plus and minus are (pole, residue) pairs, whose residues at each pole of
+    s add up to its residue there: M_plus is s's slope and constant with the
+    pairs plus, M_minus the pairs minus alone.  Each side is inverted by
+    measure_from_weyl, plus side first, and the union is validated.
+    """
+    triples = []
+    for side, gamma, zeta, pairs in (("plus", s.gamma, s.zeta, plus), ("minus", 0.0, 0.0, minus)):
+        pairs = sorted(pairs)
+        h = HerglotzRational(gamma, zeta, tuple(p for p, _ in pairs), tuple(r for _, r in pairs))
+        triples += measure_from_weyl(h, a, side, tol).triples()
+    return validate(triples, tol)
 
 
 def _left_end(sd: forward.SpectralData) -> float:

@@ -1,9 +1,12 @@
 """Interior inverse problem: feasibility gate, pole splitting, enumeration."""
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from peakons import (
     DEFAULT,
@@ -14,6 +17,7 @@ from peakons import (
     feasibility,
     forward,
     interior_data,
+    measure_from_spectral_data,
     modulus_family_count,
     pole_split,
     solution_count,
@@ -21,8 +25,9 @@ from peakons import (
     sum_weyl,
     validate,
 )
-from peakons.errors import NotHerglotz, UnresolvedPole, ValidationError
+from peakons.errors import NotHerglotz, PeakonError, UnresolvedPole, ValidationError
 from peakons.interior import _pole_split
+from peakons.inverse import _left_end
 from peakons.ratfun import HerglotzRational
 from peakons.forward import _shoot
 
@@ -330,6 +335,57 @@ def test_family_contains_the_source_measure(rng):
         assert best < 1e-6
         hits += 1
     assert hits == 20
+
+
+def _perfbench_gen():
+    """perfbench/gen.py, the benchmark's seeded measure generator, loaded by path."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
+
+
+def test_the_full_line_inverse_is_a_branch_of_the_interior_inverse():
+    # left of the support phi = c e^{x/2} with c != 0, so no phi_i(a) is a
+    # node and none is snapped; at the full-line inverse's anchor x_1 - 1 one
+    # branch of the interior inverse is the full-line reconstruction
+    gen = _perfbench_gen()
+    tol = DEFAULT.with_overrides(phi=0.0)
+    for k in range(40):
+        m = validate(gen.measure_triples(gen.sub_rng(500, k), 3 + k % 10))
+        sd = spectral_data(m)
+        full = measure_from_spectral_data(sd)
+        fam = enumerate_solutions(interior_data(m, _left_end(sd) - 1.0, tol), tol=tol)
+        errs = [
+            max(abs(p - q) for p, q in zip(got.points + got.omega + got.vee,
+                                           full.points + full.omega + full.vee))
+            for got in fam if got.n == full.n
+        ]
+        assert errs and min(errs) <= 1e-12, (k, [str(e) for _, e in fam.errors])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lams=st.lists(st.tuples(st.floats(-150.0, 150.0), st.booleans()), min_size=1, max_size=8),
+    phis=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(-300.0, 150.0), st.booleans()),
+                  min_size=8, max_size=8),
+    a=st.floats(-800.0, 800.0),
+)
+def test_interior_routines_return_or_raise_a_peakon_error(lams, phis, a):
+    # random interior data: |lambda| in 10^U(-150, 150), about 15% of phi
+    # zero and the others 10^U(-300, 150) in size, anchors up to +-800
+    eigs = sorted(-10.0 ** e if neg else 10.0 ** e for e, neg in lams)
+    phi = [0.0 if u < 0.15 else (-10.0 ** e if neg else 10.0 ** e) for u, e, neg in phis]
+    try:
+        d = InteriorData(a, tuple(eigs), tuple(phi[:len(eigs)]))
+    except ValidationError:  # repeated eigenvalue, or an overflowing phi term
+        return
+    for fn in (feasibility, modulus_family_count, solution_count, enumerate_solutions):
+        try:
+            fn(d)
+        except PeakonError:
+            pass
 
 
 # 9 atoms, two with v, anchored 0.36 left of the support: the benchmark's

@@ -1,6 +1,7 @@
 """Smoke test of the scripts: each runs on a small input and exits 0."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -25,6 +26,8 @@ def test_bitident_finds_a_build_identical_to_itself(tmp_path):
     proc = _run(["bitident.py", src, src, "--workloads", "roundtrip", "--seeds", "11"], tmp_path)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "roundtrip seed 11: 0 of 144 ops differ" in proc.stdout
+    counts = re.fullmatch(r"src lines: (\d+) -> (\d+)", proc.stdout.splitlines()[-1])
+    assert counts and counts[1] == counts[2] != "0", proc.stdout
 
 
 def _run(argv, cwd):
