@@ -212,10 +212,11 @@ def _phi_at(m: PeakonMeasure, atoms: list, x: float) -> list[float]:
     constant, so phi decays from the end atom.
     """
     pts = m.points
+    n = len(pts)
     k = bisect_left(pts, x)  # atoms k.. lie at or above x
-    if k < m.n and pts[k] == x:
+    if k < n and pts[k] == x:
         return [vals[k] for vals in atoms]
-    if k == 0 or k == m.n:  # outside the support
+    if k == 0 or k == n:  # outside the support
         end = 0 if k == 0 else -1
         e = math.exp(-abs(x - pts[end]) / 2.0)
         return [vals[end] * e for vals in atoms]

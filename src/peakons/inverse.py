@@ -6,8 +6,9 @@ recovers positions, and the affine stage coefficients divided by cosh^2
 recover the weights.  Full-line reconstruction from (eigenvalues, norming)
 places a reference point strictly left of the support, where the minus-side
 Weyl function is exactly -1/(2z), and rebuilds the plus side: it is the
-all-plus branch of the interior inverse.  _branch turns one split of the
-poles of M_plus + M_minus into a measure, for both inverses.
+all-plus branch of the interior inverse, whose empty minus side
+measure_from_weyl returns without a continued fraction.  _branch turns one
+split of the poles of M_plus + M_minus into a measure, for both inverses.
 
 The data fix the left end of the support in closed form.  Left of the
 support phi_i(a)^2 = e^a kappa_i / (lam_i W'(lam_i))^2, with W' in the
@@ -74,10 +75,21 @@ class HalfLineMeasure:
                 raise ValidationError(f"minus-side point {x} not left of {self.a}")
 
 
+_FREE_SIDE = (0.0, 0.0, (0.0,), (0.5,))  # -1/(2z), the Weyl function of no atoms
+
+
 def measure_from_weyl(
     h: HerglotzRational, a: float, side: str, tol: Tolerances = DEFAULT
 ) -> HalfLineMeasure:
-    """Invert a one-sided Weyl function into atoms on that side of a."""
+    """Invert a one-sided Weyl function into atoms on that side of a.
+
+    The Weyl function of a side free of atoms is exactly -1/(2z), the pole
+    data (0, 0, (0.0,), (0.5,)): its continued fraction is the head length
+    2 alone, under any tolerances, so it gives the empty measure at once.
+    That is the minus side of every full-line inverse.
+    """
+    if side in ("plus", "minus") and (h.gamma, h.zeta, h.poles, h.residues) == _FREE_SIDE:
+        return HalfLineMeasure((), (), (), a, side)
     cf = cf_expand(h, side, tol)
     total = cf.head_length + lsum(s.length for s in cf.stages)
     if abs(total - 2.0) > tol.cf:

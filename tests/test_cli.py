@@ -299,6 +299,14 @@ def test_malformed_grid_exits_2(tmp_path, capsys, flag, grid, msg):
     assert msg in _one_error_line(capsys)
 
 
+def test_interior_data_with_an_overflowing_pole_spacing_exits_3(tmp_path, capsys):
+    # eigenvalues 1e154 from the origin once ended --enumerate in an
+    # OverflowError traceback
+    f = _interior_file(tmp_path, 0.0, [(-1e154, 0.1), (1.0, 0.5), (1e154, 0.1)])
+    assert main(["interior", f, "--enumerate"]) == 3
+    _one_error_line(capsys)
+
+
 @pytest.mark.parametrize("content", [None, "{not json"])
 def test_unreadable_config_exits_2(tmp_path, monkeypatch, capsys, content):
     cfg = tmp_path / "cfg.json"

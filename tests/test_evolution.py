@@ -1,9 +1,11 @@
 """Isospectral flow: exact spectral motion, reconstruction, collisions."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from peakons import (
     DEFAULT,
@@ -11,6 +13,7 @@ from peakons import (
     FlowState,
     Infeasible,
     NumericalError,
+    PeakonError,
     SpectralData,
     TraceMismatch,
     collision_scan,
@@ -227,6 +230,71 @@ def test_solution_at_reads_no_eigenfunction_after_measure_at(rng, monkeypatch):
         solution_at(fs, 1.5, [-3.0, 0.0, 3.0])
         assert reads == [] and points == [-3.0, 0.0, 3.0]
         del points[:]
+
+
+def _grid(m, probes):
+    """Points of m's support (on), between its atoms (in) and beyond its ends (out)."""
+    pts, xs = m.points, []
+    for k, kind, f in probes:
+        k %= len(pts)
+        if kind == "on":
+            xs.append(pts[k])
+        elif kind == "in" and k + 1 < len(pts):
+            xs.append(pts[k] + f * (pts[k + 1] - pts[k]))
+        else:
+            xs.append(pts[0] - 10.0 * f if k % 2 else pts[-1] + 10.0 * f)
+    return xs
+
+
+def _hex_outcome(f, *args):
+    """f(*args) as (hex floats, measure), or the type and message of its PeakonError."""
+    try:
+        us, m = f(*args)
+    except PeakonError as exc:
+        return type(exc), str(exc)
+    return [u.hex() for u in us], m
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    atoms=st.lists(st.tuples(st.floats(0.05, 3.0), st.floats(0.2, 2.5), st.booleans(),
+                             st.sampled_from([0.0, 0.3, 1.2])), min_size=1, max_size=6),
+    t=st.floats(-5.0, 20.0),
+    probes=st.lists(st.tuples(st.integers(0, 5), st.sampled_from(["on", "in", "out"]), st.floats(0.0, 1.0)),
+                    min_size=1, max_size=12),
+    trace=st.sampled_from([1e-8, 1e-14, 0.0]),
+)
+def test_solution_at_returns_the_floats_of_its_lsum_form(atoms, t, probes, trace):
+    # the loop sums of the kernel and the trace route add what lsum added, in
+    # its order: the same u, and the same TraceMismatch (at tol.trace = 0
+    # nearly every point misses), as the frozen copy in evolution_reference.py
+    import evolution_reference
+
+    tol = DEFAULT.with_overrides(trace=trace)
+    xs = itertools.accumulate(gap for gap, *_ in atoms)
+    m0 = validate([(x, -w if neg else w, v) for x, (_, w, neg, v) in zip(xs, atoms)])
+    try:
+        fs = FlowState.from_measure(m0, 0.0, tol)
+        grid = _grid(measure_at(fs, t, tol), probes)
+    except PeakonError:  # a step that does not reconstruct
+        return
+    got = _hex_outcome(solution_at, fs, t, grid, tol)
+    assert got == _hex_outcome(evolution_reference.solution_at, fs, t, grid, tol), grid
+
+
+def test_a_corrupted_trace_weight_is_caught_at_every_point():
+    # kappa_i lambda_i of the flow with their signs flipped turn the trace
+    # route's u into -u: on an atom, between atoms and beyond either end, the
+    # check raises at that point
+    fs = FlowState.from_measure(validate([(-1.0, 1.0, 0.0), (0.5, 0.7, 0.4), (2.0, 1.5, 0.0)]))
+    m = measure_at(fs, 1.0)
+    grid = [*m.points, 0.0, 1.2, m.points[0] - 3.0, m.points[-1] + 3.0]
+    assert solution_at(fs, 1.0, grid)[0] == [_kernel_u(m, x) for x in grid]
+    key, (m, atoms, ws) = fs._last
+    fs._last = (key, (m, atoms, [-w for w in ws]))
+    for x in grid:
+        with pytest.raises(TraceMismatch, match=f"at x={x}, t=1.0: "):
+            solution_at(fs, 1.0, [x])
 
 
 @pytest.mark.parametrize("sd, cause", [

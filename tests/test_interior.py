@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from peakons import (
     DEFAULT,
@@ -367,13 +367,16 @@ def test_the_full_line_inverse_is_a_branch_of_the_interior_inverse():
 
 @settings(max_examples=300, deadline=None)
 @given(
-    lams=st.lists(st.tuples(st.floats(-150.0, 150.0), st.booleans()), min_size=1, max_size=8),
+    lams=st.lists(st.tuples(st.floats(-150.0, 155.0), st.booleans()), min_size=1, max_size=8),
     phis=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(-300.0, 150.0), st.booleans()),
                   min_size=8, max_size=8),
     a=st.floats(-800.0, 800.0),
 )
+# eigenvalues +-1e154 and 1: solution_count and enumerate_solutions raised
+# OverflowError from the residues of -1/F
+@example(lams=[(154.0, True), (0.0, False), (154.0, False)], phis=[(0.5, -1.0, False)] * 8, a=0.0)
 def test_interior_routines_return_or_raise_a_peakon_error(lams, phis, a):
-    # random interior data: |lambda| in 10^U(-150, 150), about 15% of phi
+    # random interior data: |lambda| in 10^U(-150, 155), about 15% of phi
     # zero and the others 10^U(-300, 150) in size, anchors up to +-800
     eigs = sorted(-10.0 ** e if neg else 10.0 ** e for e, neg in lams)
     phi = [0.0 if u < 0.15 else (-10.0 ** e if neg else 10.0 ** e) for u, e, neg in phis]
@@ -386,6 +389,19 @@ def test_interior_routines_return_or_raise_a_peakon_error(lams, phis, a):
             fn(d)
         except PeakonError:
             pass
+
+
+# eigenvalues 1e154 from the origin: a pole spacing whose square overflows
+WIDE_SPECTRUM = InteriorData(0.0, (-1e154, 1.0, 1e154), (0.1, 0.5, 0.1))
+
+
+@pytest.mark.parametrize("fn", [sum_weyl, pole_split, solution_count, enumerate_solutions],
+                         ids=lambda fn: fn.__name__)
+def test_a_pole_spacing_whose_square_overflows_is_a_peakon_error(fn):
+    # the residues of -1/F summed (d - x)**2 over pole spacings d - x, which
+    # raised OverflowError above 1.34e154
+    with pytest.raises(PeakonError):
+        fn(WIDE_SPECTRUM)
 
 
 # 9 atoms, two with v, anchored 0.36 left of the support: the benchmark's

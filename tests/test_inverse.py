@@ -31,6 +31,28 @@ def test_free_minus_side_is_empty():
     assert half.n == 0
 
 
+@pytest.mark.parametrize("side", ["plus", "minus"])
+@pytest.mark.parametrize("tol", [DEFAULT, DEFAULT.with_overrides(cf=0.0, coef=0.0)],
+                         ids=["default", "zero"])
+def test_the_free_side_takes_the_result_of_its_continued_fraction(monkeypatch, side, tol):
+    # -1/(2z) is inverted without a continued fraction; with that shortcut
+    # switched off, cf_expand gives the same empty measure, head length 2
+    from peakons import inverse
+
+    h = HerglotzRational(0.0, 0.0, (0.0,), (0.5,))
+    fast = measure_from_weyl(h, -1.5, side, tol)
+    cf = inverse.cf_expand(h, side, tol)
+    assert (cf.head_length, cf.stages) == (2.0, ())
+    monkeypatch.setattr(inverse, "_FREE_SIDE", None)
+    assert measure_from_weyl(h, -1.5, side, tol) == fast
+    assert fast == inverse.HalfLineMeasure((), (), (), -1.5, side)
+
+
+def test_a_bad_side_is_a_value_error_on_the_free_side_too():
+    with pytest.raises(ValueError, match="side must be plus or minus"):
+        measure_from_weyl(HerglotzRational(0.0, 0.0, (0.0,), (0.5,)), -1.0, "left")
+
+
 def test_single_peakon_weyl_roundtrip():
     m = validate([(0.0, 2.0, 0.0)])
     half = measure_from_weyl(weyl(m, -1.0, "plus"), -1.0, "plus")
@@ -164,14 +186,13 @@ def test_warm_start_returns_the_cold_eigenvalues_bit_for_bit():
 
 
 def _count_cf_expand(monkeypatch) -> list:
-    """The plus-side continued fractions of the inverse: one per reference point
-    tried (its minus side is the exact -1/(2z) there)."""
+    """Every continued fraction of the inverse: one per reference point tried,
+    since its minus side, the exact -1/(2z) there, is inverted without one."""
     from peakons import inverse
 
     calls = []
     expand = inverse.cf_expand
-    monkeypatch.setattr(
-        inverse, "cf_expand", lambda *a: (a[1] == "plus" and calls.append(a)) or expand(*a))
+    monkeypatch.setattr(inverse, "cf_expand", lambda *a: calls.append(a) or expand(*a))
     return calls
 
 

@@ -352,6 +352,24 @@ def test_neg_reciprocal_subnormal_offset_square_keeps_the_residue():
     assert out.residues == pytest.approx((beta / (1.0 + beta) ** 3,), rel=1e-14, abs=0.0)
 
 
+def test_neg_reciprocal_across_a_pole_spacing_whose_square_overflows():
+    # h = z - 1/z + 1/(1e160 - z) has zeros near -1 and 1, where h' is 2 up
+    # to 1e-320, and one within 1e-160 of the far pole; (1e160 - x)**2 in
+    # the residues of the near zeros raised OverflowError
+    out = neg_reciprocal(herglotz(1.0, 0.0, (0.0, 1e160), (1.0, 1.0)))
+    assert out.poles[:2] == pytest.approx((-1.0, 1.0), rel=1e-15)
+    assert out.residues[:2] == pytest.approx((0.5, 0.5), rel=1e-15)
+    assert len(out.poles) == 3 and out.poles[2] >= 1e160 and 0.0 < out.residues[2] < 1e-300
+    # b/(0 - z) + b/(L - z) vanishes at L/2, where h' = 8b/L^2 and x*x
+    # overflows too (the pole data alone: the constant of -1/h cancels its
+    # pole term at the imaginary grid, beyond neg_reciprocal's check)
+    from peakons.ratfun import _pf_neg_reciprocal
+
+    _, _, zeros, res = _pf_neg_reciprocal(0.0, 0.0, (0.0, 1e160), (1e100, 1e100))
+    assert zeros == pytest.approx((5e159,), rel=1e-15)
+    assert res == pytest.approx((1.25e219,), rel=1e-15)  # L^2/(8b)
+
+
 def _hex_outcome(f, *args):
     """f(*args) with every float in hex, or the type of the exception it raised."""
     try:
@@ -380,6 +398,11 @@ _POLE_SETS = dict(
     zeta=st.one_of(st.just(0.0), st.floats(-1e3, 1e3)),
 )
 
+# the same, with pole spacings of 10^U(154.2, 160) mixed in: their squares
+# leave the floats
+_WIDE_POLE_SETS = dict(
+    _POLE_SETS, gaps=st.lists(st.one_of(st.floats(-6.0, 1.0), st.floats(154.2, 160.0)), max_size=11))
+
 # four poles placed symmetrically about 0 with mirrored residues and no
 # constant, found by a scan: h(0) = 0, and at the middle gap both anchors'
 # bracket tests round past the midpoint, so the midpoint is the zero
@@ -391,18 +414,22 @@ _BOTH_PAST_MIDPOINT = dict(
 
 
 @settings(max_examples=300, deadline=None)
-@given(**_POLE_SETS)
+@given(**_WIDE_POLE_SETS)
 # one pole of residue 1e-309: the slope 1/1e-309 and, with a subnormal
 # constant, -1/zeta and the outer zero's residue overflowed to inf
 @example(gaps=[], shift=0.0, logb=[-309.0] * 12, gamma=0.0, zeta=0.0)
 @example(gaps=[], shift=0.0, logb=[-309.0] * 12, gamma=0.0, zeta=2.225073858507e-311)
+# two poles 1e160 apart: (d - x)**2 in the residue of a zero raised OverflowError
+@example(gaps=[160.0], shift=0.5, logb=[0.0] * 12, gamma=1.0, zeta=0.0)
+# h' = 8e-325 at the midpoint zero underflows to 0, and 1/h' raised ZeroDivisionError
+@example(gaps=[155.0], shift=0.0, logb=[-15.0] * 12, gamma=0.0, zeta=0.0)
 def test_neg_reciprocal_interlaces_or_raises(gaps, shift, logb, gamma, zeta):
     # residues 10^U(-320, 5), subnormals included, and pole spacings over
-    # seven decades: -1/h either has one pole in each gap of h and at most
-    # one on each outer side, positive residues and finite data, or the call
-    # raises a PeakonError.  A zero closer to its pole than the pole's float
-    # spacing rounds onto it, so the gaps are closed and the poles strictly
-    # increasing; c counts the poles left of h's.
+    # seven decades and above 1.4e154: -1/h either has one pole in each gap
+    # of h and at most one on each outer side, positive residues and finite
+    # data, or the call raises a PeakonError.  A zero closer to its pole
+    # than the pole's float spacing rounds onto it, so the gaps are closed
+    # and the poles strictly increasing; c counts the poles left of h's.
     data = _pole_data(gaps, shift, logb)
     if data is None:
         return

@@ -1,5 +1,7 @@
 """Smoke test of the scripts: each runs on a small input and exits 0."""
 
+import importlib.util
+import json
 import os
 import re
 import subprocess
@@ -28,6 +30,30 @@ def test_bitident_finds_a_build_identical_to_itself(tmp_path):
     assert "roundtrip seed 11: 0 of 144 ops differ" in proc.stdout
     counts = re.fullmatch(r"src lines: (\d+) -> (\d+)", proc.stdout.splitlines()[-1])
     assert counts and counts[1] == counts[2] != "0", proc.stdout
+
+
+def _result_line(p50, share, failed):
+    metrics = {"op_p50_ms": {"value": p50, "unit": "ms"},
+               "success_share": {"value": share, "unit": "ratio"}}
+    return json.dumps({"correct": True, "attempted": 252, "failed": failed, "metrics": metrics})
+
+
+def test_abpairs_reports_every_run_and_the_medians():
+    spec = importlib.util.spec_from_file_location("abpairs", ROOT / "scripts" / "abpairs.py")
+    abpairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(abpairs)
+
+    old = [_result_line(p50, 0.968, 8) for p50 in (1.6, 1.5, 1.7)]
+    new = [_result_line(p50, 0.968, 8) for p50 in (1.4, 1.55, 1.3)]
+    rows = abpairs.report(old, new)
+    assert rows[0].split() == ["metric", "old", "runs", "new", "runs", "median", "old", "->", "new"]
+    assert rows[1].split() == ["op_p50_ms", "1.6", "1.5", "1.7", "1.4", "1.55", "1.3",
+                               "1.6", "->", "1.4", "(-12.5%),", "lower", "in", "2,", "higher", "in", "1"]
+    assert rows[2].split() == ["success_share", *["0.968"] * 6, "0.968", "->", "0.968", "(+0.0%),",
+                               "lower", "in", "0,", "higher", "in", "0"]
+    assert rows[3].split() == ["attempted/failed", *["252/8"] * 6]
+    assert rows[4].split() == ["correct", *["True"] * 6]
+    assert rows[0].index("new runs") == rows[1].index("1.4") == rows[3].index("252/8 252/8 252/8", 20)
 
 
 def _run(argv, cwd):
