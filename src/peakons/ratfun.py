@@ -32,7 +32,6 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import reduce
-from math import hypot, nextafter, sqrt, ulp  # module names: the solver's loop calls them
 from operator import add
 
 from .config import Tolerances, DEFAULT
@@ -164,8 +163,8 @@ def _bisect(G, lo, hi):
     subnormals included.
     """
     while True:
-        low = lo or ulp(0.0)
-        p = sqrt(low) * sqrt(hi) if hi > 4.0 * low else 0.5 * (lo + hi)
+        low = lo or math.ulp(0.0)
+        p = math.sqrt(low) * math.sqrt(hi) if hi > 4.0 * low else 0.5 * (lo + hi)
         if not lo < p < hi:
             return 0.5 * (lo + hi)
         if G(p) <= 0.0:
@@ -215,29 +214,29 @@ def _gap_offset(gamma, zeta, mu, beta, terms, sgn, hi):
             if k == _NEWTON_STEPS:
                 return _bisect(_bracket(gamma, zeta, mu, beta, terms, sgn), lo, hi)
         # the model's root y = d + e solves g + a*e + s*e^2 = 0, a = G'(d)
-        a, w = sgn * t + s * d, 2.0 * sqrt(s) * sqrt(abs(g))
+        a, w = sgn * t + s * d, 2.0 * math.sqrt(s) * math.sqrt(abs(g))
         if g <= 0.0:
-            r = hypot(a, w)
+            r = math.hypot(a, w)
             e = -2.0 * g / (a + r) if a > 0.0 else (r - a) / (2.0 * s) if s > 0.0 else hi
         elif a > w:
-            e = -2.0 * g / (a + sqrt(a - w) * sqrt(a + w))
+            e = -2.0 * g / (a + math.sqrt(a - w) * math.sqrt(a + w))
         else:  # no root near d
             e = hi
         y = d + e
-        if d > 0.0 and abs(e) <= 2.0 * ulp(d):
+        if d > 0.0 and abs(e) <= 2.0 * math.ulp(d):
             break
         if not lo < y < hi:
-            y = sqrt(lo) * sqrt(hi) if lo > 0.0 else 0.125 * hi
+            y = math.sqrt(lo) * math.sqrt(hi) if lo > 0.0 else 0.125 * hi
             if not lo < y < hi:  # lo and hi are a few ulps apart
                 break
         d = y
         x = sgn * d
     # walk from the last step: ulp strides that double, a probe outside
     # [lo, hi] replaced by the midpoint, until lo and hi are adjacent
-    p = y if lo < y < hi else nextafter(lo, hi) if y <= lo else nextafter(hi, lo)
-    stride = ulp(p)
+    p = y if lo < y < hi else math.nextafter(lo, hi) if y <= lo else math.nextafter(hi, lo)
+    stride = math.ulp(p)
     for _ in range(_WALK_STEPS + 1):
-        if nextafter(lo, hi) == hi:
+        if math.nextafter(lo, hi) == hi:
             return 0.5 * (lo + hi)
         if not lo < p < hi:
             p = 0.5 * (lo + hi)
@@ -309,15 +308,12 @@ def _pf_neg_reciprocal(gamma, zeta, mus, betas):
     for i in range(m - 1):
         hi = _anchored_terms(mus, betas, i + 1)
         half = 0.5 * (mus[i + 1] - mus[i])
-        t = gamma * (mus[i] + half) + zeta  # _anchored_value(gamma, zeta, mus[i], lo, half)
-        for c, b in lo:
-            t += b / (c - half)
-        if half * t - betas[i] >= 0.0:
+        if half * _anchored_value(gamma, zeta, mus[i], lo, half) - betas[i] >= 0.0:
             j, terms, d = i, lo, _gap_offset(gamma, zeta, mus[i], betas[i], lo, 1.0, half)
         else:
             j, terms, d = i + 1, hi, -_gap_offset(gamma, zeta, mus[i + 1], betas[i + 1], hi, -1.0, half)
             # both anchors rounding past the midpoint makes the midpoint the zero
-            if -d >= nextafter(half, 0.0) and not (
+            if -d >= math.nextafter(half, 0.0) and not (
                     -half * _anchored_value(gamma, zeta, mus[i + 1], hi, -half) - betas[i + 1] >= 0.0):
                 j, terms, d = i, lo, half
         found.append((j, d, _anchored_residue(gamma, betas[j], terms, d)))

@@ -370,6 +370,17 @@ def test_neg_reciprocal_across_a_pole_spacing_whose_square_overflows():
     assert res == pytest.approx((1.25e219,), rel=1e-15)  # L^2/(8b)
 
 
+def test_an_h_prime_underflowing_to_0_in_a_chain_of_inversions_leaves_float_range():
+    # residues of 5e-324, as an earlier inversion of a chain leaves them:
+    # h' underflows to 0 at the zero between the poles, so its residue 1/h'
+    # is beyond the floats; this was a ZeroDivisionError, which _peel
+    # reported as "a residue underflowed to 0 in a chain of inversions"
+    from peakons.ratfun import _peel
+
+    with pytest.raises(NonConverged, match="negative reciprocal leaves float range"):
+        _peel(0.0, 0.0, (-6.0, 1.0), (5e-324, 5e-324))
+
+
 def _hex_outcome(f, *args):
     """f(*args) with every float in hex, or the type of the exception it raised."""
     try:
@@ -413,23 +424,14 @@ _BOTH_PAST_MIDPOINT = dict(
 )
 
 
-@settings(max_examples=300, deadline=None)
-@given(**_WIDE_POLE_SETS)
-# one pole of residue 1e-309: the slope 1/1e-309 and, with a subnormal
-# constant, -1/zeta and the outer zero's residue overflowed to inf
-@example(gaps=[], shift=0.0, logb=[-309.0] * 12, gamma=0.0, zeta=0.0)
-@example(gaps=[], shift=0.0, logb=[-309.0] * 12, gamma=0.0, zeta=2.225073858507e-311)
-# two poles 1e160 apart: (d - x)**2 in the residue of a zero raised OverflowError
-@example(gaps=[160.0], shift=0.5, logb=[0.0] * 12, gamma=1.0, zeta=0.0)
-# h' = 8e-325 at the midpoint zero underflows to 0, and 1/h' raised ZeroDivisionError
-@example(gaps=[155.0], shift=0.0, logb=[-15.0] * 12, gamma=0.0, zeta=0.0)
-def test_neg_reciprocal_interlaces_or_raises(gaps, shift, logb, gamma, zeta):
-    # residues 10^U(-320, 5), subnormals included, and pole spacings over
-    # seven decades and above 1.4e154: -1/h either has one pole in each gap
-    # of h and at most one on each outer side, positive residues and finite
-    # data, or the call raises a PeakonError.  A zero closer to its pole
-    # than the pole's float spacing rounds onto it, so the gaps are closed
-    # and the poles strictly increasing; c counts the poles left of h's.
+def _assert_interlaces_or_raises(gaps, shift, logb, gamma, zeta):
+    """-1/h has one pole in each gap of h and at most one on each outer side,
+    positive residues and finite data, or the call raises a PeakonError.
+
+    A zero closer to its pole than the pole's float spacing rounds onto it,
+    so the gaps are closed and the poles strictly increasing; c counts the
+    poles left of h's.
+    """
     data = _pole_data(gaps, shift, logb)
     if data is None:
         return
@@ -445,6 +447,30 @@ def test_neg_reciprocal_interlaces_or_raises(gaps, shift, logb, gamma, zeta):
     assert any(len(out.poles) - c in (len(mus) - 1, len(mus))
                and all(ext[k + 1 - c] <= p <= ext[k + 2 - c] for k, p in enumerate(out.poles))
                for c in (0, 1)), (mus, out.poles)
+
+
+@settings(max_examples=300, deadline=None)
+@given(**_POLE_SETS)
+# one pole of residue 1e-309: the slope 1/1e-309 and, with a subnormal
+# constant, -1/zeta and the outer zero's residue overflowed to inf
+@example(gaps=[], shift=0.0, logb=[-309.0] * 12, gamma=0.0, zeta=0.0)
+@example(gaps=[], shift=0.0, logb=[-309.0] * 12, gamma=0.0, zeta=2.225073858507e-311)
+def test_neg_reciprocal_interlaces_or_raises(gaps, shift, logb, gamma, zeta):
+    # residues 10^U(-320, 5), subnormals included, and pole spacings over
+    # seven decades
+    _assert_interlaces_or_raises(gaps, shift, logb, gamma, zeta)
+
+
+@settings(max_examples=200, deadline=None)
+@given(**_WIDE_POLE_SETS)
+# two poles 1e160 apart: (d - x)**2 in the residue of a zero raised OverflowError
+@example(gaps=[160.0], shift=0.5, logb=[0.0] * 12, gamma=1.0, zeta=0.0)
+# h' = 8e-325 at the midpoint zero underflows to 0, so its residue 1/h' leaves the floats
+@example(gaps=[155.0], shift=0.0, logb=[-15.0] * 12, gamma=0.0, zeta=0.0)
+def test_neg_reciprocal_interlaces_or_raises_across_spacings_whose_squares_overflow(
+        gaps, shift, logb, gamma, zeta):
+    # as above, with pole spacings above 1.4e154 mixed in
+    _assert_interlaces_or_raises(gaps, shift, logb, gamma, zeta)
 
 
 @settings(max_examples=500, deadline=None)

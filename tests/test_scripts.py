@@ -45,7 +45,7 @@ def test_abpairs_reports_every_run_and_the_medians():
 
     old = [_result_line(p50, 0.968, 8) for p50 in (1.6, 1.5, 1.7)]
     new = [_result_line(p50, 0.968, 8) for p50 in (1.4, 1.55, 1.3)]
-    rows = abpairs.report(old, new)
+    rows = abpairs.report(old, new, {"op_p50_ms": "lower", "success_share": "higher"})
     assert rows[0].split() == ["metric", "old", "runs", "new", "runs", "median", "old", "->", "new"]
     assert rows[1].split() == ["op_p50_ms", "1.6", "1.5", "1.7", "1.4", "1.55", "1.3",
                                "1.6", "->", "1.4", "(-12.5%),", "lower", "in", "2,", "higher", "in", "1"]
@@ -54,6 +54,28 @@ def test_abpairs_reports_every_run_and_the_medians():
     assert rows[3].split() == ["attempted/failed", *["252/8"] * 6]
     assert rows[4].split() == ["correct", *["True"] * 6]
     assert rows[0].index("new runs") == rows[1].index("1.4") == rows[3].index("252/8 252/8 252/8", 20)
+    # three pairs are too few to show a gain
+    assert rows[5].split() == ["gain", "shown", "none"]
+
+
+def test_abpairs_shows_a_gain_only_when_nine_of_ten_pairs_and_the_quartiles_agree():
+    spec = importlib.util.spec_from_file_location("abpairs", ROOT / "scripts" / "abpairs.py")
+    abpairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(abpairs)
+
+    old = [1.80, 1.82, 1.84, 1.85, 1.83, 1.81, 1.86, 1.84, 1.83, 1.82]
+    new = [1.68, 1.70, 1.66, 1.69, 1.67, 1.71, 1.68, 1.69, 1.70, 1.90]  # 9 of 10 lower
+    assert abpairs.shows_gain(old, new, "lower")
+    assert not abpairs.shows_gain(old, new, "higher")
+    assert not abpairs.shows_gain(old[:9], new[:9], "lower")  # fewer than 10 pairs
+    assert not abpairs.shows_gain(old, new[:8] + [1.90, 1.90], "lower")  # 8 of 10
+    # 10 of 10 lower, but the median falls by less than old's quartile distance
+    wide = [1.70, 1.90, 1.75, 1.95, 1.72, 1.92, 1.74, 1.94, 1.73, 1.93]
+    assert not abpairs.shows_gain(wide, [x - 0.05 for x in wide], "lower")
+    rows = abpairs.report([_result_line(x, 0.968, 8) for x in old],
+                          [_result_line(x, 0.968, 8) for x in new],
+                          {"op_p50_ms": "lower", "success_share": "higher"})
+    assert rows[-1].split() == ["gain", "shown", "op_p50_ms"]
 
 
 def _run(argv, cwd):
