@@ -26,7 +26,7 @@ from peakons.forward import _eigenfunction, _phi_at, _rows
 def second_zero(m):
     """Bisect the sign change of the second eigenfunction inside the support."""
     lam = spectral_data(m).eigenvalues[1]
-    atoms = [_eigenfunction(m, lam, _rows(m))[0]]  # phi at the atoms; _phi_at reads it anywhere
+    atoms = [_eigenfunction(m, lam, *_rows(m))[0]]  # phi at the atoms; _phi_at reads it anywhere
     lo, hi = m.points[0], m.points[-1]
     for _ in range(200):
         mid = 0.5 * (lo + hi)

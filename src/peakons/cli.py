@@ -151,14 +151,7 @@ def _cmd_interior(args, cfg: RunConfig) -> int:
         out["assignment"] = fam.assignment.to_json_obj()
         out["solutions"] = [m.to_json_obj() for m in fam.measures]
         out["branches"] = [
-            {
-                "branch": b,
-                "free_to_minus": [
-                    mu for j, (mu, _) in enumerate(fam.assignment.free_poles)
-                    if (b >> j) & 1
-                ],
-            }
-            for b in range(2 ** len(fam.assignment.free_poles))
+            {"branch": b, "free_to_minus": mus} for b, mus in enumerate(fam.free_to_minus)
         ]
         out["errors"] = [[b, str(exc)] for b, exc in fam.errors]
     _write(serial.dumps_json(out), args.out)

@@ -1,7 +1,7 @@
 """Tolerance bundle and run configuration.
 
 The CLI can override every field of Tolerances (--tol.<name>).  Not every
-numerical threshold is one: forward._coefficients' 1e-8 gap floor, the two
+numerical threshold is one: forward._rows' 1e-8 gap floor, the two
 1e-8 tests of ratfun._pf_neg_reciprocal and cf_expand's 1e-6 remainder test
 are fixed in the code, and so are forward._newton's cap of _NEWTON_STEPS =
 40 steps per root, its stop rule, a step of at most _NEWTON_ULPS = 2 ulps,

@@ -10,11 +10,12 @@ are the eigenvalues.
 The determinant recursion Q_0..Q_n runs over rows (a_{i-1}^2, b_{i-1}, w, v)
 that depend on the measure alone, in reversed support order: the rows of
 T(z) = tridiag(-a, b - w z - v z^2, -a), whose determinant Q_n(z) is W(z)
-up to a positive factor.  At an eigenvalue the null vector of T is phi_plus
-at the atoms up to a constant, and _eigenfunction reads it once, as the
-twisted null vector of Parlett & Dhillon (Linear Algebra Appl. 267 (1997)):
-pivots top-down, as _count forms them, and bottom-up, joined at the row of
-least residual.  phi is scaled to e^{-x_n/2} at x_n, as phi_plus is right of
+up to a positive factor; _rows returns them with the couplings a.  At an
+eigenvalue the null vector of T is phi_plus at the atoms up to a constant,
+and _eigenfunction reads it once, as the twisted null vector of Parlett &
+Dhillon (Linear Algebra Appl. 267 (1997)): pivots top-down, as _count forms
+them, and bottom-up, joined at the row of least residual, with a recurrence
+in a itself.  phi is scaled to e^{-x_n/2} at x_n, as phi_plus is right of
 the support, and c_lam = phi_minus/phi_plus = e^{x_1/2}/phi(x_1).
 
 W(0) = 1 and W vanishes on the spectrum, so W'(lam_i) = -(1/lam_i)
@@ -67,6 +68,15 @@ from .measures import PeakonMeasure, counts
 from .ratfun import HerglotzRational
 
 
+def _check_spectrum(lams):
+    """The checks that SpectralData and InteriorData make of their eigenvalues."""
+    for x, y in zip(lams, lams[1:]):
+        if not y > x:
+            raise ValidationError("eigenvalues must be strictly increasing")
+    if any(lam == 0.0 for lam in lams):
+        raise ValidationError("0 is never an eigenvalue")
+
+
 @dataclass(frozen=True)
 class SpectralData:
     eigenvalues: tuple[float, ...]
@@ -89,11 +99,7 @@ class SpectralData:
             raise ValidationError("eigenvalues and norming lengths differ or empty")
         if not all(map(math.isfinite, (*self.eigenvalues, *self.norming))):
             raise ValidationError("eigenvalues and norming constants must be finite")
-        for a, b in zip(self.eigenvalues, self.eigenvalues[1:]):
-            if not b > a:
-                raise ValidationError("eigenvalues must be strictly increasing")
-        if any(lam == 0.0 for lam in self.eigenvalues):
-            raise ValidationError("0 is never an eigenvalue")
+        _check_spectrum(self.eigenvalues)
         for lam in self.eigenvalues:
             if lam * lam == 0.0:  # the inverse divides by lambda^2
                 raise ValidationError(f"eigenvalue {lam} underflows its square")
@@ -130,11 +136,7 @@ class InteriorData:
             raise ValidationError("a, lambda and phi must be finite")
         if len(self.eigenvalues) != len(self.phi) or not self.eigenvalues:
             raise ValidationError("eigenvalue and phi lengths differ or empty")
-        for a, b in zip(self.eigenvalues, self.eigenvalues[1:]):
-            if not b > a:
-                raise ValidationError("eigenvalues must be strictly increasing")
-        if any(lam == 0.0 for lam in self.eigenvalues):
-            raise ValidationError("0 is never an eigenvalue")
+        _check_spectrum(self.eigenvalues)
         for lam, p in zip(self.eigenvalues, self.phi):  # the terms of alpha and beta
             if not (math.isfinite(p * p) and math.isfinite(lam * p * p)):
                 raise ValidationError(f"a square term of phi overflows at lambda = {lam}")
@@ -167,11 +169,13 @@ def _shoot(m: PeakonMeasure, z: complex, x: float, side: str):
         raise NumericalError(f"phi_{side} overflows on its way to {x}") from exc
 
 
-def _eigenfunction(m: PeakonMeasure, lam: float, rows: list) -> tuple[array, float]:
-    """(phi_plus at the atoms, c_lam) for an eigenvalue lam of m, rows = _rows(m).
+def _eigenfunction(m: PeakonMeasure, lam: float, rows: list, a: list) -> tuple[array, float]:
+    """(phi_plus at the atoms, c_lam) for an eigenvalue lam of m, (rows, a) = _rows(m).
 
     The twisted null vector u of T(lam) (see the module doc): pivots D+ and
     D-, a zero one made _TINY, and u_r = 1 at r = argmin |D+_r + D-_r - T_rr|.
+    The pivots divide by a^2 from the rows; u multiplies by the couplings a
+    themselves, which stay normal floats across gaps where a^2 underflows.
     """
     n = len(rows)
     diag = [b - w * lam - v * lam * lam for _, b, w, v in rows]
@@ -187,9 +191,9 @@ def _eigenfunction(m: PeakonMeasure, lam: float, rows: list) -> tuple[array, flo
     u = [0.0] * n
     u[r] = 1.0
     for i in range(r - 1, -1, -1):  # above the twist: u_i = a_{i+1} u_{i+1}/D+_i
-        u[i] = math.sqrt(rows[i + 1][0]) * u[i + 1] / plus[i]
+        u[i] = a[i + 1] * u[i + 1] / plus[i]
     for i in range(r + 1, n):  # below it: u_i = a_i u_{i-1}/D-_i
-        u[i] = math.sqrt(rows[i][0]) * u[i - 1] / minus[i]
+        u[i] = a[i] * u[i - 1] / minus[i]
     try:  # row 0 is atom n, where phi_plus = e^{-x_n/2}
         s = math.exp(-m.points[-1] / 2.0) / u[0]
         vals = array("d", (s * p for p in reversed(u)))  # 8 bytes a value, not 32
@@ -237,35 +241,26 @@ def _wdot(lams: list[float], i: int) -> float:
 
 # ------------------------------------------------------- determinant recursion
 
-def _gaps(m: PeakonMeasure) -> list[float]:
-    return [b - a for a, b in zip(m.points, m.points[1:])]
+def _rows(m: PeakonMeasure) -> tuple[list[tuple[float, float, float, float]], list[float]]:
+    """(rows, a) of T(z) in reversed support order, row i for atom n - i.
 
-
-def _coefficients(m: PeakonMeasure) -> tuple[list[float], list[float]]:
-    """(a_1..a_{n-1}, b_0..b_{n-1}) of the reversed-order tridiagonal block."""
-    n = m.n
-    gaps = _gaps(m)
-    for g in gaps:
+    rows[i] = (a_i^2, b_i, w, v) is step i + 1 of the Q recursion, and a_i =
+    1/(2 sinh(g/2)) couples rows i - 1 and i across their gap g, a_0 = 0.
+    b_i is the mean of coth over the atom's two half-gaps, the outermost
+    half-infinite ones contributing coth(inf) = 1.
+    """
+    gaps = [y - x for x, y in zip(m.points, m.points[1:])]
+    for g in gaps:  # in support order: the leftmost such gap is named
         if g < 1e-8:
             raise NearCollision(f"support gap {g} below 1e-8")
-    # a_i couples atoms n-i+1 and n-i; b_i sums the coth of both adjacent half-gaps,
-    # with the outermost half-infinite gaps contributing coth(inf) = 1
     try:
-        a = [1.0 / (2.0 * math.sinh(gaps[n - 1 - i] / 2.0)) for i in range(1, n)]
+        a = [0.0, *(1.0 / (2.0 * math.sinh(g / 2.0)) for g in reversed(gaps))]
     except OverflowError as exc:
         raise NumericalError(f"a support gap of {max(gaps)} overflows sinh") from exc
-    b = []
-    for i in range(n):
-        right = 1.0 if n - i == n else 1.0 / math.tanh(gaps[n - 1 - i] / 2.0)
-        left = 1.0 if n - i == 1 else 1.0 / math.tanh(gaps[n - 2 - i] / 2.0)
-        b.append(0.5 * (right + left))
-    return a, b
-
-
-def _rows(m: PeakonMeasure) -> list[tuple[float, float, float, float]]:
-    """(a_{i-1}^2, b_{i-1}, w, v) for each step i = 1..n of the Q recursion, a_0 = 0."""
-    a, b = _coefficients(m)
-    return list(zip([ai ** 2 for ai in (0.0, *a)], b, reversed(m.omega), reversed(m.vee)))
+    coth = [1.0, *(1.0 / math.tanh(g / 2.0) for g in reversed(gaps)), 1.0]
+    rows = [(ai ** 2, 0.5 * (coth[i] + coth[i + 1]), w, v)
+            for i, (ai, w, v) in enumerate(zip(a, reversed(m.omega), reversed(m.vee)))]
+    return rows, a
 
 
 _TINY = math.ulp(0.0)  # the least positive float
@@ -337,7 +332,7 @@ def eigenvalues(
     result.
     """
     n_v, n_plus, n_minus = counts(m)
-    rows = _rows(m)
+    rows = _rows(m)[0]
     memo: dict[float, int] = {}
 
     def count(z):
@@ -473,10 +468,10 @@ def _spectral(m: PeakonMeasure, tol: Tolerances, near=None) -> tuple[SpectralDat
     """(spectral_data, [phi at the atoms for each eigenvalue]), one _eigenfunction each;
     the atom sum is taken as c_lam phi times phi, in range where phi^2 overflows."""
     lams = eigenvalues(m, tol, near=near)
-    rows = _rows(m)
+    rows, a = _rows(m)
     kappas, atoms = [], []
     for i, lam in enumerate(lams):
-        vals, c_lam = _eigenfunction(m, lam, rows)
+        vals, c_lam = _eigenfunction(m, lam, rows, a)
         lhs = _wdot(lams, i)
         kappa = -lam * lhs / c_lam
         rhs = -ratfun.lsum(c_lam * p * p * (w + 2.0 * lam * v) for p, w, v in zip(vals, m.omega, m.vee))
@@ -587,7 +582,7 @@ def eigenfunction_zero_count(m: PeakonMeasure, i: int, tol: Tolerances = DEFAULT
     on its left.  A genuine zero at an atom crosses, so noise of either sign
     at a near-zero sample leaves the count unchanged.
     """
-    return _zero_count(_eigenfunction(m, eigenvalues(m, tol)[i], _rows(m))[0])
+    return _zero_count(_eigenfunction(m, eigenvalues(m, tol)[i], *_rows(m))[0])
 
 
 def _zero_count(vals) -> int:

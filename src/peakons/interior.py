@@ -78,14 +78,16 @@ class SolutionFamily:
     """Measures per branch, in deterministic branch order.
 
     Iterates over the successful measures; failed branches are kept in
-    .errors as (branch index, exception) pairs.
+    .errors as (branch index, exception) pairs.  .free_to_minus[b] lists the
+    free poles that branch b, failed or not, gave to M_minus.
     """
 
-    def __init__(self, measures, errors, assignment, dim):
+    def __init__(self, measures, errors, assignment, dim, free_to_minus=()):
         self.measures = list(measures)
         self.errors = list(errors)
         self.assignment = assignment
         self.dim = dim
+        self.free_to_minus = list(free_to_minus)
 
     def __iter__(self):
         return iter(self.measures)
@@ -97,25 +99,27 @@ class SolutionFamily:
         return self.measures[i]
 
 
-def _alpha_beta(lams, phi, tol: Tolerances) -> tuple[float, float]:
+def _read(d: InteriorData, tol: Tolerances) -> tuple[list[float], float, float]:
+    """(phi, alpha, beta) of d, with phi snapped by forward._snap and alpha and
+    beta from that phi, each set to 0 within tol.ab: the one read of the data."""
+    phi = forward._snap(d.phi, tol)
     alpha = 1.0 - lsum(p * p for p in phi)
-    beta = -lsum(lam * p * p for lam, p in zip(lams, phi))
+    beta = -lsum(lam * p * p for lam, p in zip(d.eigenvalues, phi))
     if abs(alpha) <= tol.ab:
         alpha = 0.0
     if abs(beta) <= tol.ab:
         beta = 0.0
-    return alpha, beta
+    return phi, alpha, beta
 
 
 def alpha_beta(d: InteriorData, tol: Tolerances = DEFAULT) -> tuple[float, float]:
-    return _alpha_beta(d.eigenvalues, d.phi, tol)
+    return _read(d, tol)[1:]
 
 
 def feasibility(d: InteriorData, tol: Tolerances = DEFAULT) -> FeasibilityReport:
-    phi = forward._snap(d.phi, tol)
+    phi, alpha, beta = _read(d, tol)
     lams = list(d.eigenvalues)
     n = len(lams)
-    alpha, beta = alpha_beta(d, tol)
     bad = []
 
     # (iii): total weight at most 1, and strictly positive phi on the
@@ -173,9 +177,9 @@ def feasibility(d: InteriorData, tol: Tolerances = DEFAULT) -> FeasibilityReport
 
 def sum_weyl(d: InteriorData, tol: Tolerances = DEFAULT) -> HerglotzRational:
     """M_plus + M_minus in partial-fraction form, as -1/F."""
-    alpha, beta = alpha_beta(d, tol)
+    phi, alpha, beta = _read(d, tol)
     poles, res = [], []
-    for lam, p in zip(d.eigenvalues, forward._snap(d.phi, tol)):
+    for lam, p in zip(d.eigenvalues, phi):
         if p != 0.0:
             r = lam * lam * p * p
             if not math.isfinite(r):
@@ -263,11 +267,12 @@ def enumerate_solutions(
         plus_base.append((mu, th * res))
         minus_base.append((mu, (1.0 - th) * res))
 
-    measures, errors = [], []
+    measures, errors, to_minus = [], [], []
     for branch in range(2 ** len(asg.free_poles)):
         plus, minus = list(plus_base), list(minus_base)
         for j, pr in enumerate(asg.free_poles):
             (minus if (branch >> j) & 1 else plus).append(pr)
+        to_minus.append([mu for mu, _ in minus[len(minus_base):]])
         try:
             m = inverse._branch(s, d.a, plus, minus, tol)
             _verify_interior(d, m, tol)
@@ -275,7 +280,7 @@ def enumerate_solutions(
             errors.append((branch, exc))
             continue
         measures.append(m)
-    return SolutionFamily(measures, errors, asg, len(asg.set_A))
+    return SolutionFamily(measures, errors, asg, len(asg.set_A), to_minus)
 
 
 def _verify_interior(d: InteriorData, m: PeakonMeasure, tol: Tolerances):
@@ -305,10 +310,9 @@ def _describe(asg: PoleAssignment) -> CountDescriptor:
 
 def modulus_family_count(d: InteriorData, tol: Tolerances = DEFAULT) -> int:
     """Number of sign-choice classes when only |phi_i(a)| is known."""
-    phi = forward._snap(d.phi, tol)
+    phi, alpha, beta = _read(d, tol)
     n = len(phi)
     k = sum(1 for p in phi if p == 0.0)
-    alpha, beta = _alpha_beta(d.eigenvalues, phi, tol)  # from the snapped phi
     if alpha == 0.0 and beta == 0.0:
         c = 2
     elif alpha == 0.0:

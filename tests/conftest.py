@@ -13,7 +13,7 @@ import pytest
 from numpy.polynomial import polynomial as npp
 
 from peakons import NonConverged, validate
-from peakons.forward import _coefficients, _count, _rows
+from peakons.forward import _count, _rows
 from peakons.measures import counts
 
 
@@ -31,15 +31,15 @@ def build_pencil(m):
     """
     n = m.n
     n_v = sum(1 for v in m.vee if v != 0.0)
-    a, b = _coefficients(m)
+    rows, a = _rows(m)
     size = n + n_v
     J = np.zeros((size, size))
     D = np.zeros((size, size))
     for j in range(n):
-        J[j, j] = b[j]
+        J[j, j] = rows[j][1]
         D[j, j] = m.omega[n - 1 - j]
     for j in range(n - 1):
-        J[j, j + 1] = J[j + 1, j] = -a[j]
+        J[j, j + 1] = J[j + 1, j] = -a[j + 1]
     k = 0
     for j in range(n):
         vj = m.vee[n - 1 - j]
@@ -62,7 +62,7 @@ def bisect_eigenvalues(m):
     very floats, or raise the same exception type.
     """
     n_v, n_plus, n_minus = counts(m)
-    rows = _rows(m)
+    rows = _rows(m)[0]
     memo = {}
 
     def count(z):
@@ -133,7 +133,7 @@ def q_coefficients(m):
     and Q_{-1} = 0, over the library's recursion rows.
     """
     q, prev2 = [np.array([1.0])], 0.0
-    for a2, b, w, v in _rows(m):
+    for a2, b, w, v in _rows(m)[0]:
         q.append(npp.polyadd(npp.polymul([b, -w, -v], q[-1]), -a2 * prev2))
         prev2 = q[-2]
     return q

@@ -64,6 +64,12 @@ def test_inverse_roundtrips_through_files(tmp_path, capsys):
     assert ws == pytest.approx([1.5, 0.7], abs=1e-8)
 
 
+def test_forward_across_a_gap_of_822_exits_0(tmp_path, capsys):
+    f = _measure_file(tmp_path, [(-393.3216, 2.448, 0.0), (428.9488, -0.2958, 0.0)])
+    assert main(["forward", f]) == 0
+    assert len(json.loads(capsys.readouterr().out)["norming"]) == 2
+
+
 def test_validation_failure_exits_2(tmp_path, capsys):
     f = _measure_file(tmp_path, [(0.0, 1.0, -0.5)])
     assert main(["forward", f]) == 2

@@ -35,7 +35,6 @@ from peakons import (
     weyl,
 )
 from peakons.forward import (
-    _coefficients,
     _count,
     _count_slope,
     _eigenfunction,
@@ -117,7 +116,7 @@ def test_q1_vanishes_at_eigenvalue():
 def test_q_matches_wronskian_scaling(rng):
     for _ in range(10):
         m = random_measure(rng, n=4)
-        a, _b = __import__("peakons.forward", fromlist=["x"])._coefficients(m)
+        a = _rows(m)[1][1:]
         scale = math.exp((m.points[-1] - m.points[0]) / 2.0) * math.prod(a)
         for _ in range(20):
             z = float(rng.uniform(-3.0, 3.0))
@@ -130,7 +129,7 @@ def test_q_phi_identity(rng):
     # Q_i(z) = e^{x_n/2} (a_1...a_i) phi_plus(z, x_{n-i}) for i < n
     for _ in range(5):
         m = random_measure(rng, n=4)
-        a, _b = __import__("peakons.forward", fromlist=["x"])._coefficients(m)
+        a = _rows(m)[1][1:]
         z = float(rng.uniform(-2.0, 2.0))
         q = q_values(m, z)
         vals = [_shoot(m, z, xj, "plus")[0] for xj in m.points]
@@ -151,7 +150,7 @@ def test_sign_change_counts(rng):
         for ladder in (pos, neg):  # each ladder outward from 0
             if not ladder:
                 continue
-            rows = _rows(m)
+            rows = _rows(m)[0]
             assert _count(rows, 0.5 * ladder[0]) == 0
             assert _count(rows, ladder[-1] * 1.5) == len(ladder)
             if len(ladder) >= 2:
@@ -165,7 +164,7 @@ def test_sign_change_count_skips_an_exact_zero(rng):
         n = int(rng.integers(2, 7))
         m = random_measure(rng, n=n)
         m = validate([*zip(m.points, m.omega, m.vee)][:-1] + [(m.points[-1], 1.0, 0.0)])
-        rows = _rows(m)
+        rows = _rows(m)[0]
         _, z, w, v = rows[0]  # z = b_0
         assert z - w * z - v * z * z == 0.0
         oracle = dense_eigenvalues(m)
@@ -215,7 +214,7 @@ def test_eigenvalues_match_mpmath_roots_of_q(make, bound):
         for n in range(1, 17):
             for _ in range(3):
                 m = make(rng, n)
-                rows = _rows(m)
+                rows = _rows(m)[0]
                 for lam in eigenvalues(m):
                     ref = mpmath.findroot(lambda z: _q_mpmath(mpmath, rows, z), mpmath.mpf(lam))
                     worst = max(worst, float(abs(lam - ref) / abs(ref)))
@@ -291,7 +290,7 @@ UNDERFLOW_TRIPLES = [(-91.32, -0.0125, 0.0), (25.934, 79.2, 0.0)]
 
 def test_count_slope_never_raises_where_a_squared_pivot_underflows():
     m = validate(UNDERFLOW_TRIPLES)
-    rows = _rows(m)
+    rows = _rows(m)[0]
     z = 0.012626262626262626  # 1 - 79.2 z == 0: the first pivot is exactly zero
     assert rows[0][1] - rows[0][2] * z == 0.0
     c, slope = _count_slope(rows, z)
@@ -302,7 +301,7 @@ def test_count_slope_never_raises_where_a_squared_pivot_underflows():
 def test_count_slope_counts_as_count(rng):
     for n in (1, 2, 5, 8, 16, 40):
         m = _generator_measure(rng, n)
-        rows = _rows(m)
+        rows = _rows(m)[0]
         lams = eigenvalues(m)
         zs = [0.0, *lams, *rng.uniform(-3.0, 3.0, 20).tolist()]
         zs += [lam + d * math.ulp(lam) for lam in lams for d in (-1.0, 1.0)]
@@ -318,7 +317,7 @@ def test_count_slope_is_the_log_derivative_of_the_pencil_determinant(rng):
         lams = dense_eigenvalues(m)
         ends = [2.0 * lams[0], *lams, 2.0 * lams[-1]]
         zs = [0.0] + [0.5 * (a + b) for a, b in zip(ends, ends[1:]) if a * b > 0.0]
-        rows = _rows(m)
+        rows = _rows(m)[0]
         for z in zs:
             ref = -np.trace(np.linalg.solve(p.J - z * p.D, p.D))
             assert _count_slope(rows, z)[1] == pytest.approx(ref, rel=1e-9, abs=1e-12)
@@ -445,7 +444,7 @@ def test_single_peakon_eigenfunction_left_tail():
 
 def _w_from_q(m, z):
     """W(z) as Q_n(z) / (e^{(x_n - x_1)/2} a_1...a_{n-1}), from the recursion."""
-    scale = math.exp((m.points[-1] - m.points[0]) / 2.0) * math.prod(_coefficients(m)[0])
+    scale = math.exp((m.points[-1] - m.points[0]) / 2.0) * math.prod(_rows(m)[1][1:])
     return q_values(m, z)[-1] / scale
 
 
@@ -511,7 +510,7 @@ def test_phi_at_matches_shooting(rng):
     for _ in range(20):
         m = random_measure(rng, n=int(rng.integers(1, 6)))
         lams = eigenvalues(m)
-        atoms = [_eigenfunction(m, lam, _rows(m))[0] for lam in lams]
+        atoms = [_eigenfunction(m, lam, *_rows(m))[0] for lam in lams]
         tops = [max(abs(p) for p in vals) for vals in atoms]
         for j, xj in enumerate(m.points):
             assert _phi_at(m, atoms, xj) == [vals[j] for vals in atoms]
@@ -525,9 +524,9 @@ def test_phi_atoms_are_the_scaled_twisted_null_vector(rng):
     # and c_lam = e^{x_1/2}/phi(x_1)
     for _ in range(10):
         m = random_measure(rng, n=5)
-        rows = _rows(m)
+        rows, couplings = _rows(m)
         for lam in eigenvalues(m):
-            vals, c_lam = _eigenfunction(m, lam, rows)
+            vals, c_lam = _eigenfunction(m, lam, rows, couplings)
             assert vals[-1] == pytest.approx(math.exp(-m.points[-1] / 2.0), rel=1e-15)
             assert c_lam == math.exp(m.points[0] / 2.0) / vals[0]
             u = list(vals[::-1]) + [0.0]
@@ -544,7 +543,7 @@ def test_spectral_atoms_are_phi_atoms(rng):
         m = random_measure(rng, n=int(rng.integers(1, 8)))
         sd, atoms = _spectral(m, DEFAULT)
         assert sd == spectral_data(m)
-        assert atoms == [_eigenfunction(m, lam, _rows(m))[0] for lam in sd.eigenvalues]
+        assert atoms == [_eigenfunction(m, lam, *_rows(m))[0] for lam in sd.eigenvalues]
 
 
 def test_spectral_data_reads_each_eigenfunction_once_without_shooting(rng, monkeypatch):
@@ -570,7 +569,7 @@ def test_phi_at_matches_mpmath_left_of_the_peak():
             oracle = MpForward(_generator_measure(rng, n), dps=50)
             m, xs = oracle.m, _phi_test_points(oracle.m)
             lams = eigenvalues(m)
-            atoms = [_eigenfunction(m, lam, _rows(m))[0] for lam in lams]
+            atoms = [_eigenfunction(m, lam, *_rows(m))[0] for lam in lams]
             got = [_phi_at(m, atoms, x) for x in xs]
             for i, lam in enumerate(lams):
                 lam_mp = oracle.root(lam)
@@ -605,6 +604,22 @@ def test_norming_matches_the_oracle_at_large_n(n, bound):
     oracle = MpForward(m).spectral(sd.eigenvalues)
     assert max(rel_err(lam, ref) for lam, (ref, _) in zip(sd.eigenvalues, oracle)) <= 4e-16 * n
     assert max(rel_err(kappa, ref) for kappa, (_, ref) in zip(sd.norming, oracle)) <= bound
+
+
+# gaps of 822.3 and 820.4, where a^2 of the coupling is 0.0 and a is a normal float
+WIDE_GAP_TRIPLES = [
+    [(-393.3216, 2.448, 0.0), (428.9488, -0.2958, 0.0)],
+    [(-480.6827, -0.5418, 0.879), (-385.7723, 0.8711, 0.0), (434.608, 0.9659, 0.0)],
+]
+
+
+@pytest.mark.parametrize("triples", WIDE_GAP_TRIPLES, ids=["two_atoms", "three_atoms"])
+def test_norming_across_a_gap_where_the_squared_coupling_underflows(triples):
+    # with sqrt(a^2) = 0 the twisted vector decoupled there and phi(x_1) was 0
+    m = validate(triples)
+    sd = spectral_data(m)
+    oracle = MpForward(m, dps=400).spectral(sd.eigenvalues)
+    assert max(rel_err(kappa, ref) for kappa, (_, ref) in zip(sd.norming, oracle)) <= 1e-13
 
 
 def test_single_peakon_spectral_closed_form():

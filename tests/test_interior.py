@@ -92,6 +92,21 @@ def test_two_branch_shift_pair():
     assert modulus_family_count(d) == 2
 
 
+def test_free_to_minus_lists_the_free_poles_of_each_branch():
+    fam = enumerate_solutions(InteriorData(0.0, (0.5,), (math.exp(-0.5),)))
+    (mu, _), = fam.assignment.free_poles
+    assert fam.free_to_minus == [[], [mu]]
+
+
+def test_alpha_and_beta_come_from_the_snapped_phi():
+    # phi = 0.004 is a node under tol.phi = 0.01, so the data read as their snapped copy
+    tol = DEFAULT.with_overrides(phi=0.01)
+    d = InteriorData(0.0, (-1.0, 0.5, 2.0), (0.3, 0.6, 0.004))
+    snapped = InteriorData(0.0, (-1.0, 0.5, 2.0), (0.3, 0.6, 0.0))
+    assert alpha_beta(d, tol) == alpha_beta(snapped, tol) == pytest.approx((0.55, -0.09), rel=1e-15)
+    assert sum_weyl(d, tol) == sum_weyl(snapped, tol)
+
+
 def test_point_mass_with_vee_regime():
     # alpha = beta = 0 forces a single atom carrying v at the point itself
     p2, q2 = 2.0 / 3.0, 1.0 / 3.0
