@@ -53,8 +53,14 @@ def recording(method, raised):
     return wrapped
 
 
-def dump(src_dir, workload, seed):
-    """Print one line per op of the batch, run against the package in src_dir."""
+def batch(src_dir, workload, seed, patch=None):
+    """Run the seeded batch op by op against the package in src_dir.
+
+    Yields (index, op, rec, raised) after each op, with rec as
+    ``timing.attempt`` fills it and raised the exceptions that the op's
+    prepare and call raised.  patch(package), if given, is called on the
+    freshly imported package before the batch is built.
+    """
     sys.path[:0] = [str(Path(src_dir).resolve()), str(BENCH_DIR)]
     import run  # perfbench/run.py: pins BLAS threads, holds the batch sizes
     import timing
@@ -63,6 +69,8 @@ def dump(src_dir, workload, seed):
     pk = run.import_package()
     if not Path(pk.__file__).is_relative_to(Path(src_dir).resolve()):
         sys.exit(f"peakons imported from {pk.__file__}, not from {src_dir}")
+    if patch is not None:
+        patch(pk)
     with tempfile.TemporaryDirectory() as workdir:
         ops = workloads.WORKLOADS[workload](pk, seed, run.ROUNDS[workload], workdir)
         timing.reset(ops)
@@ -71,14 +79,20 @@ def dump(src_dir, workload, seed):
             raised = []
             op.prepare, op.call = recording(op.prepare, raised), recording(op.call, raised)
             timing.attempt(pk, op, rec)
-            cause = raised and raised[-1].__cause__
-            digest = None
-            if rec["status"] is None:
-                rec["status"] = "ok"
-                text = repr(normalized(op.digest(rec["raw"]))).encode()
-                digest = hashlib.sha256(text).hexdigest()[:16]
-            print(i, op.kind, f"n={op.n}", rec["status"], rec["exc"],
-                  type(cause).__name__ if cause else None, digest)
+            yield i, op, rec, raised
+
+
+def dump(src_dir, workload, seed):
+    """Print one line per op of the batch, run against the package in src_dir."""
+    for i, op, rec, raised in batch(src_dir, workload, seed):
+        cause = raised and raised[-1].__cause__
+        digest = None
+        if rec["status"] is None:
+            rec["status"] = "ok"
+            text = repr(normalized(op.digest(rec["raw"]))).encode()
+            digest = hashlib.sha256(text).hexdigest()[:16]
+        print(i, op.kind, f"n={op.n}", rec["status"], rec["exc"],
+              type(cause).__name__ if cause else None, digest)
 
 
 def flips(pairs):

@@ -2,12 +2,17 @@
 
 The CLI can override every field of Tolerances (--tol.<name>).  Not every
 numerical threshold is one: forward._rows' 1e-8 gap floor, the two
-1e-8 tests of ratfun._pf_neg_reciprocal and cf_expand's 1e-6 remainder test
-are fixed in the code, and so are forward._newton's cap of _NEWTON_STEPS =
-40 steps per root, its stop rule, a step of at most _NEWTON_ULPS = 2 ulps,
-and forward._warm_bracket's node widths (_WARM_ULPS, _WARM_WIDEN,
+1e-8 tests of ratfun._pf_neg_reciprocal, the 1e-8 constant-or-v test of
+ratfun._stage (each cf_expand stage of a remainder with no slope or
+constant) and cf_expand's 1e-6 remainder test are fixed in the code, and
+so are forward._newton's cap of _NEWTON_STEPS = 40 steps per root, its
+stop rule, a step of at most _NEWTON_ULPS = 2 ulps, and
+forward._warm_bracket's node widths (_WARM_ULPS, _WARM_WIDEN,
 _WARM_TRIES); none of them moves an eigenvalue, only the number of counts
-it takes.  forward._eigenfunction's
+it takes.  A first width below _WARM_ULPS = 64 ulps would: 4 or 8 ulps
+around _newton's guesses moved 37 or 10 of 3120 test-generator spectra off
+the floats of the cold bisection, whose count is not monotone within a few
+ulps of some roots.  forward._eigenfunction's
 twisted null vector adds no threshold: its twist is the row of least
 residual, and a zero pivot becomes the least positive float, as in the count.
 inverse._newton_step's forward-difference step _FD_STEP = 1e-8 and its

@@ -11,6 +11,10 @@ affine stages m(z) = c0 + c1*z, c1 >= 0:
     value = 1/(-head*z + 1/(m_1 + 1/(-l_1*z + 1/(m_2 + ... - 1/(l_K*z)))))
 
 with head = 0 permitted on the plus side only (reference point on an atom).
+The bounded remainder g = -1/h - l*z of a remainder h = sum b/(mu - z) with
+its pole at 0 is -l*P/h, P(z) = sum b*mu/(mu - z) = -w*Q(w) in w = 1/z with
+Q Herglotz; so one negative reciprocal, of Q, gives the zeros of g and the
+next remainder (_stage), not two.
 
 The poles of -1/h are the zeros of h, one per gap between poles and at
 most one on each outer side.  Each is solved as an offset from the pole
@@ -395,12 +399,61 @@ def cf_evaluate(cf: StieltjesCF, z):
     return 1.0 / d
 
 
+def _stage(mus, betas, span):
+    """(l, rest, stage) of a remainder h = sum b/(mu - z) whose pole mu = 0 is pinned.
+
+    -1/h = l*z + rest + g, l = 1/s1 and rest = -s2/s1^2 with s_k = sum b*mu^(k-1),
+    and g = -l*P/h with P(z) = sum b*mu/(mu - z) = -w*Q(w) in w = 1/z, where
+    Q(w) = sum b/(1/mu - w) over mu != 0 is Herglotz.  One _peel of Q gives
+    stage = (c1, c0, poles, residues), the pole data of -1/g = c1*z + c0 + next:
+    next has the poles 0 and 1/w_k over the zeros w_k of Q, with residues
+    1/g' = (s1/w_k)^2*rho_k, rho_k that of -1/Q, and b_0*s1/(s1 - b_0) at 0.
+    Where |rest|*span > 1e-8*A, c0 = -1/rest; else c1 = 1/A and c0 = -B/A^2
+    with a_k = s_{k+1}/s1, A = (a2 - a1^2)/s1 and B = (a1^3 - 2*a1*a2 + a3)/s1,
+    and the zero of Q nearest w = 0, g's zero at infinity, is dropped.  stage
+    is None for the bare origin pole; a value beyond the floats raises NonConverged.
+    """
+    try:
+        s1 = lsum(betas)
+        s2 = lsum(b * u for b, u in zip(betas, mus))
+        sq = s1 * s1
+        l, rest = 1.0 / s1, -s2 / sq if _NORMAL_MIN <= sq < math.inf else -(s2 / s1) / s1
+        if len(mus) == 1:
+            return l, rest, None
+        ts = [(b / s1 * u, u) for b, u in zip(betas, mus)]  # over s1, in range where s1 nears 1e168
+        a1, a2, a3 = lsum(t for t, _ in ts), lsum(t * u for t, u in ts), lsum(t * u * u for t, u in ts)
+        A = (a2 - a1 * a1) / s1
+        nus = sorted((1.0 / u, b) for u, b in zip(mus, betas) if u)
+        if not all(math.isfinite(nu) for nu, _ in nus):  # 1/mu of a subnormal pole
+            raise NonConverged("a continued-fraction stage leaves float range")
+        _, _, zeros, rhos = _peel(0.0, 0.0, [nu for nu, _ in nus], [b for _, b in nus])
+        found = list(zip(zeros, rhos))
+        if abs(rest) * span > 1e-8 * A:
+            c0, c1 = -1.0 / rest, 0.0
+        elif found:
+            c0, c1 = -((a1 * a1 * a1 - 2.0 * a1 * a2 + a3) / s1 / A) / A, 1.0 / A
+            found.remove(min(found, key=lambda f: abs(f[0])))
+        else:
+            raise DegreeMismatch("continued fraction ended without its terminal length")
+        poles = sorted([(0.0, betas[mus.index(0.0)] * (s1 / lsum(b for _, b in nus)))]
+                       + [(1.0 / w, s1 / w * rho * (s1 / w)) for w, rho in found])
+    except ZeroDivisionError as exc:  # by a residue of an earlier stage
+        raise NonConverged("a residue underflowed to 0 in a chain of inversions") from exc
+    if not all(map(math.isfinite, (l, rest, c0, c1, *(x for pole in poles for x in pole)))):
+        raise NonConverged("a continued-fraction stage leaves float range")
+    return l, rest, (c1, c0, [p for p, _ in poles], [b for _, b in poles])
+
+
 def cf_expand(h: HerglotzRational, side: str, tol: Tolerances = DEFAULT) -> StieltjesCF:
     """Expand a one-sided Weyl function into its finite continued fraction.
 
-    Alternates two pole-space inversions: -1/h starts with a length slope,
-    and minus the reciprocal of the bounded remainder starts with the
-    affine stage.  The result is verified against h before returning.
+    -1/h starts with a length slope, l*z + rest + g, and minus the reciprocal
+    of the bounded remainder g with the affine stage.  With no slope or
+    constant in h, g = -l*P/h (see _stage): the zeros of g are 0 and those
+    of P, found by one pole-space inversion in w = 1/z, and each stage costs
+    one secular solve.  An interior branch's first stage, whose h has a slope
+    or a constant, takes two: -1/h, then -1/(rest + its pole terms).  The
+    result is verified against h before returning.
     """
     if side not in ("plus", "minus"):
         raise ValueError(f"side must be plus or minus, got {side!r}")
@@ -433,7 +486,11 @@ def cf_expand(h: HerglotzRational, side: str, tol: Tolerances = DEFAULT) -> Stie
     lengths: list[float] = []
     for _ in range(len(h.poles) + 2):
         wspan = max(1.0, max(abs(u) for u in mus))
-        l, rest, mus2, betas2 = _peel(gamma, zeta, mus, betas)
+        if gamma or zeta:  # an interior branch's first stage: two inversions
+            l, rest, mus2, betas2 = _peel(gamma, zeta, mus, betas)
+            stage = _peel(0.0, rest, mus2, betas2) if mus2 else None
+        else:
+            l, rest, stage = _stage(mus, betas, wspan)
         if head is None:
             if l == 0.0 and side == "minus":
                 raise NonPositiveLength("minus side needs a strictly positive head length")
@@ -442,23 +499,20 @@ def cf_expand(h: HerglotzRational, side: str, tol: Tolerances = DEFAULT) -> Stie
             if l <= 0.0:
                 raise NonPositiveLength(f"vanishing length: extracted l = {l}")
             lengths.append(l)
-        if not mus2:
+        if stage is None:
             # bare terminal length: the constant remainder must vanish
             if abs(rest) > 1e-6 * wspan * max(l, tol.cf):
                 raise NonConverged("continued fraction left a nonzero remainder")
             break
-        c1, c0, mus3, betas3 = _peel(0.0, rest, mus2, betas2)
-        stages.append((c0, c1))
-        if not mus3:
+        c1, c0, mus, betas = stage
+        if not mus:
             raise DegreeMismatch("continued fraction ended without its terminal length")
-        mus3 = list(mus3)
-        j0 = min(range(len(mus3)), key=lambda i: abs(mus3[i]))
-        mus3[j0] = 0.0
-        gamma, zeta, mus, betas = 0.0, 0.0, mus3, betas3
+        mus = list(mus)
+        mus[min(range(len(mus)), key=lambda i: abs(mus[i]))] = 0.0
+        stages.append((c0, c1))
+        gamma, zeta = 0.0, 0.0
     else:
         raise NonConverged("continued-fraction expansion did not terminate")
-    if len(lengths) != len(stages):
-        raise DegreeMismatch("stage/length count mismatch")
     cf = StieltjesCF(
         float(head),
         tuple(CFStage(c0, c1, l) for (c0, c1), l in zip(stages, lengths)),

@@ -407,7 +407,7 @@ def test_resolve_rejects_an_eigenvalue_outside_tol_inv():
 
 @settings(max_examples=300, deadline=None)
 @given(
-    poles=st.lists(st.tuples(st.floats(-6.0, 2.0), st.booleans(), st.floats(-300.0, 5.0)), max_size=9),
+    poles=st.lists(st.tuples(st.floats(-6.0, 2.0), st.booleans(), st.floats(-300.0, 300.0)), max_size=9),
     gamma=st.one_of(st.just(0.0), st.floats(-5.0, 2.0).map(lambda e: 10.0 ** e)),
     zeta=st.one_of(st.just(0.0), st.floats(-1e3, 1e3)),
     side=st.sampled_from(("plus", "minus")),
@@ -415,7 +415,7 @@ def test_resolve_rejects_an_eigenvalue_outside_tol_inv():
 )
 def test_measure_from_weyl_returns_or_raises_a_peakon_error(poles, gamma, zeta, side, a):
     # random Herglotz data with the origin pole pinned at residue 1/2, the
-    # other poles 1e-6 to 100 from it on either side with residues 10^U(-300, 5):
+    # other poles 1e-6 to 100 from it on either side with residues 10^U(-300, 300):
     # the half-line inverse returns finite atoms or raises a PeakonError
     mus = [0.0] + [10.0 ** e if right else -10.0 ** e for e, right, _ in poles]
     betas = [0.5] + [10.0 ** e for _, _, e in poles]
@@ -430,23 +430,100 @@ def test_measure_from_weyl_returns_or_raises_a_peakon_error(poles, gamma, zeta, 
     assert all(map(math.isfinite, (*half.points, *half.omega, *half.vee)))
 
 
+# data whose two-inversion stages underflowed a residue to 0 (and leaked
+# ZeroDivisionError before that was caught); one inversion per stage never
+# forms those residues, and both expand
+_TWO_PEEL_UNDERFLOWS = {
+    "offset": (4.423491214913143e-05, 0.0,
+               (0.0, -1.2372863571048118e-06, 0.007413809083425229, 0.4239898520497565,
+                0.000924328805225356, 0.00024131392476869126, 0.034107385050181564, 6.03845673473307e-06),
+               (0.5, 3.4414274623485816e-299, 5.1434747393357844e-152, 7.193107287737874e-79,
+                3.618024067433458e-223, 3.1193002607780316e-161, 3.1202831623747327e-102,
+                7.510223814392767e-266),
+               "plus", 33.06234146177013),
+    "residue_sum": (0.0, 0.0,
+                    (0.0, 2.3838527354679683e-06, 0.0023662653285689353, -0.00014177974532939553,
+                     0.2800811108713131),
+                    (0.5, 1.3436167147803163e-298, 6.939720986439724e-78, 5.577104623940519e-44,
+                     2.2603537051626197e-173),
+                    "minus", 37.75582324520633),
+}
+
+
 @pytest.mark.parametrize("gamma, zeta, poles, residues, side, a", [
-    # a residue of the continued fraction underflows to 0, and the next
-    # peel divided by it (an outer zero's offset) or by the sum of residues
-    (4.423491214913143e-05, 0.0,
-     (0.0, -1.2372863571048118e-06, 0.007413809083425229, 0.4239898520497565,
-      0.000924328805225356, 0.00024131392476869126, 0.034107385050181564, 6.03845673473307e-06),
-     (0.5, 3.4414274623485816e-299, 5.1434747393357844e-152, 7.193107287737874e-79,
-      3.618024067433458e-223, 3.1193002607780316e-161, 3.1202831623747327e-102, 7.510223814392767e-266),
-     "plus", 33.06234146177013),
-    (0.0, 0.0,
-     (0.0, 2.3838527354679683e-06, 0.0023662653285689353, -0.00014177974532939553, 0.2800811108713131),
-     (0.5, 1.3436167147803163e-298, 6.939720986439724e-78, 5.577104623940519e-44, 2.2603537051626197e-173),
-     "minus", 37.75582324520633),
+    # a residue of the continued fraction underflows to 0, and a later stage
+    # divides by it: at a zero's offset from its pole, or as the sum of the
+    # residues of a remainder; both in the one inversion of a stage
+    (0.0, 0.0, (0.0, 2.377954028409586, -0.00019030211360743094, -0.000756327739862537),
+     (0.5, 1.7859085703992598e-53, 1.518969747970499e-296, 3.7189051866945782e+90),
+     "minus", 15.622499902515798),
+    (0.0, 0.0, (0.0, 0.37115569079157495, -60.39194530889538),
+     (0.5, 1.1297536078248332e+152, 3.949074843461659e-254),
+     "minus", -24.933881624021137),
 ], ids=["offset", "residue_sum"])
 def test_a_residue_underflowing_in_the_continued_fraction_is_nonconverged(
         gamma, zeta, poles, residues, side, a):
-    # both leaked ZeroDivisionError
     with pytest.raises(NonConverged, match="underflowed to 0") as info:
         measure_from_weyl(herglotz(gamma, zeta, poles, residues), a, side)
     assert isinstance(info.value.__cause__, ZeroDivisionError)
+
+
+def _mp_continued_fraction(mpmath, h):
+    """(lengths, stage constants c0) of h's continued fraction, c1 = 0 past the
+    first stage, by polynomial division in 1200 digits: h = N/D, and each step
+    divides minus the denominator by the numerator of the remainder."""
+    def mul(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return out
+
+    def divide(a, b):  # quotient (constant, slope) and remainder; deg a <= deg b + 1
+        a, q = list(a), [0, 0]
+        for k in range(len(a) - len(b), -1, -1):
+            q[k] = a[k + len(b) - 1] / b[-1]
+            a = [x - q[k] * (b[i - k] if 0 <= i - k < len(b) else 0) for i, x in enumerate(a)]
+        return q, a[:len(b) - 1]
+
+    with mpmath.workdps(1200):
+        poles = [mpmath.mpf(u) for u in h.poles]
+        den = [mpmath.mpf(1)]
+        for u in poles:
+            den = mul(den, [u, -1])
+        num = mul(den, [mpmath.mpf(h.zeta), mpmath.mpf(h.gamma)])
+        for i, b in enumerate(h.residues):
+            term = [mpmath.mpf(b)]
+            for u in poles[:i] + poles[i + 1:]:
+                term = mul(term, [u, -1])
+            num = [x + y for x, y in zip(num, term + [0] * (len(num) - len(term)))]
+        while not num[-1]:
+            num.pop()
+        lengths, c0s = [], []
+        while True:  # -1/h = l z + rest + r/num, then -1/(rest + r/num) = c0 + c1 z + ...
+            (rest, l), r = divide([-x for x in den], num)
+            lengths.append(l)
+            if len(num) == 1:
+                return lengths, c0s
+            g = [rest * x + (r[i] if i < len(r) else 0) for i, x in enumerate(num)]
+            g = g if abs(g[-1]) > mpmath.mpf(10) ** -900 * max(map(abs, g)) else g[:-1]
+            (c0, _), den = divide([-x for x in num], g)
+            c0s.append(c0)
+            num, den = den, g
+
+
+@pytest.mark.parametrize("case", sorted(_TWO_PEEL_UNDERFLOWS))
+def test_data_that_underflowed_two_inversions_per_stage_expand(case):
+    mpmath = pytest.importorskip("mpmath")
+    from peakons.ratfun import cf_expand
+
+    gamma, zeta, poles, residues, side, a = _TWO_PEEL_UNDERFLOWS[case]
+    h = herglotz(gamma, zeta, poles, residues)
+    cf = cf_expand(h, side)
+    lengths, c0s = _mp_continued_fraction(mpmath, h)
+    got = [cf.head_length] + [s.length for s in cf.stages]
+    assert len(got) == len(lengths) and len(cf.stages) == len(c0s)
+    for x, ref in [*zip(got, lengths), *zip((s.c0 for s in cf.stages), c0s)]:
+        assert abs(x - ref) <= 1e-8 * abs(ref), case
+    half = measure_from_weyl(h, a, side)
+    assert all(map(math.isfinite, (*half.points, *half.omega, *half.vee)))

@@ -591,3 +591,111 @@ def test_cf_lengths_from_measure_formulas(rng):
             assert stage.c1 == pytest.approx(m.vee[j] * ch2, rel=1e-8, abs=1e-9)
             nxt = tanhs[j + 1] if j + 1 < m.n else 1.0
             assert stage.length == pytest.approx(2.0 * (nxt - tanhs[j]), rel=1e-8)
+
+
+def _generator_measure(rng, n):
+    """A measure as the benchmark draws them: atoms near the integers, mixed-sign
+    omega bounded away from 0, and v on about 40% of the atoms."""
+    xs = np.arange(n) - (n - 1) / 2.0 + rng.uniform(-0.1, 0.1, n)
+    return validate([(float(x), float(rng.choice((-1.0, 1.0)) * rng.uniform(0.2, 2.5)),
+                      float(rng.uniform(0.2, 1.5)) if rng.random() < 0.4 else 0.0) for x in xs])
+
+
+def _generator_stages(seed, count):
+    """The (poles, residues) input of every stage of the plus-side Weyl
+    functions of count benchmark-like measures, origin pole pinned."""
+    from peakons.ratfun import _stage
+
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        m = _generator_measure(rng, int(rng.integers(2, 9)))
+        h = weyl(m, m.points[0] - float(rng.uniform(0.3, 1.5)), "plus")
+        mus, betas = list(h.poles), list(h.residues)
+        i0 = min(range(len(mus)), key=lambda i: abs(mus[i]))
+        mus[i0], betas[i0] = 0.0, 0.5
+        while len(mus) > 1:
+            yield mus, betas
+            _, _, (_, _, mus, betas) = _stage(mus, betas, max(1.0, max(map(abs, mus))))
+
+
+def _mp_stage(mpmath, mus, betas, const):
+    """_stage's (c0, c1) in 60 digits from the same pole data, with s1 and the
+    (pole, residue) pairs for _mp_pole; const is the float stage's decision."""
+    mp = mpmath.mp
+    with mpmath.workdps(60):
+        mus, betas = [mp.mpf(u) for u in mus], [mp.mpf(b) for b in betas]
+        s1, s2, s3, s4 = (mp.fsum(b * u ** k for b, u in zip(betas, mus)) for k in range(4))
+        a1, a2, a3 = s2 / s1, s3 / s1, s4 / s1
+        A, B = (a2 - a1 ** 2) / s1, (a1 ** 3 - 2 * a1 * a2 + a3) / s1
+        c0, c1 = (s1 / a1, mp.mpf(0)) if const else (-B / A ** 2, 1 / A)
+        return c0, c1, s1, list(zip(mus, betas))
+
+
+def _mp_pole(mpmath, pairs, p):
+    """The root of P(z) = sum_{mu != 0} b*mu/(mu - z) polished by Newton steps
+    from the float pole p, in 60 digits, and the residue 1/g' there, with
+    g = -1/h - z/s1."""
+    with mpmath.workdps(60):
+        z = mpmath.mpf(p)
+        for _ in range(60):
+            P = mpmath.fsum(b * u / (u - z) for u, b in pairs if u)
+            dP = mpmath.fsum(b * u / (u - z) ** 2 for u, b in pairs if u)
+            step = P / dP
+            z -= step
+            if abs(step) <= mpmath.mpf(10) ** -55 * abs(z):
+                break
+        h = mpmath.fsum(b / (u - z) for u, b in pairs)
+        dh = mpmath.fsum(b / (u - z) ** 2 for u, b in pairs)
+        s1 = mpmath.fsum(b for _, b in pairs)
+        return z, 1 / (dh / h ** 2 - 1 / s1)
+
+
+def test_one_peel_stage_against_a_60_digit_stage():
+    # every stage of the plus-side Weyl functions of benchmark-like measures,
+    # v-stages included, against the same stage in 60 digits: the stage
+    # constants and the poles within 1e-13, the residues within 1e-12
+    mpmath = pytest.importorskip("mpmath")
+    from peakons.ratfun import _stage
+
+    worst = {"c": 0.0, "pole": 0.0, "residue": 0.0}
+    kinds = set()
+    for mus, betas in _generator_stages(27, 12):
+        _, _, (c1, c0, poles, residues) = _stage(mus, betas, max(1.0, max(map(abs, mus))))
+        kinds.add(c1 > 0.0)
+        ref = _mp_stage(mpmath, mus, betas, c1 == 0.0)
+        for x, r in zip((c0, c1), ref[:2]):
+            worst["c"] = max(worst["c"], float(abs(x - r) / abs(r)) if r else abs(x))
+        b0 = betas[mus.index(0.0)]
+        for p, b in zip(poles, residues):
+            z, rb = (0.0, b0 * ref[2] / (ref[2] - b0)) if p == 0.0 else _mp_pole(mpmath, ref[3], p)
+            worst["pole"] = max(worst["pole"], float(abs(p - z) / abs(z)) if p else 0.0)
+            worst["residue"] = max(worst["residue"], float(abs(b - rb) / rb))
+    assert kinds == {False, True}
+    assert worst["c"] <= 1e-13 and worst["pole"] <= 1e-13 and worst["residue"] <= 1e-12, worst
+
+
+def test_one_peel_stage_scales_with_residues_near_1e168():
+    # flow residues reach 1e168 at t = 200, where s1^2, s1^3 and (s1/w)^2
+    # overflow and A^2 underflows: scaled by c = 2^560 every value of a stage
+    # scales exactly by c or 1/c, but the constant rest, which rounds in its
+    # division form, and c0 = -1/rest
+    from peakons.ratfun import _stage
+
+    c = 2.0 ** 560
+    for mus, betas in _generator_stages(31, 8):
+        span = max(1.0, max(map(abs, mus)))
+        l, rest, (c1, c0, poles, residues) = _stage(mus, betas, span)
+        l2, rest2, (c1b, c0b, poles2, residues2) = _stage(mus, [b * c for b in betas], span)
+        assert (l2 * c, c1b / c, poles2, [b / c for b in residues2]) == (l, c1, poles, residues)
+        assert rest2 * c == pytest.approx(rest, rel=1e-15) and c0b / c == pytest.approx(c0, rel=1e-15)
+
+
+def test_a_v_stage_of_two_poles_has_no_terminal_length():
+    # a v-stage drops Q's zero nearest w = 0; of two poles Q has none, and
+    # the origin pole would be left with no length.  No two-pole remainder
+    # fails the 1e-8 test, so span = 0 takes the v branch here
+    from peakons.errors import DegreeMismatch
+    from peakons.ratfun import _stage
+
+    with pytest.raises(DegreeMismatch, match="without its terminal length"):
+        _stage([0.0, 1.0], [0.5, 0.5], 0.0)

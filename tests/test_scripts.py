@@ -32,6 +32,16 @@ def test_bitident_finds_a_build_identical_to_itself(tmp_path):
     assert counts and counts[1] == counts[2] != "0", proc.stdout
 
 
+def test_workcounts_counts_alike_on_two_runs(tmp_path):
+    argv = ["workcounts.py", "roundtrip", "--seed", "11", str(ROOT / "src")]
+    runs = [_run(argv, tmp_path) for _ in range(2)]
+    assert all(p.returncode == 0 for p in runs), [p.stderr for p in runs]
+    assert runs[0].stdout == runs[1].stdout
+    head, total = runs[0].stdout.splitlines()[1], runs[0].stdout.splitlines()[-1]
+    assert head.split() == ["kind", "ops", "neg_reciprocal", "secular_zeros", "count", "count_slope"]
+    assert total.split()[:2] == ["total", "144"] and all(int(v) > 0 for v in total.split()[2:])
+
+
 def _result_line(p50, share, failed):
     metrics = {"op_p50_ms": {"value": p50, "unit": "ms"},
                "success_share": {"value": share, "unit": "ratio"}}
