@@ -2,9 +2,10 @@
 
 The CLI can override every field of Tolerances (--tol.<name>).  Not every
 numerical threshold is one: forward._rows' 1e-8 gap floor, the two
-1e-8 tests of ratfun._pf_neg_reciprocal, the 1e-8 constant-or-v test of
-ratfun._stage (each cf_expand stage of a remainder with no slope or
-constant) and cf_expand's 1e-6 remainder test are fixed in the code, and
+1e-8 tests of ratfun._at_infinity (a slope or a constant kept at infinity,
+for _pf_neg_reciprocal and so every secular solve, and for cf_expand's
+first stage), the 1e-8 constant-or-v test of ratfun._stage (every stage
+it peels) and cf_expand's 1e-6 remainder test are fixed in the code, and
 so are forward._newton's cap of _NEWTON_STEPS = 40 steps per root, its
 stop rule, a step of at most _NEWTON_ULPS = 2 ulps, and
 forward._warm_bracket's node widths (_WARM_ULPS, _WARM_WIDEN,

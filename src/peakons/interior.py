@@ -148,21 +148,17 @@ def feasibility(d: InteriorData, tol: Tolerances = DEFAULT) -> FeasibilityReport
             bad.append(("ii", f"zero at {lams[j]} without a neighbor sign change"))
 
     # (i): every zeroed eigenvalue must be a zero of the pole-free part of -1/(M+M)
-    zero_idx = [j for j in range(n) if phi[j] == 0.0]
-    if zero_idx:
-        gamma = 1.0 - lsum(p * p for p in phi)
-        for j in zero_idx:
-            z = lams[j]
-            val = gamma * z + beta
-            scale = max(1.0, abs(gamma * z) + abs(beta))
-            for lam, p in zip(lams, phi):
-                if p == 0.0:
-                    continue
-                r = lam * lam * p * p
-                val += r / (lam - z)
-                scale += abs(r / (lam - z))
-            if abs(val) > tol.g * scale:
-                bad.append(("i", f"F does not vanish at zeroed eigenvalue {z}"))
+    for z in (lam for lam, p in zip(lams, phi) if p == 0.0):
+        val = alpha * z + beta
+        scale = max(1.0, abs(alpha * z) + abs(beta))
+        for lam, p in zip(lams, phi):
+            if p == 0.0:
+                continue
+            r = lam * lam * p * p
+            val += r / (lam - z)
+            scale += abs(r / (lam - z))
+        if abs(val) > tol.g * scale:
+            bad.append(("i", f"F does not vanish at zeroed eigenvalue {z}"))
 
     # endpoint constraints by regime
     if alpha == 0.0 and beta == 0.0:

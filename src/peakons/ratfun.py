@@ -10,11 +10,12 @@ affine stages m(z) = c0 + c1*z, c1 >= 0:
 
     value = 1/(-head*z + 1/(m_1 + 1/(-l_1*z + 1/(m_2 + ... - 1/(l_K*z)))))
 
-with head = 0 permitted on the plus side only (reference point on an atom).
-The bounded remainder g = -1/h - l*z of a remainder h = sum b/(mu - z) with
-its pole at 0 is -l*P/h, P(z) = sum b*mu/(mu - z) = -w*Q(w) in w = 1/z with
-Q Herglotz; so one negative reciprocal, of Q, gives the zeros of g and the
-next remainder (_stage), not two.
+with head = 0 permitted on the plus side only (reference point on an atom,
+where h keeps a slope or a constant at infinity and its first stage is
+(c0, c1) = (zeta, gamma), read off h).  The bounded remainder g = -1/h - l*z
+of a remainder h = sum b/(mu - z) with its pole at 0 is -l*P/h, P(z) =
+sum b*mu/(mu - z) = -w*Q(w) in w = 1/z with Q Herglotz; so one negative
+reciprocal, of Q, gives the zeros of g and the next remainder (_stage).
 
 The poles of -1/h are the zeros of h, one per gap between poles and at
 most one on each outer side.  Each is solved as an offset from the pole
@@ -279,6 +280,12 @@ def _zero_offset(gamma, zeta, mus, betas, i, sgn, hi, terms=None):
     return _gap_offset(gamma, zeta, mus[i], betas[i], terms, sgn, hi)
 
 
+def _at_infinity(gamma, zeta, s1, span):
+    """(slope, const) that h keeps at infinity: gamma*span^2, |zeta|*span above 1e-8*s1,
+    with s1 the residue sum and span max(1, max|pole|); below it each is rounding."""
+    return gamma * span * span > 1e-8 * s1, abs(zeta) * span > 1e-8 * s1
+
+
 def _pf_neg_reciprocal(gamma, zeta, mus, betas):
     """Pole data of -1/h computed from h's pole data alone.
 
@@ -300,8 +307,7 @@ def _pf_neg_reciprocal(gamma, zeta, mus, betas):
     s1 = lsum(betas)
     span = max(1.0, max(abs(u) for u in mus))
     # behaviour at infinity: slope, then constant, else the pole sum
-    slope = gamma * span * span > 1e-8 * s1
-    const = abs(zeta) * span > 1e-8 * s1
+    slope, const = _at_infinity(gamma, zeta, s1, span)
     # each anchor's terms are built once and dropped after its gap: the m^2
     # terms of all anchors at once held megabytes at m = 175
     found: list[tuple[int, float, float]] = []  # (anchor pole, signed offset, residue)
@@ -359,7 +365,7 @@ def neg_reciprocal(h: HerglotzRational, tol: Tolerances = DEFAULT) -> HerglotzRa
 
 
 def _peel(gamma, zeta, mus, betas):
-    """_pf_neg_reciprocal in a chain of inversions (cf_expand, forward.weyl)."""
+    """_pf_neg_reciprocal in forward.weyl's chain of inversions."""
     try:
         return _pf_neg_reciprocal(gamma, zeta, mus, betas)
     except ZeroDivisionError as exc:  # by a residue of an earlier inversion
@@ -404,8 +410,8 @@ def _stage(mus, betas, span):
 
     -1/h = l*z + rest + g, l = 1/s1 and rest = -s2/s1^2 with s_k = sum b*mu^(k-1),
     and g = -l*P/h with P(z) = sum b*mu/(mu - z) = -w*Q(w) in w = 1/z, where
-    Q(w) = sum b/(1/mu - w) over mu != 0 is Herglotz.  One _peel of Q gives
-    stage = (c1, c0, poles, residues), the pole data of -1/g = c1*z + c0 + next:
+    Q(w) = sum b/(1/mu - w) over mu != 0 is Herglotz.  One _pf_neg_reciprocal of
+    Q gives stage = (c1, c0, poles, residues), the pole data of -1/g = c1*z + c0 + next:
     next has the poles 0 and 1/w_k over the zeros w_k of Q, with residues
     1/g' = (s1/w_k)^2*rho_k, rho_k that of -1/Q, and b_0*s1/(s1 - b_0) at 0.
     Where |rest|*span > 1e-8*A, c0 = -1/rest; else c1 = 1/A and c0 = -B/A^2
@@ -426,7 +432,7 @@ def _stage(mus, betas, span):
         nus = sorted((1.0 / u, b) for u, b in zip(mus, betas) if u)
         if not all(math.isfinite(nu) for nu, _ in nus):  # 1/mu of a subnormal pole
             raise NonConverged("a continued-fraction stage leaves float range")
-        _, _, zeros, rhos = _peel(0.0, 0.0, [nu for nu, _ in nus], [b for _, b in nus])
+        _, _, zeros, rhos = _pf_neg_reciprocal(0.0, 0.0, [nu for nu, _ in nus], [b for _, b in nus])
         found = list(zip(zeros, rhos))
         if abs(rest) * span > 1e-8 * A:
             c0, c1 = -1.0 / rest, 0.0
@@ -448,12 +454,12 @@ def cf_expand(h: HerglotzRational, side: str, tol: Tolerances = DEFAULT) -> Stie
     """Expand a one-sided Weyl function into its finite continued fraction.
 
     -1/h starts with a length slope, l*z + rest + g, and minus the reciprocal
-    of the bounded remainder g with the affine stage.  With no slope or
-    constant in h, g = -l*P/h (see _stage): the zeros of g are 0 and those
-    of P, found by one pole-space inversion in w = 1/z, and each stage costs
-    one secular solve.  An interior branch's first stage, whose h has a slope
-    or a constant, takes two: -1/h, then -1/(rest + its pole terms).  The
-    result is verified against h before returning.
+    of the bounded remainder g with the affine stage.  g = -l*P/h (see
+    _stage): its zeros are 0 and those of P, found by one pole-space
+    inversion in w = 1/z, so each stage costs at most one secular solve.  An
+    h with a slope or a constant at infinity (_at_infinity: a on an atom)
+    has head length 0 and its own constant and slope as its first stage.
+    The result is verified against h before returning.
     """
     if side not in ("plus", "minus"):
         raise ValueError(f"side must be plus or minus, got {side!r}")
@@ -472,7 +478,6 @@ def cf_expand(h: HerglotzRational, side: str, tol: Tolerances = DEFAULT) -> Stie
         if h.gamma > tol.coef or abs(h.zeta) > tol.coef * max(1.0, sup):
             raise DegreeMismatch("minus-side function must vanish at infinity")
 
-    gamma, zeta = h.gamma, h.zeta
     # the origin pole is structural: phi(0, x) = e^{-x/2} makes its location
     # and residue exact, and every stage peel hands the same pole down to the
     # next tail.  Pinning it at 0 keeps its (large) residue out of the moment
@@ -481,41 +486,32 @@ def cf_expand(h: HerglotzRational, side: str, tol: Tolerances = DEFAULT) -> Stie
     betas = list(h.residues)
     mus[i0] = 0.0
     betas[i0] = 0.5
-    head = None
-    stages: list[tuple[float, float]] = []
+    # the head length, then the length after each stage
     lengths: list[float] = []
+    stages: list[tuple[float, float]] = []
+    if any(_at_infinity(h.gamma, h.zeta, lsum(betas), max(1.0, max(map(abs, mus))))):
+        if side == "minus":
+            raise NonPositiveLength("minus side needs a strictly positive head length")
+        lengths.append(0.0)
+        stages.append((h.zeta, h.gamma))
     for _ in range(len(h.poles) + 2):
         wspan = max(1.0, max(abs(u) for u in mus))
-        if gamma or zeta:  # an interior branch's first stage: two inversions
-            l, rest, mus2, betas2 = _peel(gamma, zeta, mus, betas)
-            stage = _peel(0.0, rest, mus2, betas2) if mus2 else None
-        else:
-            l, rest, stage = _stage(mus, betas, wspan)
-        if head is None:
-            if l == 0.0 and side == "minus":
-                raise NonPositiveLength("minus side needs a strictly positive head length")
-            head = l
-        else:
-            if l <= 0.0:
-                raise NonPositiveLength(f"vanishing length: extracted l = {l}")
-            lengths.append(l)
+        l, rest, stage = _stage(mus, betas, wspan)
+        if l <= 0.0:
+            raise NonPositiveLength(f"vanishing length: extracted l = {l}")
+        lengths.append(l)
         if stage is None:
             # bare terminal length: the constant remainder must vanish
             if abs(rest) > 1e-6 * wspan * max(l, tol.cf):
                 raise NonConverged("continued fraction left a nonzero remainder")
             break
         c1, c0, mus, betas = stage
-        if not mus:
-            raise DegreeMismatch("continued fraction ended without its terminal length")
-        mus = list(mus)
-        mus[min(range(len(mus)), key=lambda i: abs(mus[i]))] = 0.0
         stages.append((c0, c1))
-        gamma, zeta = 0.0, 0.0
     else:
         raise NonConverged("continued-fraction expansion did not terminate")
     cf = StieltjesCF(
-        float(head),
-        tuple(CFStage(c0, c1, l) for (c0, c1), l in zip(stages, lengths)),
+        float(lengths[0]),
+        tuple(CFStage(c0, c1, l) for (c0, c1), l in zip(stages, lengths[1:])),
         side,
     )
     for y in _GRID_Y:

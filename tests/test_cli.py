@@ -110,6 +110,16 @@ def test_interior_enumerates_the_two_branch_example(tmp_path, capsys):
     assert len(out["branches"]) == 2
 
 
+def test_interior_data_whose_alpha_reads_0_enumerates(tmp_path, capsys):
+    # sum phi^2 = 1 - 5e-10: alpha reads 0, and condition (i) holds with it
+    f = _interior_file(tmp_path, 0.0, [(1.0, 0.999499373936522), (500.0, 0.0),
+                                       (1000.0, -0.03163859985050698)])
+    assert main(["interior", f, "--enumerate"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["feasibility"]["alpha"] == 0 and out["feasibility"]["violations"] == []
+    assert len(out["solutions"]) == 1 and out["errors"] == []
+
+
 def test_interior_enumerate_solves_the_weyl_sum_once(tmp_path, monkeypatch, capsys):
     from peakons import interior
 

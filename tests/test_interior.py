@@ -254,6 +254,20 @@ def test_gate_function_value_at_zeroed_eigenvalue():
     assert any(tag == "i" for tag, _ in rep.violations)
 
 
+def test_gate_value_test_takes_the_alpha_that_sum_weyl_inverts():
+    # sum phi^2 = 1 - 5e-10, so alpha reads 0 within tol.ab; F(500) vanishes
+    # with that alpha, not with the raw 5e-10, and the one branch is the data's
+    d = InteriorData(0.0, (1.0, 500.0, 1000.0), (0.999499373936522, 0.0, -0.03163859985050698))
+    rep = feasibility(d)
+    assert rep.alpha == 0.0
+    assert rep.ok, rep.violations
+    fam = enumerate_solutions(d)
+    assert len(fam) == 1 and not fam.errors
+    back = interior_data(fam[0], d.a)
+    assert back.eigenvalues == pytest.approx(d.eigenvalues, rel=1e-9)
+    assert back.phi == pytest.approx(d.phi, abs=1e-9)
+
+
 def test_gate_extreme_values_when_alpha_beta_zero():
     # p + q = 1 and -p + 2q = 0 give alpha = beta = 0; the zeroed top
     # entry then violates the nonzero-extremes requirement
@@ -325,31 +339,29 @@ def test_pole_split_rejects_a_weyl_sum_with_no_pole_in_the_gap_of_0():
 # ------------------------------------------------------------------ roundtrip
 
 def test_family_contains_the_source_measure(rng):
-    hits = 0
+    # anchored between atoms, and on every atom, v = 0 and v > 0 both met
+    on_atom_vee = set()
     for _ in range(20):
         m = random_measure(rng, n=int(rng.integers(1, 5)))
-        if m.n == 1:
-            a = m.points[0] - 0.4
-        else:
-            a = 0.5 * (m.points[0] + m.points[1])
-        d = interior_data(m, a)
-        fam = enumerate_solutions(d)
-        assert fam.measures, [str(e) for _, e in fam.errors]
-        best = min(
-            max(
-                abs(p - q)
-                for p, q in zip(
-                    got.points + got.omega + got.vee,
-                    m.points + m.omega + m.vee,
+        gap = m.points[0] - 0.4 if m.n == 1 else 0.5 * (m.points[0] + m.points[1])
+        on_atom_vee.update(v > 0.0 for v in m.vee)
+        for a in (gap, *m.points):
+            fam = enumerate_solutions(interior_data(m, a))
+            assert fam.measures, [str(e) for _, e in fam.errors]
+            best = min(
+                max(
+                    abs(p - q)
+                    for p, q in zip(
+                        got.points + got.omega + got.vee,
+                        m.points + m.omega + m.vee,
+                    )
                 )
+                if got.n == m.n
+                else math.inf
+                for got in fam
             )
-            if got.n == m.n
-            else math.inf
-            for got in fam
-        )
-        assert best < 1e-6
-        hits += 1
-    assert hits == 20
+            assert best < 1e-6, (m.points, m.omega, m.vee, a)
+    assert on_atom_vee == {False, True}
 
 
 def _perfbench_gen():

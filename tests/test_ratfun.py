@@ -7,11 +7,13 @@ from hypothesis import example, given, settings, strategies as st
 from peakons import (
     BadResidueAtZero,
     HerglotzRational,
+    NonPositiveLength,
     NotHerglotz,
     StieltjesCF,
     cf_evaluate,
     cf_expand,
     herglotz,
+    measure_from_weyl,
     neg_reciprocal,
     validate,
     weyl,
@@ -568,6 +570,34 @@ def test_cf_roundtrip_on_weyl_functions(rng):
             for _ in range(20):
                 z = complex(rng.uniform(-3, 3), rng.uniform(1.0, 10.0))
                 assert abs(cf_evaluate(cf, z) - h(z)) <= 1e-8 * max(1.0, abs(h(z)))
+
+
+@pytest.mark.parametrize("vee", [0.0, 0.8], ids=["v=0", "v>0"])
+def test_an_atom_anchored_first_stage_is_read_off_h(monkeypatch, vee):
+    # a on an atom: h = (omega + v*z) + sum b/(mu - z) is its own first stage
+    # behind a head of 0, and only the later stages take a secular solve
+    from peakons import ratfun
+
+    m = validate([(-1.0, 1.3, 0.4), (0.2, -0.7, vee), (1.5, 2.0, 0.0), (2.1, 0.6, 1.1)])
+    h = weyl(m, m.points[1], "plus")
+    calls = []
+    solve = ratfun._pf_neg_reciprocal
+    monkeypatch.setattr(ratfun, "_pf_neg_reciprocal", lambda *a: calls.append(a) or solve(*a))
+    cf = cf_expand(h, "plus")
+    assert cf.head_length == 0.0
+    assert (cf.stages[0].c0, cf.stages[0].c1) == (h.zeta, h.gamma)
+    assert len(cf.stages) == 3 and len(calls) == len(cf.stages) - 1
+
+
+@pytest.mark.parametrize("gamma, zeta", [(5e-11, 0.0), (0.0, 3e-11)])
+def test_a_minus_side_with_a_slope_or_constant_at_infinity_has_no_head(gamma, zeta):
+    # within tol.coef of vanishing at infinity, yet a slope or constant that
+    # h keeps there: its head length would be 0, which the minus side forbids
+    h = HerglotzRational(gamma, zeta, (0.0, 1000.0), (0.5, 1.0))
+    with pytest.raises(NonPositiveLength, match="strictly positive head length"):
+        cf_expand(h, "minus")
+    with pytest.raises(NonPositiveLength, match="strictly positive head length"):
+        measure_from_weyl(h, 0.0, "minus")
 
 
 def test_cf_evaluate_empty_terminal():
