@@ -164,7 +164,7 @@ def _cmd_evolve(args, cfg: RunConfig) -> int:
     ts = cfg.t_grid.points()
     xs = cfg.x_grid.points()
     rows, measures, scan, series_errors = [], [], [], []
-    for t in ts:  # one t at a time: the scan and the series share its reconstruction
+    for t in ts:  # scan and series share each t's reconstruction; t = 0 needs none: it is m
         scan += evolution.collision_scan(fs, [t], cfg.tol)
         try:
             us, mt = evolution.solution_at(fs, t, xs, cfg.tol)

@@ -2,12 +2,14 @@
 
 The flow fixes the eigenvalues and scales each norming constant by
 exp(-(t - t0)/(2 lambda_i)); all time evolution is exact and the only
-numerics live in the reconstruction back to (omega, v).  The wave profile
-is u(x) = 1/2 sum omega_j e^{-|x - x_j|}, cross-checked against the
-spectral route u(x) = 1/2 sum phi_i(x)^2 / lambda_i.  Both sums, taken at
-every grid point of every step, are explicit loops from the integer 0: the
-same additions in the same order as ratfun.lsum, without its per-term
-generator cost.
+numerics live in the reconstruction back to (omega, v), which a flow built
+from a measure skips at t0: there it returns that measure, and its trace
+check reads the forward solve's eigenfunctions.  The wave profile is
+u(x) = 1/2 sum omega_j e^{-|x - x_j|}, cross-checked against the spectral
+route u(x) = 1/2 sum phi_i(x)^2 / lambda_i.  Both sums, taken at every grid
+point of every step, are explicit loops from the integer 0: the same
+additions in the same order as ratfun.lsum, without its per-term generator
+cost.
 """
 
 from __future__ import annotations
@@ -35,7 +37,11 @@ class FlowState:
 
     @classmethod
     def from_measure(cls, m: PeakonMeasure, t0: float = 0.0, tol: Tolerances = DEFAULT):
-        return cls(forward.spectral_data(m, tol), t0)
+        """The flow through m at t0, whose last (t, tol) is (t0, tol): m itself, with its
+        forward solve's values at the atoms and kappa_i lambda_i for the trace route."""
+        base, atoms = forward._spectral(m, tol)
+        ws = [k * lam for lam, k in zip(base.eigenvalues, base.norming)]
+        return cls(base, t0, ((t0, tol), (m, atoms, ws)))
 
 
 def evolve_spectral(fs: FlowState, t: float) -> SpectralData:
@@ -54,7 +60,8 @@ def evolve_spectral(fs: FlowState, t: float) -> SpectralData:
 
 
 def measure_at(fs: FlowState, t: float, tol: Tolerances = DEFAULT) -> PeakonMeasure:
-    """The measure at time t; asking again for the last (t, tol) reuses its outcome."""
+    """The measure at time t; asking again for the last (t, tol) reuses its outcome.
+    A flow from_measure(m, t0, tol) returns m itself at (t0, tol) until asked another."""
     return _reconstruction(fs, t, tol)[0]
 
 
@@ -94,6 +101,7 @@ def solution_at(
     lambda_i), with m's own eigenvalues and values at the atoms from
     inverse._reconstruct (every phi_i read at x by one forward._phi_at) over
     the flow's evolved kappa_i, so it also checks m's kappa against the flow's.
+    At from_measure's t0 they are m's forward solve's: the trace formula on m itself.
     """
     m, atoms, ws = _reconstruction(fs, t, tol)
     us = []

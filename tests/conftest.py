@@ -5,8 +5,10 @@ Cholesky reduction and a dense symmetric eigensolver, independently of the
 sign-count bisection used by the library.
 """
 
+import importlib.util
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -227,6 +229,15 @@ def random_measure(rng, n=None, signs="mixed", with_v=True, span=4.0):
             w = 0.0
         triples.append((float(x), w, v))
     return validate(triples)
+
+
+def perfbench_gen():
+    """perfbench/gen.py, the benchmark's seeded measure generator, loaded by path."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
 
 
 @pytest.fixture

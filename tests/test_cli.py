@@ -386,6 +386,23 @@ _NAN, _INF = float("nan"), float("inf")
 _MEASURE = [(-0.3, 1.7, 0.0), (0.9, -0.6, 0.25), (2.2, 0.8, 0.0)]
 
 
+def test_evolve_writes_the_input_measure_and_its_kernel_u_at_t0(tmp_path):
+    # at t = 0 the flow holds the measure it was given: the report carries it
+    # float for float and the series is its kernel u, bit for bit
+    from peakons import validate
+    from peakons.evolution import _kernel_u
+
+    f = _measure_file(tmp_path, _MEASURE)  # the golden case "three"
+    out = tmp_path / "series.csv"
+    assert main(["evolve", f, "--t", "0:1:0.5", "--x=-2:3:1", "--out", str(out)]) == 0
+    first = json.loads((tmp_path / "series.csv.report.json").read_text())["measures"][0]
+    assert first == {"t": 0, "measure": {"points": [{"x": x, "w": w, "v": v} for x, w, v in _MEASURE]}}
+    m = validate(_MEASURE)
+    rows = [[float(c) for c in line.split(",")] for line in out.read_text().splitlines()[1:]]
+    at0 = [(x, u) for t, x, u in rows if t == 0.0]
+    assert len(at0) == 6 and [u for _, u in at0] == [_kernel_u(m, x) for x, _ in at0]
+
+
 def _with(triples, i, k, value):
     out = [list(t) for t in triples]
     out[i][k] = value

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from peakons import (
     DEFAULT,
@@ -42,8 +42,31 @@ def test_identity_at_start_time():
     assert sd.eigenvalues == fs.base.eigenvalues
     assert sd.norming == fs.base.norming
     back = measure_at(fs, 2.0)
-    assert back.points == pytest.approx(m.points, abs=1e-9)
-    assert back.omega == pytest.approx(m.omega, abs=1e-9)
+    assert back.points == m.points
+    assert back.omega == m.omega
+
+
+def test_the_flow_of_a_measure_holds_it_at_the_start_time(monkeypatch):
+    # from_measure's forward solve seeds (t0, tol): measure_at returns the
+    # input itself and solution_at its kernel u, with no reconstruction and
+    # no eigenfunction read; another Tolerances or another t rebuilds once
+    from peakons import forward, inverse
+
+    calls, reads = [], []
+    rebuild, read = inverse._reconstruct, forward._eigenfunction
+    monkeypatch.setattr(inverse, "_reconstruct", lambda sd, tol: calls.append(sd) or rebuild(sd, tol))
+    m = validate([(-0.3, 1.7, 0.0), (0.9, -0.6, 0.25), (2.2, 0.8, 0.0)])
+    fs = FlowState.from_measure(m, t0=2.0)
+    monkeypatch.setattr(forward, "_eigenfunction", lambda *a: reads.append(a) or read(*a))
+    xs = [-2.0, *m.points, 1.5, 4.0]
+    assert measure_at(fs, 2.0) is m
+    assert solution_at(fs, 2.0, xs) == ([_kernel_u(m, x) for x in xs], m)
+    assert calls == [] and reads == []
+    assert measure_at(fs, 2.0, DEFAULT.with_overrides(inv=1e-9)) is not m
+    assert len(calls) == 1
+    fs = FlowState.from_measure(m, t0=2.0)
+    measure_at(fs, 2.5)
+    assert len(calls) == 2
 
 
 def test_flow_composes(rng):
@@ -209,9 +232,9 @@ def test_trace_route_checks_the_reconstruction_s_kappa_against_the_flow(monkeypa
     monkeypatch.setattr(inverse, "_reconstruct", lambda sd, tol: reconstruct(
         SpectralData(sd.eigenvalues, tuple(k * (1 + 9e-8) for k in sd.norming)), tol))
     fs = FlowState.from_measure(validate([(0.0, 1.0, 0.0), (1.0, 1.0, 0.0)]))
-    measure_at(fs, 0.0)
+    measure_at(fs, 1.0)
     with pytest.raises(TraceMismatch):
-        solution_at(fs, 0.0, [0.0, 1.0])
+        solution_at(fs, 1.0, [0.0, 1.0])
 
 
 def test_solution_at_reads_no_eigenfunction_after_measure_at(rng, monkeypatch):
@@ -417,6 +440,7 @@ def test_peakon_antipeakon_switches_vee_on_at_the_collision():
 
 def test_failed_reconstruction_is_cached_across_scan_and_series(tmp_path, monkeypatch):
     # peakon evolve scans every t, then asks for its series: one inverse per t
+    # (the grid starts after t = 0, where the flow holds its input measure)
     import json
 
     from peakons import Infeasible, inverse
@@ -433,8 +457,64 @@ def test_failed_reconstruction_is_cached_across_scan_and_series(tmp_path, monkey
     f = tmp_path / "m.json"
     f.write_text(json.dumps({"points": [{"x": 0.0, "w": 2.0, "v": 0.0}, {"x": 1.0, "w": -0.5, "v": 0.0}]}))
     out = tmp_path / "series.csv"
-    assert main(["evolve", str(f), "--t", "0:200:50", "--x=0:1:1", "--out", str(out)]) == 0
+    assert main(["evolve", str(f), "--t", "50:250:50", "--x=0:1:1", "--out", str(out)]) == 0
     assert len(calls) == 5
     report = json.loads((tmp_path / "series.csv.report.json").read_text())
     assert [e["error"] for e in report["series_errors"]] == ["forced failure"] * 5
     assert [r[2] for r in report["collisions"]] == ["forced failure"] * 5
+
+
+_EXACT_INV = DEFAULT.with_overrides(inv=0.0)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    atoms=st.lists(st.tuples(st.floats(1e-3, 40.0), st.floats(-3.0, 2.0), st.booleans(),
+                             st.sampled_from([0.0, 0.0, 0.3, 1.2])), min_size=1, max_size=6),
+    t0=st.floats(-10.0, 10.0),
+    times=st.lists(st.floats(-1e3, 1e3), max_size=3),
+    exact=st.booleans(),
+)
+def test_the_flow_and_peakon_evolve_return_or_raise_a_peakon_error(atoms, t0, times, exact, monkeypatch):
+    # random measures (gaps 1e-3 to 40, |omega| 1e-3 to 100) asked at t0, at
+    # t0 under inv = 0 and at |t| up to 1e3, from a flow built under either
+    # bundle: each call returns or raises a PeakonError, and peakon evolve
+    # on a grid through its t0 = 0 exits 0, 2, 3 or 4 with one error line
+    import contextlib
+    import io
+    import json
+    import tempfile
+
+    from peakons.cli import main
+
+    xs = itertools.accumulate(gap for gap, *_ in atoms)
+    triples = [(x, -10.0 ** e if neg else 10.0 ** e, v) for x, (_, e, neg, v) in zip(xs, atoms)]
+    try:
+        m = validate(triples)
+        fs = FlowState.from_measure(m, t0, _EXACT_INV if exact else DEFAULT)
+    except PeakonError:
+        fs = None
+    if fs is not None:
+        grid = [m.points[0] - 5.0, *m.points, 0.5 * (m.points[0] + m.points[-1]), m.points[-1] + 5.0]
+        for t in (t0, *times):
+            for tol in (DEFAULT, _EXACT_INV):
+                for call in (lambda: measure_at(fs, t, tol), lambda: solution_at(fs, t, grid, tol)):
+                    try:
+                        call()
+                    except PeakonError:
+                        pass
+        collision_scan(fs, [t0, *times])
+
+    monkeypatch.delenv("PEAKON_CONFIG", raising=False)
+    span = max(map(abs, times), default=1.0) or 1.0
+    with tempfile.TemporaryDirectory() as tmp:
+        f = f"{tmp}/m.json"
+        with open(f, "w") as fh:
+            json.dump({"points": [{"x": x, "w": w, "v": v} for x, w, v in triples]}, fh)
+        argv = ["evolve", f, f"--t={-span!r}:{span!r}:{span!r}", "--x=-3:3:3", "--out", f"{tmp}/s.csv"]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(argv + (["--tol.inv", "0"] if exact else []))
+    text = err.getvalue()
+    assert code in (0, 2, 3, 4)
+    assert text == "" if code == 0 else text.startswith("error: ") and text.count("\n") == 1, text

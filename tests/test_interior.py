@@ -1,8 +1,6 @@
 """Interior inverse problem: feasibility gate, pole splitting, enumeration."""
 
-import importlib.util
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +29,7 @@ from peakons.inverse import _left_end
 from peakons.ratfun import HerglotzRational
 from peakons.forward import _shoot
 
-from conftest import random_measure
+from conftest import perfbench_gen, random_measure
 
 
 def _single_peakon():
@@ -364,20 +362,11 @@ def test_family_contains_the_source_measure(rng):
     assert on_atom_vee == {False, True}
 
 
-def _perfbench_gen():
-    """perfbench/gen.py, the benchmark's seeded measure generator, loaded by path."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
-    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    return gen
-
-
 def test_the_full_line_inverse_is_a_branch_of_the_interior_inverse():
     # left of the support phi = c e^{x/2} with c != 0, so no phi_i(a) is a
     # node and none is snapped; at the full-line inverse's anchor x_1 - 1 one
     # branch of the interior inverse is the full-line reconstruction
-    gen = _perfbench_gen()
+    gen = perfbench_gen()
     tol = DEFAULT.with_overrides(phi=0.0)
     for k in range(40):
         m = validate(gen.measure_triples(gen.sub_rng(500, k), 3 + k % 10))

@@ -38,7 +38,8 @@ def test_workcounts_counts_alike_on_two_runs(tmp_path):
     assert all(p.returncode == 0 for p in runs), [p.stderr for p in runs]
     assert runs[0].stdout == runs[1].stdout
     head, total = runs[0].stdout.splitlines()[1], runs[0].stdout.splitlines()[-1]
-    assert head.split() == ["kind", "ops", "neg_reciprocal", "secular_zeros", "count", "count_slope"]
+    assert head.split() == ["kind", "ops", "neg_reciprocal", "secular_zeros", "count", "count_slope",
+                             "reconstruct"]
     assert total.split()[:2] == ["total", "144"] and all(int(v) > 0 for v in total.split()[2:])
 
 
