@@ -2,14 +2,16 @@
 
 Builds the seeded batch of one workload of ``perfbench`` (read-only, as
 ``bitident.py`` builds it), runs every op once against the ``peakons``
-package in SRC and counts, while the op runs, the calls of five
+package in SRC and counts, while the op runs, the calls of six
 functions of the package:
 
 - ``neg_reciprocal``: ``ratfun._pf_neg_reciprocal``, one secular solve;
 - ``secular_zeros``: ``ratfun._gap_offset``, one zero of a secular solve;
 - ``count``: ``forward._count``, one Sturm pass over the rows;
 - ``count_slope``: ``forward._count_slope``, one Newton pass over the rows;
-- ``reconstruct``: ``inverse._reconstruct``, one measure rebuilt from spectral data.
+- ``reconstruct``: ``inverse._reconstruct``, one measure rebuilt from spectral data;
+- ``spectral``: ``forward._spectral``, one forward solve (eigenvalues, then
+  an eigenfunction and a norming constant each).
 
 The counts are exact and the same on every run of one tree.  Prints one
 row per op kind and one for all ops, with the number of ops and the mean
@@ -32,6 +34,7 @@ COUNTED = {
     "count": ("forward", "_count"),
     "count_slope": ("forward", "_count_slope"),
     "reconstruct": ("inverse", "_reconstruct"),
+    "spectral": ("forward", "_spectral"),
 }
 
 

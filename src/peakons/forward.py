@@ -28,7 +28,7 @@ directly, and the inverse, interior branches and the flow's trace route
 through _resolve, which also checks that a reconstruction reproduces its
 eigenvalues.  _phi_at reads every eigenfunction at a point from them.  A
 seed, cosh or sinh out of float range raises NumericalError; _shoot, the
-gap-transfer walk, serves only weyl's check off the real axis.
+gap-transfer walk, shares nothing with the rows, so weyl checks against it.
 
 _count walks the rows at a number z in ratio form, the pivots
 d_i = Q_i(z)/Q_{i-1}(z) of an LDL^T factorisation (Parlett, The Symmetric
@@ -49,8 +49,9 @@ root is guessed, certified and bisected, or falls back:
   and the root ends on the floats the cold bisection gives;
 - fall back: a guess that is not certified bisects from the cold bracket.
 
-weyl folds M_+ or M_- from its Stieltjes continued fraction in pole-residue
-form, the exact inverse of inverse.measure_from_weyl.
+weyl reads M_+ or M_- off the spectral data of the atoms on its side,
+moved to the right of a reference point at 0: _weyl_left, the -1/F of both
+inverses, whose half-line M_+ measure_from_weyl unrolls.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ from . import ratfun
 from .config import Tolerances, DEFAULT
 from .errors import (ConsistencyFail, NearCollision, NonConverged, NotHerglotz,
                      NumericalError, ValidationError)
-from .measures import PeakonMeasure, counts
+from .measures import PeakonMeasure, counts, validate
 from .ratfun import HerglotzRational
 
 
@@ -527,41 +528,70 @@ def _snap(phis, tol: Tolerances) -> list[float]:
     return [0.0 if abs(p) <= tol.phi * top else p for p in phis]
 
 
+_FREE_SIDE = HerglotzRational(0.0, 0.0, (0.0,), (0.5,))  # -1/(2z), the Weyl function of no atoms
+
+
+def _weyl_left(sd: SpectralData, a: float, tol: Tolerances) -> HerglotzRational:
+    """M_plus at a point a left of the support, read off the spectral data sd.
+
+    There phi_i(a)^2 = e^a kappa_i/(lam_i W'(lam_i))^2 and M_minus = -1/(2z)
+    exactly, so M_plus = -1/F - M_minus with F = alpha z + beta +
+    sum lam_i^2 phi_i(a)^2/(lam_i - z) (see interior).  The pole of -1/F
+    nearest 0 is F's exact zero F(0) = 0, and M_plus's share of its residue
+    is exactly 1/2: that pole is set to (0.0, 0.5).
+
+    The residues e^a kappa_i/W'(lam_i)^2 take W' from _wdot, the W' of
+    _spectral's kappa, whose rounding then cancels across a roundtrip.
+    Residues formed instead as lam_i^2 exp(a + terms_i) from inverse._left_end's
+    log terms cost the benchmark's roundtrip accuracy_digits_p50 0.09-0.18
+    digits on seeds 1-6 (14.271 -> 14.108 on seed 1).  A W' whose square
+    underflows, as for eigenvalues a few ulps apart, raises NumericalError.
+    """
+    lams = list(sd.eigenvalues)
+    wds = [_wdot(lams, i) for i in range(len(lams))]
+    for lam, wd in zip(lams, wds):
+        if not wd * wd > 0.0:
+            raise NumericalError(f"W'({lam}) = {wd} underflows its square")
+    try:
+        ea = math.exp(a)
+    except OverflowError as exc:
+        raise NumericalError(f"e^a overflows at the reference point {a}") from exc
+    res = []  # residues of the pole term: lam^2 phi(a)^2
+    s_phi2 = 0.0
+    s_lphi2 = 0.0
+    for lam, kap, wd in zip(lams, sd.norming, wds):
+        r = ea * kap / (wd * wd)
+        res.append(r)
+        s_phi2 += r / (lam * lam)
+        s_lphi2 += r / lam
+    s = ratfun.neg_reciprocal(ratfun.herglotz(1.0 - s_phi2, -s_lphi2, lams, res, tol), tol)
+    i0 = min(range(len(s.poles)), key=lambda i: abs(s.poles[i]))
+    poles, residues = list(s.poles), list(s.residues)
+    poles[i0], residues[i0] = 0.0, 0.5
+    return HerglotzRational(s.gamma, s.zeta, tuple(poles), tuple(residues))
+
+
 def weyl(m: PeakonMeasure, a: float, side: str, tol: Tolerances = DEFAULT) -> HerglotzRational:
     """M_plus = phi'_+/(z phi_+) on [a, inf); M_minus = -phi'_-/(z phi_-) on (-inf, a).
 
-    Folded bottom-up from the continued fraction that measure_from_weyl
-    unrolls.  With u = |x_j - a| over the atoms on that side, stage j is
-    (omega_j + v_j z) cosh^2(u_j/2), and the lengths are the increments of
-    2 tanh(u/2) from 0 through the atoms to 2, each written as a product so
-    that no difference of tanh cancels.  Far atom first, with N(h) = -1/h:
-    r = N(l_K z), then r <- N(l_{j-1} z + N(stage_j + r)) per atom, where
-    a zero head length (a on an atom) leaves r <- stage_1 + r.  The result
-    must reproduce the shooting quotient off the real axis.
+    Each depends on the atoms of its side alone.  They are moved so that a
+    is 0, as x - a, or as a - x on the minus side, a reflection that makes
+    M_minus the M_plus of the reflected atoms.  An atom at a (plus side) is
+    left out and adds omega + v z, the jump of the left-continuous phi'.
+    M_plus of the rest is _weyl_left of their spectral data at 0, or
+    -1/(2z) if there are none.  The result must reproduce the shooting
+    quotient off the real axis.
     """
     if side not in ("plus", "minus"):
         raise ValueError(f"side must be plus or minus, got {side!r}")
     k = bisect_left(m.points, a)
-    far_first = range(m.n - 1, k - 1, -1) if side == "plus" else range(k)
-    atoms = [(abs(m.points[j] - a), m.omega[j], m.vee[j]) for j in far_first]
-    neg = ratfun._peel
-    u = atoms[0][0] if atoms else 0.0
-    try:
-        gamma, zeta, poles, residues = neg(2.0 * math.exp(-u / 2.0) / math.cosh(u / 2.0), 0.0, (), ())
-        for t, (u, w, v) in enumerate(atoms):
-            ch = math.cosh(u / 2.0)
-            gamma, zeta = gamma + v * ch * ch, zeta + w * ch * ch
-            if t + 1 < len(atoms):
-                un = atoms[t + 1][0]
-                length = 2.0 * math.sinh((u - un) / 2.0) / (math.cosh(un / 2.0) * ch)
-            else:
-                length = 2.0 * math.tanh(u / 2.0)
-            if length > 0.0:
-                gamma, zeta, poles, residues = neg(gamma, zeta, poles, residues)
-                gamma, zeta, poles, residues = neg(gamma + length, zeta, poles, residues)
-    except OverflowError as exc:
-        raise NumericalError(f"an atom {u} from {a} overflows cosh") from exc
-    h = ratfun.herglotz(gamma, zeta, poles, residues, tol)
+    if side == "plus":
+        moved = [(x - a, w, v) for x, w, v in zip(m.points[k:], m.omega[k:], m.vee[k:])]
+    else:
+        moved = [(a - x, w, v) for x, w, v in zip(m.points[:k], m.omega[:k], m.vee[:k])]
+    zeta, gamma = moved.pop(0)[1:] if moved and moved[0][0] == 0.0 else (0.0, 0.0)
+    h = _weyl_left(_spectral(validate(moved, tol), tol)[0], 0.0, tol) if moved else _FREE_SIDE
+    h = HerglotzRational(h.gamma + gamma, h.zeta + zeta, h.poles, h.residues)
     sign = 1.0 if side == "plus" else -1.0
     for y in ratfun._GRID_Y:
         z = 1j * y
@@ -570,7 +600,7 @@ def weyl(m: PeakonMeasure, a: float, side: str, tol: Tolerances = DEFAULT) -> He
             raise NumericalError(f"phi_{side} underflows at {a}")
         ref = sign * dphi / (z * phi)
         if abs(h(z) - ref) > tol.pf * max(1.0, abs(ref)):
-            raise NotHerglotz(f"continued fraction does not reproduce the Weyl function at {z}")
+            raise NotHerglotz(f"spectral data do not reproduce the Weyl function at {z}")
     return h
 
 

@@ -5,14 +5,17 @@ lengths are increments of 2 tanh((x - a)/2); inverting the cumulative sums
 recovers positions, and the affine stage coefficients divided by cosh^2
 recover the weights.  Full-line reconstruction from (eigenvalues, norming)
 places a reference point strictly left of the support, where the minus-side
-Weyl function is exactly -1/(2z), and rebuilds the plus side: it is the
-all-plus branch of the interior inverse, whose empty minus side
-measure_from_weyl returns without a continued fraction.  _branch turns one
-split of the poles of M_plus + M_minus into a measure, for both inverses.
+Weyl function is exactly -1/(2z), and rebuilds the plus side that
+forward._weyl_left reads off the data, as forward.weyl does for each side
+of a measure: it is the all-plus branch of the interior inverse, whose
+empty minus side measure_from_weyl returns without a continued fraction.
+_branch turns one split of the poles of M_plus + M_minus into a measure,
+for both inverses.
 
 The data fix the left end of the support in closed form.  Left of the
 support phi_i(a)^2 = e^a kappa_i / (lam_i W'(lam_i))^2, with W' in the
-product form forward._wdot that spectral_data checks kappa against, so
+product form forward._wdot that spectral_data checks kappa against (and
+that _weyl_left keeps for the residues, see there), so
 alpha(a) = 1 - sum phi_i(a)^2 vanishes exactly at a = x_1:
 
     x_1 = -log sum_i kappa_i / (lam_i W'(lam_i))^2.
@@ -47,7 +50,7 @@ from .errors import (
     ValidationError,
 )
 from .measures import PeakonMeasure, validate
-from .ratfun import HerglotzRational, cf_expand, herglotz, lsum, neg_reciprocal
+from .ratfun import HerglotzRational, cf_expand, lsum
 
 
 @dataclass(frozen=True)
@@ -75,9 +78,6 @@ class HalfLineMeasure:
                 raise ValidationError(f"minus-side point {x} not left of {self.a}")
 
 
-_FREE_SIDE = (0.0, 0.0, (0.0,), (0.5,))  # -1/(2z), the Weyl function of no atoms
-
-
 def measure_from_weyl(
     h: HerglotzRational, a: float, side: str, tol: Tolerances = DEFAULT
 ) -> HalfLineMeasure:
@@ -88,7 +88,7 @@ def measure_from_weyl(
     2 alone, under any tolerances, so it gives the empty measure at once.
     That is the minus side of every full-line inverse.
     """
-    if side in ("plus", "minus") and (h.gamma, h.zeta, h.poles, h.residues) == _FREE_SIDE:
+    if side in ("plus", "minus") and h == forward._FREE_SIDE:
         return HalfLineMeasure((), (), (), a, side)
     cf = cf_expand(h, side, tol)
     total = cf.head_length + lsum(s.length for s in cf.stages)
@@ -122,36 +122,10 @@ def measure_from_weyl(
 
 
 def _attempt(sd: forward.SpectralData, a: float, tol: Tolerances) -> PeakonMeasure:
-    """The measure whose plus-side Weyl function at a fits sd.
-
-    W'(lam_i) is forward._wdot; _attempt divides by its square, which
-    underflows for eigenvalues a few ulps apart.
-    """
-    lams = list(sd.eigenvalues)
-    wds = [forward._wdot(lams, i) for i in range(len(lams))]
-    for lam, wd in zip(lams, wds):
-        if not wd * wd > 0.0:
-            raise NumericalError(f"W'({lam}) = {wd} underflows its square")
-    try:
-        ea = math.exp(a)
-    except OverflowError as exc:
-        raise NumericalError(f"e^a overflows at the reference point {a}") from exc
-    res = []  # residues of the pole term: lam^2 phi(a)^2
-    s_phi2 = 0.0
-    s_lphi2 = 0.0
-    for lam, kap, wd in zip(lams, sd.norming, wds):
-        r = ea * kap / (wd * wd)
-        res.append(r)
-        s_phi2 += r / (lam * lam)
-        s_lphi2 += r / lam
-    f = herglotz(1.0 - s_phi2, -s_lphi2, lams, res, tol)
-    s = neg_reciprocal(f, tol)
-    # the pole of -1/F nearest the origin is the exact zero F(0)=0; left of
-    # the support M_minus = -1/(2z) exactly, so every other pole is M_plus's
-    # and the plus share of the origin's residue is exactly 1/2
-    i0 = min(range(len(s.poles)), key=lambda i: abs(s.poles[i]))
-    plus = [(0.0, 0.5) if i == i0 else pr for i, pr in enumerate(zip(s.poles, s.residues))]
-    return _branch(s, a, plus, [(0.0, 0.5)], tol)
+    """The measure whose plus-side Weyl function at a fits sd: every pole of
+    forward._weyl_left goes to M_plus, and M_minus is -1/(2z) exactly."""
+    h = forward._weyl_left(sd, a, tol)
+    return _branch(h, a, zip(h.poles, h.residues), [(0.0, 0.5)], tol)
 
 
 def _branch(s: HerglotzRational, a: float, plus, minus, tol: Tolerances) -> PeakonMeasure:

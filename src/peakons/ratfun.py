@@ -364,14 +364,6 @@ def neg_reciprocal(h: HerglotzRational, tol: Tolerances = DEFAULT) -> HerglotzRa
     return out
 
 
-def _peel(gamma, zeta, mus, betas):
-    """_pf_neg_reciprocal in forward.weyl's chain of inversions."""
-    try:
-        return _pf_neg_reciprocal(gamma, zeta, mus, betas)
-    except ZeroDivisionError as exc:  # by a residue of an earlier inversion
-        raise NonConverged("a residue underflowed to 0 in a chain of inversions") from exc
-
-
 # ------------------------------------------------- Stieltjes continued fractions
 
 @dataclass(frozen=True)

@@ -193,6 +193,22 @@ class MpForward:
             x0 = self.mp.mpf(lam)
             return self.mp.findroot(self.w, (x0, x0 * (1 + self.mp.mpf(2) ** -40)), verify=False)
 
+    def weyl_pole(self, mu, x):
+        """(pole, residue) of M_plus = phi'/(z phi) at x nearest the float pole mu.
+
+        The pole is the zero of phi_plus(., x) that findroot reaches from mu,
+        and the residue, as b in b/(pole - z), is -phi'/(z dphi/dz) there,
+        with phi' on the gap right of x (phi is 0 there, so no jump counts).
+        """
+        with self._digits():
+            x0 = self.mp.mpf(mu)
+            pole = self.mp.findroot(lambda z: self.phi(z, x), (x0, x0 * (1 + self.mp.mpf(2) ** -40)),
+                                    verify=False)
+            A, B, _ = self._carry(pole, x)
+            e = self.mp.exp(self.mp.mpf(x) / 2)
+            dphi = (A * e - B / e) / 2
+            return pole, -dphi / (pole * self.mp.diff(lambda z: self.phi(z, x), pole))
+
     def spectral(self, lams):
         """[(eigenvalue, kappa)] for the roots reached from the floats lams."""
         out = []

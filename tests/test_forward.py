@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.polynomial import polynomial as npp
 
 import peakons.forward as forward
@@ -24,6 +25,7 @@ from peakons import (
     NearCollision,
     NonConverged,
     NumericalError,
+    PeakonError,
     counts,
     eigenfunction_zero_count,
     eigenvalues,
@@ -683,8 +685,7 @@ def test_sign_flip_around_zero_of_second_eigenfunction(rng):
 def test_weyl_minus_free():
     m = validate([(0.0, 2.0, 0.0)])
     h = weyl(m, -1.0, "minus")
-    assert h.poles == (0.0,) and h.residues[0] == pytest.approx(0.5, abs=1e-12)
-    assert h.gamma == 0.0 and abs(h.zeta) < 1e-12
+    assert (h.gamma, h.zeta, h.poles, h.residues) == (0.0, 0.0, (0.0,), (0.5,))
 
 
 def test_weyl_residue_at_zero(rng):
@@ -693,9 +694,9 @@ def test_weyl_residue_at_zero(rng):
         a = float(rng.uniform(m.points[0] - 1.0, m.points[-1] + 1.0))
         for side in ("plus", "minus"):
             h = weyl(m, a, side)
+            # the origin pole is exact, phi(0, x) = e^{-x/2}
             i0 = min(range(len(h.poles)), key=lambda i: abs(h.poles[i]))
-            assert h.poles[i0] == pytest.approx(0.0, abs=1e-10)
-            assert h.residues[i0] == pytest.approx(0.5, rel=1e-9)
+            assert (h.poles[i0], h.residues[i0]) == (0.0, 0.5)
 
 
 def test_weyl_at_support_point():
@@ -703,10 +704,15 @@ def test_weyl_at_support_point():
     h = weyl(m, 0.0, "plus")  # omega_1 - 1/(2z)
     assert h.gamma == pytest.approx(0.0, abs=1e-12)
     assert h.zeta == pytest.approx(2.0, rel=1e-12)
-    assert h.poles == (0.0,) and h.residues[0] == pytest.approx(0.5, abs=1e-12)
+    assert (h.poles, h.residues) == ((0.0,), (0.5,))
+    m = validate([(-1.0, 1.0, 0.0), (0.0, 2.0, 0.0), (1.5, -0.7, 0.3), (2.0, 1.0, 0.0)])
+    h = weyl(m, 0.0, "plus")
+    assert h.zeta == pytest.approx(2.0, rel=1e-12)
+    assert (h.poles[1], h.residues[1]) == (0.0, 0.5)
 
 
-# two atoms, one with omega = 0: the fold meets a zero exactly at a gap midpoint
+# two atoms, one with omega = 0: the continued-fraction fold that weyl once
+# used met a zero exactly at a gap midpoint
 WEYL_OMEGA_ZERO_TRIPLES = [
     (-3.3796274211919775, -0.5005737653567364, 0.37316863505458175),
     (2.10544761121185, 0.0, 0.5983337529689183),
@@ -763,6 +769,50 @@ def test_weyl_sum_identity(rng):
                 for lam, p in zip(d.eigenvalues, d.phi)
             )
             assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(rhs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    atoms=st.lists(st.tuples(st.floats(-800.0, 800.0), st.floats(-3.0, 3.0), st.booleans(),
+                             st.floats(-3.0, 3.0), st.booleans()), min_size=1, max_size=6),
+    anchor=st.one_of(st.integers(0, 5), st.floats(-1000.0, 1000.0)),
+    side=st.sampled_from(("plus", "minus")),
+)
+def test_weyl_returns_or_raises_a_peakon_error(atoms, anchor, side):
+    # 1-6 atoms spread over up to 1.6e3, weights 1e-3 to 1e3 of either sign,
+    # anchored on an atom (an integer picks it) or anywhere near the support
+    try:
+        m = validate([(x, (1.0 if pos else -1.0) * 10.0 ** w, 10.0 ** v if has_v else 0.0)
+                      for x, w, pos, v, has_v in atoms])
+    except PeakonError:
+        return
+    a = m.points[anchor % m.n] if isinstance(anchor, int) else anchor
+    try:
+        h = weyl(m, a, side)
+    except PeakonError:
+        return
+    assert all(map(math.isfinite, (h.gamma, h.zeta, *h.poles, *h.residues)))
+
+
+def test_weyl_poles_and_residues_against_the_oracle():
+    # every pole but the exact origin against the 50-digit zero of phi_plus(., a)
+    # and its residue; M_minus is the M_plus of the reflected measure at -a.
+    # Worst measured: 2.8e-15 on the poles, 5.4e-14 on the residues
+    rng = np.random.default_rng(3030)
+    worst_pole = worst_res = 0.0
+    for n in range(2, 9):
+        m = random_measure(rng, n=n)
+        x = m.points
+        flip = validate([(-p, w, v) for p, w, v in zip(x, m.omega, m.vee)])
+        for a in (x[0] - 0.7, 0.5 * (x[0] + x[1]), x[n // 2], x[-1] + 0.7):
+            for side, oracle, at in (("plus", MpForward(m, dps=50), a), ("minus", MpForward(flip, dps=50), -a)):
+                h = weyl(m, float(a), side)
+                for mu, b in zip(h.poles, h.residues):
+                    if mu != 0.0:
+                        pole, res = oracle.weyl_pole(mu, at)
+                        worst_pole = max(worst_pole, rel_err(mu, pole))
+                        worst_res = max(worst_res, rel_err(b, res))
+    assert worst_pole <= 2.8e-14 and worst_res <= 5.4e-13
 
 
 # ------------------------------------------------------------ zero counts
@@ -823,13 +873,12 @@ def test_float_range_failures_are_numerical_errors(call):
         call()
 
 
-def test_weyl_of_a_residue_underflowing_in_its_chain_is_nonconverged():
-    # three atoms 214 and 474 apart, seen from the first: a residue of the
-    # chained inversions underflows to 0 and the next one divided by it
-    # (ZeroDivisionError leaked)
+def test_weyl_of_three_atoms_474_apart_inverts_to_its_atoms():
+    # three atoms 214 and 474 apart, seen from the first: the continued
+    # fraction that weyl once folded underflowed a residue to 0 in its chain
+    # of inversions (NonConverged); the spectral data of the other two read
+    # M_plus without that chain
     m = validate([(17.69933371469429, -836.1126237302997, 0.0),
                   (231.70729385735285, -0.026498728559133287, 0.0),
                   (705.7897761118595, 169785.00101505968, 0.0)])
-    with pytest.raises(NonConverged, match="underflowed to 0") as info:
-        weyl(m, 17.69933371469429, "plus")
-    assert isinstance(info.value.__cause__, ZeroDivisionError)
+    _check_weyl(m, m.points[0], "plus")

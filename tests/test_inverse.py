@@ -37,13 +37,13 @@ def test_free_minus_side_is_empty():
 def test_the_free_side_takes_the_result_of_its_continued_fraction(monkeypatch, side, tol):
     # -1/(2z) is inverted without a continued fraction; with that shortcut
     # switched off, cf_expand gives the same empty measure, head length 2
-    from peakons import inverse
+    from peakons import forward, inverse
 
     h = HerglotzRational(0.0, 0.0, (0.0,), (0.5,))
     fast = measure_from_weyl(h, -1.5, side, tol)
     cf = inverse.cf_expand(h, side, tol)
     assert (cf.head_length, cf.stages) == (2.0, ())
-    monkeypatch.setattr(inverse, "_FREE_SIDE", None)
+    monkeypatch.setattr(forward, "_FREE_SIDE", None)
     assert measure_from_weyl(h, -1.5, side, tol) == fast
     assert fast == inverse.HalfLineMeasure((), (), (), -1.5, side)
 
@@ -428,6 +428,25 @@ def test_measure_from_weyl_returns_or_raises_a_peakon_error(poles, gamma, zeta, 
     except PeakonError:
         return
     assert all(map(math.isfinite, (*half.points, *half.omega, *half.vee)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lams=st.lists(st.tuples(st.floats(-160.0, 160.0), st.booleans()), min_size=1, max_size=8),
+    kappas=st.lists(st.floats(-300.0, 300.0), min_size=8, max_size=8),
+)
+def test_measure_from_spectral_data_returns_or_raises_a_peakon_error(lams, kappas):
+    # eigenvalues 1e-160 to 1e160 of either sign, norming constants 1e-300 to 1e300
+    ev = sorted({(1.0 if pos else -1.0) * 10.0 ** e for e, pos in lams})
+    try:
+        sd = SpectralData(tuple(ev), tuple(10.0 ** k for k in kappas[:len(ev)]))
+    except PeakonError:
+        return
+    try:
+        m = measure_from_spectral_data(sd)
+    except PeakonError:
+        return
+    assert all(map(math.isfinite, (*m.points, *m.omega, *m.vee)))
 
 
 # data whose two-inversion stages underflowed a residue to 0 (and leaked

@@ -375,12 +375,11 @@ def test_neg_reciprocal_across_a_pole_spacing_whose_square_overflows():
 def test_an_h_prime_underflowing_to_0_in_a_chain_of_inversions_leaves_float_range():
     # residues of 5e-324, as an earlier inversion of a chain leaves them:
     # h' underflows to 0 at the zero between the poles, so its residue 1/h'
-    # is beyond the floats; this was a ZeroDivisionError, which _peel
-    # reported as "a residue underflowed to 0 in a chain of inversions"
-    from peakons.ratfun import _peel
+    # is beyond the floats; this was a ZeroDivisionError
+    from peakons.ratfun import _pf_neg_reciprocal
 
     with pytest.raises(NonConverged, match="negative reciprocal leaves float range"):
-        _peel(0.0, 0.0, (-6.0, 1.0), (5e-324, 5e-324))
+        _pf_neg_reciprocal(0.0, 0.0, (-6.0, 1.0), (5e-324, 5e-324))
 
 
 def _hex_outcome(f, *args):

@@ -39,7 +39,7 @@ def test_workcounts_counts_alike_on_two_runs(tmp_path):
     assert runs[0].stdout == runs[1].stdout
     head, total = runs[0].stdout.splitlines()[1], runs[0].stdout.splitlines()[-1]
     assert head.split() == ["kind", "ops", "neg_reciprocal", "secular_zeros", "count", "count_slope",
-                             "reconstruct"]
+                             "reconstruct", "spectral"]
     assert total.split()[:2] == ["total", "144"] and all(int(v) > 0 for v in total.split()[2:])
 
 
